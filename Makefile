@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-hot bench benchingest ingest-smoke ingest-batch-smoke benchregion region-smoke benchwatch benchwatch-smoke soak soak-short check
+.PHONY: all build vet lint test race race-hot bench perfbench-test perfbench soak soak-short check
 
 all: check
 
@@ -28,11 +28,14 @@ race:
 	$(GO) test -race ./...
 
 # Race-detector pass over just the concurrency-bearing packages — the
-# ring/fleet ingestion path, the pipeline sweeps and the soak harness.
-# This is what CI's dedicated race job runs, decoupled from the fast
-# tier-1 job so a slow race schedule never blocks the main signal.
+# ring/fleet ingestion path, the pipeline sweeps and the soak harness —
+# plus the benchmark module (perfbench/), whose fleet workload drives
+# ingest from its own producer. This is what CI's dedicated race job
+# runs, decoupled from the fast tier-1 job so a slow race schedule never
+# blocks the main signal.
 race-hot:
 	$(GO) test -race ./internal/ingest/... ./internal/pipeline/... ./internal/soak/...
+	cd perfbench && $(GO) test -race ./...
 
 # Smoke-run the hot-path benchmarks: one iteration each, with allocation
 # reporting (the allocs/op gate itself lives in TestSystemRunAllocs and
@@ -41,53 +44,22 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSystemRun|BenchmarkFig13' -benchtime 1x -benchmem ./.
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkPearson' -benchtime 1x -benchmem ./internal/lpd/ ./internal/stats/
 
-# Regenerate the committed ingest throughput baseline: streams/sec through
-# full detector stacks at 1/4/16/64 shards, per-push vs batched, over a
-# detector-bound and a transport-bound workload (median of 3 reps each),
-# with cross-run digest verification before any number is reported.
-benchingest:
-	$(GO) run ./cmd/benchingest > BENCH_ingest.json
+# The benchmark module's own tests (perfbench/ is a separate Go module,
+# so the root `go test ./...` skips it): tiny runs of both workloads, the
+# verdict gate, the latency estimator, and TestStoredDigestsMatchReference,
+# which fails when perfbench/expected_digests.json has gone stale.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short multi-shard ingest smoke for `make check`/CI: 64 streams x 5k
-# intervals through the per-item push path at every shard count, failing
-# unless all per-stream verdict digests agree across topologies
-# (throughput JSON discarded).
-ingest-smoke:
-	$(GO) run ./cmd/benchingest -mode perpush -reps 1 -intervals 5000 > /dev/null
-
-# Batched-path twin of ingest-smoke: the same 64-stream workload driven
-# through PushBatchWait (16-interval batches) at every shard count, with
-# the same cross-topology digest gate.
-ingest-batch-smoke:
-	$(GO) run ./cmd/benchingest -mode batched -reps 1 -intervals 5000 > /dev/null
-
-# Regenerate the committed sample-distribution baseline: ns/interval and
-# samples/sec for list vs tree vs batched epoch at 4/64/512 regions, plus
-# the end-to-end fleet delta, with cross-structure digest verification
-# before any number is reported.
-benchregion:
-	$(GO) run ./cmd/benchregion > BENCH_region.json
-
-# Short distribution smoke for `make check`/CI: tiny runs of the same
-# harness, failing unless all three structures' verdict digests agree
-# (throughput JSON discarded).
-region-smoke:
-	$(GO) run ./cmd/benchregion -smoke > /dev/null
-
-# Perf-regression gate (cmd/benchwatch): run the E-divisive change-point
-# engine over the committed BENCH_*.json trajectory (every committed
-# version plus the working tree) and fail when a regime change lands on
-# the latest PR. Tolerates short or shallow history by passing
-# vacuously, so it is safe in `make check` from day one.
-benchwatch:
-	$(GO) run ./cmd/benchwatch
-
-# Benchwatch smoke: the injected-step fixture must gate (nonzero exit)
-# and the flat fixture must pass — proving the gate can actually fire
-# before we trust its silence.
-benchwatch-smoke:
-	! $(GO) run ./cmd/benchwatch -series cmd/benchwatch/testdata/step.json > /dev/null
-	$(GO) run ./cmd/benchwatch -series cmd/benchwatch/testdata/flat.json > /dev/null
+# The repository benchmark (BENCHMARK.json): both declared workloads at
+# the declared 45 s, untraced for the end-to-end metrics, then traced for
+# the per-layer breakdown. Every run checks all verdict digests before it
+# reports a number. Manual, about four minutes; see perfbench/main.go.
+perfbench:
+	for w in spec-replay fleet-full; do \
+		python3 perfbench/run.py --workload $$w --seconds 45 --trace 0 || exit 1; \
+		python3 perfbench/run.py --workload $$w --seconds 45 --trace 1 || exit 1; \
+	done
 
 # Long-run hardening harness (cmd/soak): millions of intervals through
 # the full detector stack, asserting a steady heap and byte-identical
@@ -101,4 +73,4 @@ soak:
 soak-short:
 	$(GO) run ./cmd/soak -intervals 60000
 
-check: build lint test bench ingest-smoke ingest-batch-smoke region-smoke benchwatch benchwatch-smoke soak-short
+check: build lint test bench perfbench-test soak-short

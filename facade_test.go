@@ -195,19 +195,18 @@ func TestFacadeSystemAndExecutionModel(t *testing.T) {
 	}
 	_ = DefaultCostModel()
 
-	// Convenience harness with both observer styles.
+	// Convenience harness with a pipeline observer.
 	sys, err := NewSystem(bench.Prog, bench.Sched, SystemConfig{
 		Sampling: SamplingConfig{Period: 450, BufferSize: 512, JitterFrac: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var legacy, hooked int
-	sys.Observe(func(rep IntervalReport) { legacy++ })
+	var hooked int
 	sys.AddObserver(func(rep *PipelineReport) { hooked++ })
 	stats := sys.Run()
-	if stats.Intervals == 0 || legacy != stats.Intervals || hooked != stats.Intervals {
-		t.Errorf("intervals %d, legacy %d, hooked %d", stats.Intervals, legacy, hooked)
+	if stats.Intervals == 0 || hooked != stats.Intervals {
+		t.Errorf("intervals %d, hooked %d", stats.Intervals, hooked)
 	}
 	if sys.GlobalDetector() == nil || sys.RegionMonitor() == nil ||
 		sys.Executor() == nil || sys.Pipeline() == nil {

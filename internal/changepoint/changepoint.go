@@ -12,14 +12,13 @@
 // the same change points, so a detection is a fact two runs can agree on
 // byte-for-byte.
 //
-// Two consumers share the engine:
+// Two entry points share the engine:
 //
 //   - the online Detector (detector.go): a windowed per-interval phase
 //     detector behind the pipeline's PhaseDetector contract, watching a
 //     scalar metric (CPI by default) for distributional shifts;
-//   - cmd/benchwatch: the repo dogfooding its own discipline — the
-//     engine run offline over the BENCH_*.json trajectory across PRs,
-//     turning perf history into a CI-checked invariant.
+//   - Detect: one whole series at a time, offline (the façade's
+//     DetectChangePoints).
 package changepoint
 
 import "fmt"
@@ -256,8 +255,9 @@ func abs(x float64) float64 {
 }
 
 // Detect is the offline convenience entry: it builds a one-shot engine
-// sized to xs and returns every significant change point. cmd/benchwatch
-// and tests use it; the online detector constructs its Engine once.
+// sized to xs and returns every significant change point. The façade's
+// DetectChangePoints and tests use it; the online detector constructs its
+// Engine once.
 func Detect(xs []float64, seed uint64, cfg EngineConfig) ([]ChangePoint, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

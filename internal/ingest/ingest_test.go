@@ -112,12 +112,13 @@ func runFleet(t *testing.T, streams, shards, intervals int) []uint64 {
 }
 
 // TestFleetDeterminism is the tentpole guarantee: per-stream verdict
-// digests are byte-identical regardless of worker count. Run under -race
-// this also proves the rings are properly synchronized.
+// digests are byte-identical regardless of worker count, including 16
+// shards for 9 streams, where some workers own no stream at all. Run
+// under -race this also proves the rings are properly synchronized.
 func TestFleetDeterminism(t *testing.T) {
 	const streams, intervals = 9, 200
 	ref := runFleet(t, streams, 1, intervals)
-	for _, shards := range []int{3, 8} {
+	for _, shards := range []int{3, 8, 16} {
 		got := runFleet(t, streams, shards, intervals)
 		for s := range ref {
 			if got[s] != ref[s] {
@@ -376,8 +377,9 @@ func runFleetBatched(t *testing.T, streams, shards, intervals int, batchOf func(
 // the same per-stream workload driven through a per-item Push loop and
 // through PushBatchWait — with mixed batch sizes across streams and
 // rounds — produces identical per-stream verdict digests at every shard
-// count. Run under -race this also exercises multi-slot reservation
-// publishing against concurrent worker drains.
+// count, up to more shards than streams. Run under -race this also
+// exercises multi-slot reservation publishing against concurrent worker
+// drains.
 func TestFleetBatchDifferential(t *testing.T) {
 	const streams, intervals = 9, 200
 	ref := runFleet(t, streams, 1, intervals) // per-item path, 1 shard
@@ -386,7 +388,7 @@ func TestFleetBatchDifferential(t *testing.T) {
 		"mixed":    func(stream, base int) int { return 1 + (stream*7+base)%5 },
 	}
 	for name, batchOf := range shapes {
-		for _, shards := range []int{1, 3, 8} {
+		for _, shards := range []int{1, 3, 8, 16} {
 			got := runFleetBatched(t, streams, shards, intervals, batchOf)
 			for s := range ref {
 				if got[s] != ref[s] {

@@ -8,7 +8,7 @@
 //
 //  1. wall clock — calls to time.Now, time.Since or time.Until. The
 //     intentional timing sites (Figure 15's cost measurement, the
-//     benchpipeline harness) carry //lint:allow determinism.
+//     commands' timing lines on stderr) carry //lint:allow determinism.
 //  2. global RNG — package-level math/rand and math/rand/v2 draw
 //     functions (rand.Int, rand.Float64, rand.Shuffle, …). Seeded
 //     *rand.Rand values constructed with rand.New(rand.NewPCG(seed, …))

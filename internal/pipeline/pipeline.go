@@ -178,18 +178,12 @@ func (p *Pipeline) Detector(name string) PhaseDetector {
 	return nil
 }
 
-// AddObserver attaches a per-interval hook and returns its slot (usable
-// with SetObserver to replace it later). Observers run after every
+// AddObserver attaches a per-interval hook and returns its slot, the
+// count of observers attached before it. Observers run after every
 // detector has observed the interval, in attachment order.
 func (p *Pipeline) AddObserver(fn Observer) int {
 	p.observers = append(p.observers, fn)
 	return len(p.observers) - 1
-}
-
-// SetObserver replaces the observer in the given slot (as returned by
-// AddObserver). A nil fn clears the slot without shifting the others.
-func (p *Pipeline) SetObserver(slot int, fn Observer) {
-	p.observers[slot] = fn
 }
 
 // Stats returns the named detector's aggregate counters (zero value for
@@ -260,9 +254,7 @@ func (p *Pipeline) ObserveBatch(ovs []*hpm.Overflow) {
 			}
 		}
 		for _, fn := range p.observers {
-			if fn != nil {
-				fn(&p.rep)
-			}
+			fn(&p.rep)
 		}
 	}
 }

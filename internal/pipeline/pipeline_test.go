@@ -221,16 +221,17 @@ func TestObserverSlots(t *testing.T) {
 	pipe := New()
 	gdet := gpd.MustNew(gpd.DefaultConfig())
 	pipe.MustRegister(NewGPD(gdet))
-	var a, b int
-	slotA := pipe.AddObserver(func(*IntervalReport) { a++ })
-	pipe.AddObserver(func(*IntervalReport) { b++ })
+	var calls string
+	slotA := pipe.AddObserver(func(*IntervalReport) { calls += "a" })
+	slotB := pipe.AddObserver(func(*IntervalReport) { calls += "b" })
+	if slotA != 0 || slotB != 1 {
+		t.Errorf("slots = %d, %d; want 0, 1", slotA, slotB)
+	}
 	ov := &hpm.Overflow{Samples: []hpm.Sample{{PC: 0x10000, Instrs: 1}}}
 	pipe.ProcessOverflow(ov)
-	// Replace slot A; B keeps running.
-	pipe.SetObserver(slotA, nil)
 	pipe.ProcessOverflow(ov)
-	if a != 1 || b != 2 {
-		t.Errorf("a = %d, b = %d; want 1, 2", a, b)
+	if calls != "abab" {
+		t.Errorf("observer calls = %q; want %q (attachment order, once per interval)", calls, "abab")
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // benchProgram builds a program with nLoops loops, every one registered
 // as a region by the caller.
-func benchProgram(b *testing.B, nLoops int) (*isa.Program, []isa.LoopSpan) {
-	b.Helper()
+func benchProgram(t testing.TB, nLoops int) (*isa.Program, []isa.LoopSpan) {
+	t.Helper()
 	bld := isa.NewBuilder(0x10000)
 	spans := make([]isa.LoopSpan, 0, nLoops)
 	var p *isa.ProcBuilder
@@ -25,7 +25,7 @@ func benchProgram(b *testing.B, nLoops int) (*isa.Program, []isa.LoopSpan) {
 	}
 	prog, err := bld.Build()
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	return prog, spans
 }

@@ -53,10 +53,6 @@ type Config struct {
 	// Index selects the sample-to-region distribution structure. The
 	// zero value is IndexEpoch: the count-compressed batch path.
 	Index IndexKind
-	// UseIntervalTree is the legacy interval-tree switch, kept for
-	// configurations that predate Index. It applies only when Index is
-	// left at its zero value, where true selects IndexTree.
-	UseIntervalTree bool
 	// PruneAfter removes a region after this many consecutive intervals
 	// without samples (the paper's proposed region pruning); 0 disables.
 	PruneAfter int
@@ -99,15 +95,6 @@ const (
 	// once per sample.
 	IndexTree
 )
-
-// indexKind resolves the configured distribution structure, honoring the
-// legacy UseIntervalTree switch when Index is left at its zero value.
-func (c *Config) indexKind() IndexKind {
-	if c.Index == IndexEpoch && c.UseIntervalTree {
-		return IndexTree
-	}
-	return c.Index
-}
 
 // DefaultUCRHistoryCap is the UCR history window used when
 // Config.UCRHistoryCap is 0 — deep enough for any online consumer
@@ -337,7 +324,7 @@ func NewMonitor(prog *isa.Program, cfg Config) (*Monitor, error) {
 	}
 	var ix interval.Index
 	var epoch *interval.Epoch
-	switch cfg.indexKind() {
+	switch cfg.Index {
 	case IndexTree:
 		ix = interval.NewTree()
 	case IndexList:

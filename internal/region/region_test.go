@@ -292,63 +292,90 @@ func TestAddRegionValidation(t *testing.T) {
 	}
 }
 
+// TestIndexPathsAgree drives a list, a tree and an epoch monitor in
+// lockstep and requires the same report from each, interval by interval.
+// "formation" forms two loop regions and moves the samples between them;
+// "regions=512" is the largest point of BenchmarkProcessOverflow's grid:
+// 512 registered regions under the loopy 2032-sample buffer, whose hot
+// set moves to the upper half of the regions and back.
 func TestIndexPathsAgree(t *testing.T) {
-	prog, l1, l2 := testProgram(t)
-	run := func(kind IndexKind) []Report {
-		m := newMonitor(t, prog, func(c *Config) { c.Index = kind })
-		var reps []Report
+	monitors := func(t *testing.T, prog *isa.Program, spans []isa.LoopSpan) []*Monitor {
+		var ms []*Monitor
+		for _, kind := range []IndexKind{IndexList, IndexTree, IndexEpoch} {
+			m := newMonitor(t, prog, func(c *Config) { c.Index = kind })
+			for _, s := range spans {
+				if _, err := m.AddRegion(s.Start, s.End); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ms = append(ms, m)
+		}
+		return ms
+	}
+	agree := func(t *testing.T, ms []*Monitor, ov *hpm.Overflow) Report {
+		t.Helper()
+		a := ms[0].ProcessOverflow(ov)
+		for _, m := range ms[1:] {
+			kind := m.cfg.Index
+			b := m.ProcessOverflow(ov)
+			if a.UCRFraction != b.UCRFraction ||
+				a.MonitoredSamples != b.MonitoredSamples ||
+				a.UCRSamples != b.UCRSamples ||
+				a.IdleSamples != b.IdleSamples ||
+				a.FormationTriggered != b.FormationTriggered ||
+				len(a.Verdicts) != len(b.Verdicts) ||
+				len(a.NewRegions) != len(b.NewRegions) {
+				t.Fatalf("interval %d: list/%v reports diverge:\n%+v\n%+v", ov.Seq, kind, a, b)
+			}
+			for j := range a.Verdicts {
+				if a.Verdicts[j].Region.ID != b.Verdicts[j].Region.ID ||
+					a.Verdicts[j].Verdict != b.Verdicts[j].Verdict ||
+					a.Verdicts[j].Samples != b.Verdicts[j].Samples {
+					t.Fatalf("interval %d verdict %d diverges under %v:\n%+v\n%+v",
+						ov.Seq, j, kind, a.Verdicts[j], b.Verdicts[j])
+				}
+			}
+		}
+		return a
+	}
+
+	t.Run("formation", func(t *testing.T) {
+		prog, l1, l2 := testProgram(t)
+		ms := monitors(t, prog, nil)
 		for seq := 0; seq < 6; seq++ {
 			pcs := spanPCs(l1, 5)
 			if seq >= 3 {
 				pcs = spanPCs(l2, 5)
 			}
-			reps = append(reps, m.ProcessOverflow(overflow(seq, 128, pcs...)))
+			agree(t, ms, overflow(seq, 128, pcs...))
 		}
-		return reps
-	}
-	a := run(IndexList)
-	for _, kind := range []IndexKind{IndexTree, IndexEpoch} {
-		b := run(kind)
-		for i := range a {
-			if a[i].UCRFraction != b[i].UCRFraction ||
-				a[i].MonitoredSamples != b[i].MonitoredSamples ||
-				a[i].UCRSamples != b[i].UCRSamples ||
-				a[i].IdleSamples != b[i].IdleSamples ||
-				len(a[i].Verdicts) != len(b[i].Verdicts) ||
-				len(a[i].NewRegions) != len(b[i].NewRegions) {
-				t.Fatalf("interval %d: list/%v reports diverge:\n%+v\n%+v", i, kind, a[i], b[i])
-			}
-			for j := range a[i].Verdicts {
-				if a[i].Verdicts[j].Verdict != b[i].Verdicts[j].Verdict {
-					t.Fatalf("interval %d verdict %d diverges under %v", i, j, kind)
-				}
-				if a[i].Verdicts[j].Samples != b[i].Verdicts[j].Samples {
-					t.Fatalf("interval %d verdict %d samples diverge under %v", i, j, kind)
-				}
-			}
+		if n := len(ms[0].Regions()); n != 2 {
+			t.Fatalf("formed %d regions, want 2", n)
 		}
-	}
-}
+	})
 
-// TestLegacyUseIntervalTree pins the back-compat contract: the old boolean
-// still selects the tree when Index is left at its zero value, and is
-// ignored once Index is set explicitly.
-func TestLegacyUseIntervalTree(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want IndexKind
-	}{
-		{Config{}, IndexEpoch},
-		{Config{UseIntervalTree: true}, IndexTree},
-		{Config{Index: IndexList, UseIntervalTree: true}, IndexList},
-		{Config{Index: IndexTree}, IndexTree},
-	}
-	for _, c := range cases {
-		if got := c.cfg.indexKind(); got != c.want {
-			t.Errorf("indexKind(Index=%v, UseIntervalTree=%v) = %v; want %v",
-				c.cfg.Index, c.cfg.UseIntervalTree, got, c.want)
+	t.Run("regions=512", func(t *testing.T) {
+		prog, spans := benchProgram(t, 512)
+		ms := monitors(t, prog, spans)
+		low := benchOverflow(spans, hpm.DefaultBufferSize)
+		high := benchOverflow(spans[256:], hpm.DefaultBufferSize)
+		changes := 0
+		for seq := 0; seq < 9; seq++ {
+			ov := low
+			if seq/3 == 1 {
+				ov = high
+			}
+			ov.Seq = seq
+			for _, v := range agree(t, ms, ov).Verdicts {
+				if v.Verdict.PhaseChange {
+					changes++
+				}
+			}
 		}
-	}
+		if changes == 0 {
+			t.Fatal("no local phase change: the hot-set moves exercised nothing")
+		}
+	})
 }
 
 func TestUCRHistoryIsCopied(t *testing.T) {

@@ -249,8 +249,9 @@ func NewStack(prog *isa.Program) (*pipeline.Pipeline, error) {
 // through phases that weight two of the four loops, with a small idle
 // (PC 0) fraction and a sparse partial-buffer interval every 97th
 // delivery — the shapes the hardening fixes are about. It is exported for
-// the fleet soak mode and cmd/benchingest, which drive many independent
-// Workloads (one per stream) over the same program.
+// the fleet soak mode and the benchmark's fleet workload (perfbench/),
+// which drive many independent Workloads (one per stream) over the same
+// program.
 type Workload struct {
 	rng   uint64
 	loops []isa.LoopSpan

@@ -318,8 +318,8 @@ func AdaptCPI(tr *PerfTracker) *PerfAdapter { return pipeline.NewCPI(tr) }
 func AdaptDPI(tr *PerfTracker) *PerfAdapter { return pipeline.NewDPI(tr) }
 
 // E-divisive change-point detection (internal/changepoint): the
-// statistically grounded counterpart of the PerfTracker band check, and
-// the engine behind cmd/benchwatch's perf-regression gate.
+// statistically grounded counterpart of the PerfTracker band check, online
+// per interval or offline over a whole series (DetectChangePoints).
 type (
 	// ChangePointDetector is the online windowed E-divisive detector.
 	ChangePointDetector = changepoint.Detector

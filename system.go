@@ -10,24 +10,6 @@ import (
 	"regionmon/internal/sim"
 )
 
-// IntervalReport is delivered to a System's legacy observer (Observe)
-// after every sampling interval (sample-buffer overflow), carrying both
-// built-in detectors' views. New code should prefer AddObserver, which
-// receives the pipeline's merged report covering every registered
-// detector.
-type IntervalReport struct {
-	// Seq is the overflow sequence number.
-	Seq int
-	// Cycle is the absolute cycle at the end of the interval.
-	Cycle uint64
-	// Global is the centroid detector's verdict.
-	Global GlobalVerdict
-	// Regions is the region monitor's report (UCR, formation, per-region
-	// verdicts). Its Verdicts slice is reused across intervals; copy to
-	// retain.
-	Regions RegionReport
-}
-
 // SystemStats summarizes a completed System run.
 type SystemStats struct {
 	// Exec carries cycle and instruction totals.
@@ -64,8 +46,6 @@ type System struct {
 	pipe *pipeline.Pipeline
 	ga   *pipeline.GPD           //lint:config -- aliases a pipe-owned detector
 	ra   *pipeline.RegionMonitor //lint:config -- aliases a pipe-owned detector
-
-	legacySlot int //lint:config -- pipeline observer slot backing Observe; -1 when unused
 }
 
 // SystemConfig bundles a System's tunables; the zero value of each field
@@ -94,7 +74,7 @@ func NewSystem(prog *Program, sched *Schedule, cfg SystemConfig) (*System, error
 	if cfg.Region != nil {
 		rcfg = *cfg.Region
 	}
-	s := &System{prog: prog, legacySlot: -1}
+	s := &System{prog: prog}
 	gdet, err := gpd.New(gcfg)
 	if err != nil {
 		return nil, err
@@ -119,33 +99,6 @@ func NewSystem(prog *Program, sched *Schedule, cfg SystemConfig) (*System, error
 	}
 	s.exec = exec
 	return s, nil
-}
-
-// Observe registers fn to be called after every sampling interval.
-//
-// Deprecated: Observe keeps its historical replacement semantics — a
-// second call replaces the first call's observer (only the observer
-// Observe itself registered; hooks added via AddObserver or directly on
-// the pipeline are untouched). New code should use AddObserver, which
-// supports any number of observers and delivers the full pipeline
-// report.
-func (s *System) Observe(fn func(IntervalReport)) {
-	var hook Observer
-	if fn != nil {
-		hook = func(rep *PipelineReport) {
-			fn(IntervalReport{
-				Seq:     rep.Seq,
-				Cycle:   rep.Cycle,
-				Global:  s.ga.Last(),
-				Regions: *s.ra.Last(),
-			})
-		}
-	}
-	if s.legacySlot < 0 {
-		s.legacySlot = s.pipe.AddObserver(hook)
-		return
-	}
-	s.pipe.SetObserver(s.legacySlot, hook)
 }
 
 // AddObserver attaches a per-interval hook to the System's pipeline and
