@@ -38,11 +38,13 @@ race-hot:
 	cd perfbench && $(GO) test -race ./...
 
 # Smoke-run the hot-path benchmarks: one iteration each, with allocation
-# reporting (the allocs/op gate itself lives in TestSystemRunAllocs and
-# pipeline.TestHotPathAllocs, which run under `make test`).
+# reporting (the allocs/op gates themselves live in TestSystemRunAllocs,
+# pipeline.TestHotPathAllocs, changepoint.TestDetectorObserveAllocs and
+# altdetect's TestObserveAllocs, which run under `make test`).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSystemRun|BenchmarkFig13' -benchtime 1x -benchmem ./.
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkPearson' -benchtime 1x -benchmem ./internal/lpd/ ./internal/stats/
+	$(GO) test -run '^$$' -bench 'BenchmarkDetectorObserve|BenchmarkBBVObserve|BenchmarkWorkingSetObserve' -benchtime 1x -benchmem ./internal/changepoint/ ./internal/altdetect/
 
 # The benchmark module's own tests (perfbench/ is a separate Go module,
 # so the root `go test ./...` skips it): tiny runs of both workloads, the

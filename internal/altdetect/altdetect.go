@@ -45,38 +45,48 @@ type Verdict struct {
 }
 
 // blockIndexer maps sampled PCs to dense basic-block indices for one
-// program.
-type blockIndexer struct {
-	prog *isa.Program
-	idx  map[*isa.Block]int
-	n    int
-}
+// program. It holds every block's [start, end) in address order, so a
+// block's dense index is its position and one binary search resolves a
+// PC.
+type blockIndexer []blockSpan
 
-func newBlockIndexer(prog *isa.Program) *blockIndexer {
-	bi := &blockIndexer{prog: prog, idx: make(map[*isa.Block]int)}
+type blockSpan struct{ start, end isa.Addr }
+
+func newBlockIndexer(prog *isa.Program) blockIndexer {
+	var bi blockIndexer
 	for _, p := range prog.Procs {
 		for _, b := range p.Blocks {
-			bi.idx[b] = bi.n
-			bi.n++
+			bi = append(bi, blockSpan{b.Start, b.End()})
 		}
 	}
 	return bi
 }
 
 // lookup returns the dense index for pc, or -1 when pc is outside the
-// program text (e.g. idle samples at PC 0).
-func (bi *blockIndexer) lookup(pc isa.Addr) int {
-	b := bi.prog.BlockAt(pc)
-	if b == nil {
-		return -1
+// program text (e.g. idle samples at PC 0). Procedures are ascending and
+// disjoint and blocks within one are contiguous, so block ends ascend
+// strictly: the first block ending past pc is the only candidate, as in
+// isa.Program.BlockAt.
+func (bi blockIndexer) lookup(pc isa.Addr) int {
+	lo, hi := 0, len(bi)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bi[m].end > pc {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	return bi.idx[b]
+	if lo < len(bi) && bi[lo].start <= pc {
+		return lo
+	}
+	return -1
 }
 
 // BBV is the basic-block-vector phase detector.
 type BBV struct {
-	bi        *blockIndexer //lint:config -- fixed block index over the program
-	threshold float64       //lint:config -- fixed at construction
+	bi        blockIndexer //lint:config -- fixed block index over the program
+	threshold float64      //lint:config -- fixed at construction
 	prev      []float64
 	curr      []int64 //lint:config -- per-interval scratch, zeroed after each Observe
 	hasPrev   bool
@@ -100,8 +110,8 @@ func NewBBV(prog *isa.Program, threshold float64) (*BBV, error) {
 	return &BBV{
 		bi:        bi,
 		threshold: threshold,
-		prev:      make([]float64, bi.n),
-		curr:      make([]int64, bi.n),
+		prev:      make([]float64, len(bi)),
+		curr:      make([]int64, len(bi)),
 	}, nil
 }
 
@@ -168,12 +178,22 @@ func (d *BBV) StableFraction() float64 {
 
 // WorkingSet is the Dhodapkar-style working-set signature detector: only
 // *which* blocks executed matters, not how often — the difference from
-// BBV the paper's Section 4 highlights.
+// BBV the paper's Section 4 highlights. Each set is a membership array
+// over the program's blocks plus the list of its members, so adding,
+// testing and clearing a member cost O(1) and clearing a set costs
+// O(members).
 type WorkingSet struct {
-	bi        *blockIndexer //lint:config -- fixed block index over the program
-	threshold float64       //lint:config -- fixed at construction
-	prev      map[int]struct{}
-	curr      map[int]struct{} //lint:config -- per-interval scratch, cleared after each Observe
+	bi        blockIndexer //lint:config -- fixed block index over the program
+	threshold float64      //lint:config -- fixed at construction
+	// prevIn and prev are the previous interval's working set: prevIn[b]
+	// reports membership, prev lists the members in first-sampled order.
+	prevIn []bool
+	//lint:bounded -- at most one entry per block; capacity fixed at construction
+	prev []int
+	// currIn and curr are the same for the current interval.
+	currIn []bool //lint:config -- per-interval scratch, cleared at the start of each Observe
+	//lint:bounded -- at most one entry per block; capacity fixed at construction
+	curr []int //lint:config -- per-interval scratch, cleared at the start of each Observe
 
 	changes int
 	total   int
@@ -189,20 +209,28 @@ func NewWorkingSet(prog *isa.Program, threshold float64) (*WorkingSet, error) {
 	if threshold <= 0 || threshold >= 1 {
 		return nil, fmt.Errorf("altdetect: working-set threshold %v outside (0, 1)", threshold)
 	}
+	bi := newBlockIndexer(prog)
+	n := len(bi)
 	return &WorkingSet{
-		bi:        newBlockIndexer(prog),
+		bi:        bi,
 		threshold: threshold,
-		prev:      make(map[int]struct{}),
-		curr:      make(map[int]struct{}),
+		prevIn:    make([]bool, n),
+		prev:      make([]int, 0, n),
+		currIn:    make([]bool, n),
+		curr:      make([]int, 0, n),
 	}, nil
 }
 
 // Observe processes one overflow delivery.
 func (d *WorkingSet) Observe(ov *hpm.Overflow) Verdict {
-	clear(d.curr)
+	for _, b := range d.curr {
+		d.currIn[b] = false
+	}
+	d.curr = d.curr[:0]
 	for i := range ov.Samples {
-		if bi := d.bi.lookup(ov.Samples[i].PC); bi >= 0 {
-			d.curr[bi] = struct{}{}
+		if b := d.bi.lookup(ov.Samples[i].PC); b >= 0 && !d.currIn[b] {
+			d.currIn[b] = true
+			d.curr = append(d.curr, b)
 		}
 	}
 	d.total++
@@ -213,8 +241,8 @@ func (d *WorkingSet) Observe(ov *hpm.Overflow) Verdict {
 	}
 	if d.total > 1 {
 		inter := 0
-		for b := range d.curr {
-			if _, ok := d.prev[b]; ok {
+		for _, b := range d.curr {
+			if d.prevIn[b] {
 				inter++
 			}
 		}
@@ -231,6 +259,7 @@ func (d *WorkingSet) Observe(ov *hpm.Overflow) Verdict {
 	} else {
 		v.Similarity = 1
 	}
+	d.prevIn, d.currIn = d.currIn, d.prevIn
 	d.prev, d.curr = d.curr, d.prev
 	return v
 }

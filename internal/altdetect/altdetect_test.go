@@ -9,7 +9,7 @@ import (
 
 // twoBlockProgram builds a program with two well-separated straight
 // blocks (plus loop machinery) so working-set membership is controllable.
-func testProgram(t *testing.T) (*isa.Program, isa.Addr, isa.Addr) {
+func testProgram(t testing.TB) (*isa.Program, isa.Addr, isa.Addr) {
 	t.Helper()
 	b := isa.NewBuilder(0x10000)
 	p := b.Proc("a")

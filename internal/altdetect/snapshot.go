@@ -2,7 +2,6 @@ package altdetect
 
 import (
 	"fmt"
-	"sort"
 
 	"regionmon/internal/snap"
 )
@@ -10,9 +9,11 @@ import (
 // Checkpointing for the related-work detectors. As with the other
 // detectors, a snapshot captures mutable observation state only; Restore
 // targets a detector built over the same program with the same threshold.
-// The working-set signature is a map, so its snapshot sorts the block
-// indices — map iteration order must never reach the encoded bytes, or two
-// snapshots of identical state would differ.
+// The working-set signature is written as ascending block indices, so
+// two snapshots of the same set are byte-identical whatever order its
+// blocks were sampled in. Both restores decode and check the whole
+// snapshot before touching the detector, so a failed restore leaves it as
+// it was.
 
 const (
 	bbvTag = "bbv"
@@ -31,22 +32,7 @@ func (d *BBV) AppendSnapshot(e *snap.Encoder) {
 // RestoreSnapshot decodes state written by AppendSnapshot into d. The
 // snapshot's vector length must match the detector's program.
 func (d *BBV) RestoreSnapshot(dec *snap.Decoder) error {
-	dec.Header(bbvTag, 1)
-	hasPrev := dec.Bool()
-	prev := dec.F64s()
-	changes := dec.Int()
-	total := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if len(prev) != len(d.prev) {
-		return fmt.Errorf("altdetect: BBV snapshot has %d blocks, detector has %d", len(prev), len(d.prev))
-	}
-	copy(d.prev, prev)
-	d.hasPrev = hasPrev
-	d.changes = changes
-	d.total = total
-	return nil
+	return d.restore(dec, dec.Err)
 }
 
 // Snapshot returns the detector's state as a standalone versioned byte
@@ -60,24 +46,47 @@ func (d *BBV) Snapshot() []byte {
 }
 
 // Restore replaces the detector's state from a Snapshot produced by a
-// detector over the same program.
+// detector over the same program. Trailing bytes are an error.
 func (d *BBV) Restore(data []byte) error {
 	dec := snap.NewDecoder(data)
-	if err := d.RestoreSnapshot(dec); err != nil {
+	return d.restore(dec, dec.Finish)
+}
+
+// restore decodes and checks a snapshot, committing it only once done
+// (the decoder's Err, or Finish for a standalone snapshot) reports
+// success.
+func (d *BBV) restore(dec *snap.Decoder, done func() error) error {
+	dec.Header(bbvTag, 1)
+	hasPrev := dec.Bool()
+	prev := dec.F64s()
+	changes := dec.Int()
+	total := dec.Int()
+	if err := done(); err != nil {
 		return err
 	}
-	return dec.Finish()
+	if len(prev) != len(d.prev) {
+		return fmt.Errorf("altdetect: BBV snapshot has %d blocks, detector has %d", len(prev), len(d.prev))
+	}
+	if err := checkCounts(changes, total); err != nil {
+		return err
+	}
+	copy(d.prev, prev)
+	d.hasPrev = hasPrev
+	d.changes = changes
+	d.total = total
+	return nil
 }
 
 // AppendSnapshot encodes the detector's mutable state onto e. The previous
-// working set is written as sorted block indices for determinism.
+// working set is written as ascending block indices.
 func (d *WorkingSet) AppendSnapshot(e *snap.Encoder) {
 	e.Header(wsTag, 1)
 	prev := make([]int, 0, len(d.prev))
-	for b := range d.prev {
-		prev = append(prev, b)
+	for b, in := range d.prevIn {
+		if in {
+			prev = append(prev, b)
+		}
 	}
-	sort.Ints(prev)
 	e.Ints(prev)
 	e.Int(d.changes)
 	e.Int(d.total)
@@ -85,25 +94,7 @@ func (d *WorkingSet) AppendSnapshot(e *snap.Encoder) {
 
 // RestoreSnapshot decodes state written by AppendSnapshot into d.
 func (d *WorkingSet) RestoreSnapshot(dec *snap.Decoder) error {
-	dec.Header(wsTag, 1)
-	prev := dec.Ints()
-	changes := dec.Int()
-	total := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for _, b := range prev {
-		if b < 0 || b >= d.bi.n {
-			return fmt.Errorf("altdetect: working-set snapshot block %d outside program (%d blocks)", b, d.bi.n)
-		}
-	}
-	clear(d.prev)
-	for _, b := range prev {
-		d.prev[b] = struct{}{}
-	}
-	d.changes = changes
-	d.total = total
-	return nil
+	return d.restore(dec, dec.Err)
 }
 
 // Snapshot returns the detector's state as a standalone versioned byte
@@ -117,11 +108,48 @@ func (d *WorkingSet) Snapshot() []byte {
 }
 
 // Restore replaces the detector's state from a Snapshot produced by a
-// detector over the same program.
+// detector over the same program. Trailing bytes are an error.
 func (d *WorkingSet) Restore(data []byte) error {
 	dec := snap.NewDecoder(data)
-	if err := d.RestoreSnapshot(dec); err != nil {
+	return d.restore(dec, dec.Finish)
+}
+
+// restore is BBV.restore for the working set.
+func (d *WorkingSet) restore(dec *snap.Decoder, done func() error) error {
+	dec.Header(wsTag, 1)
+	prev := dec.Ints()
+	changes := dec.Int()
+	total := dec.Int()
+	if err := done(); err != nil {
 		return err
 	}
-	return dec.Finish()
+	for i, b := range prev {
+		if b < 0 || b >= len(d.prevIn) {
+			return fmt.Errorf("altdetect: working-set snapshot block %d outside program (%d blocks)", b, len(d.prevIn))
+		}
+		if i > 0 && b <= prev[i-1] {
+			return fmt.Errorf("altdetect: working-set snapshot blocks not strictly ascending (%d after %d)", b, prev[i-1])
+		}
+	}
+	if err := checkCounts(changes, total); err != nil {
+		return err
+	}
+	for _, b := range d.prev {
+		d.prevIn[b] = false
+	}
+	d.prev = append(d.prev[:0], prev...)
+	for _, b := range prev {
+		d.prevIn[b] = true
+	}
+	d.changes = changes
+	d.total = total
+	return nil
+}
+
+// checkCounts rejects change/interval counters no run can produce.
+func checkCounts(changes, total int) error {
+	if changes < 0 || total < 0 || changes > total {
+		return fmt.Errorf("altdetect: snapshot counts %d changes over %d intervals", changes, total)
+	}
+	return nil
 }

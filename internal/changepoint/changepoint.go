@@ -21,7 +21,10 @@
 //     DetectChangePoints).
 package changepoint
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // EngineConfig parameterizes the offline engine. The zero value is not
 // valid; start from DefaultEngineConfig.
@@ -110,9 +113,13 @@ func NewEngine(maxN int, cfg EngineConfig) (*Engine, error) {
 // MaxN returns the largest series length the engine accepts.
 func (e *Engine) MaxN() int { return len(e.perm) }
 
+// gamma is splitmix64's state increment: the PRNG is a counter that
+// advances by gamma per draw.
+const gamma = 0x9e3779b97f4a7c15
+
 // next is splitmix64 over the engine's per-Detect PRNG state.
 func (e *Engine) next() uint64 {
-	e.rng += 0x9e3779b97f4a7c15
+	e.rng += gamma
 	z := e.rng
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -123,7 +130,10 @@ func (e *Engine) next() uint64 {
 // ascending Index order, and returns the extended slice. The PRNG is
 // re-seeded from seed on every call, so identical (xs, seed) inputs
 // yield identical output regardless of what the engine processed before.
-// xs is read-only; it panics if len(xs) exceeds the construction maxN.
+// xs is read-only and must be finite: a NaN or ±Inf makes every split's
+// statistic NaN, which no permutation reaches, so it reads as
+// significant (the package-level Detect and the online Detector screen
+// for them). It panics if len(xs) exceeds the construction maxN.
 func (e *Engine) Detect(xs []float64, seed uint64, dst []ChangePoint) []ChangePoint {
 	if len(xs) > len(e.perm) {
 		panic(fmt.Sprintf("changepoint: series length %d exceeds engine capacity %d", len(xs), len(e.perm)))
@@ -154,12 +164,20 @@ func (e *Engine) Detect(xs []float64, seed uint64, dst []ChangePoint) []ChangePo
 }
 
 // permutationPValue estimates how often a random re-ordering of seg
-// produces a best-split statistic at least as large as stat.
+// produces a best-split statistic at least as large as stat. The result
+// is exact whenever it is <= Alpha. Otherwise the test stops at the
+// exceedance that pushes (1+exceed)/(1+R) past Alpha and returns that
+// partial value: later rounds can only raise it, so the verdict is
+// already settled. Every round draws exactly len(seg)-1 numbers, so the
+// early exit first advances the counter-based PRNG past the rounds it
+// skips, and the segments tested after this one see the same stream as
+// under a full test.
 func (e *Engine) permutationPValue(seg []float64, stat float64) float64 {
 	buf := e.perm[:len(seg)]
 	copy(buf, seg)
+	rounds := e.cfg.Permutations
 	exceed := 0
-	for r := 0; r < e.cfg.Permutations; r++ {
+	for r := 0; r < rounds; r++ {
 		// Fisher-Yates; shuffling the previous round's order is itself a
 		// uniform permutation of the original.
 		for i := len(buf) - 1; i > 0; i-- {
@@ -168,9 +186,13 @@ func (e *Engine) permutationPValue(seg []float64, stat float64) float64 {
 		}
 		if _, q := bestSplit(buf, e.cfg.MinSegment); q >= stat {
 			exceed++
+			if p := float64(1+exceed) / float64(1+rounds); p > e.cfg.Alpha {
+				e.rng += uint64(rounds-r-1) * uint64(len(buf)-1) * gamma
+				return p
+			}
 		}
 	}
-	return float64(1+exceed) / float64(1+e.cfg.Permutations)
+	return float64(1+exceed) / float64(1+rounds)
 }
 
 // bestSplit scans every admissible split position tau (MinSegment <= tau
@@ -193,9 +215,9 @@ func bestSplit(xs []float64, minSeg int) (int, float64) {
 	// Sums at tau = 1: left = {x0}, right = {x1..}.
 	var sxx, syy, sxy float64
 	for j := 1; j < n; j++ {
-		sxy += abs(xs[0] - xs[j])
+		sxy += math.Abs(xs[0] - xs[j])
 		for i := 1; i < j; i++ {
-			syy += abs(xs[i] - xs[j])
+			syy += math.Abs(xs[i] - xs[j])
 		}
 	}
 	bestTau, bestQ := -1, 0.0
@@ -205,10 +227,10 @@ func bestSplit(xs []float64, minSeg int) (int, float64) {
 			p := xs[tau-1]
 			var dLeft, dRight float64
 			for i := 0; i < tau-1; i++ {
-				dLeft += abs(xs[i] - p)
+				dLeft += math.Abs(xs[i] - p)
 			}
 			for j := tau; j < n; j++ {
-				dRight += abs(p - xs[j])
+				dRight += math.Abs(p - xs[j])
 			}
 			sxx += dLeft
 			syy -= dRight
@@ -247,20 +269,17 @@ func insertSorted(dst []ChangePoint, base int, cp ChangePoint) []ChangePoint {
 	return dst
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // Detect is the offline convenience entry: it builds a one-shot engine
 // sized to xs and returns every significant change point. The façade's
 // DetectChangePoints and tests use it; the online detector constructs its
-// Engine once.
+// Engine once. It returns an error naming the first NaN or ±Inf
+// observation.
 func Detect(xs []float64, seed uint64, cfg EngineConfig) ([]ChangePoint, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if i := firstNonFinite(xs); i >= 0 {
+		return nil, fmt.Errorf("changepoint: observation %d is %v; the series must be finite", i, xs[i])
 	}
 	if len(xs) < 2*cfg.MinSegment {
 		return nil, nil
@@ -270,4 +289,14 @@ func Detect(xs []float64, seed uint64, cfg EngineConfig) ([]ChangePoint, error) 
 		return nil, err
 	}
 	return e.Detect(xs, seed, nil), nil
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf in xs, or -1.
+func firstNonFinite(xs []float64) int {
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
 }

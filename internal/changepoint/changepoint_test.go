@@ -1,6 +1,8 @@
 package changepoint
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -194,5 +196,25 @@ func TestBestSplitTiesAndEdges(t *testing.T) {
 	}
 	if tau, _ := bestSplit(xs[:7], 4); tau != -1 {
 		t.Errorf("inadmissible series returned tau %d; want -1", tau)
+	}
+}
+
+// TestDetectRejectsNonFinite: a NaN or ±Inf used to turn every split's
+// statistic into NaN, which no permutation reaches, so a flat series
+// grew spurious change points at p = 1/(R+1).
+func TestDetectRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		xs := make([]float64, 48)
+		for i := range xs {
+			xs[i] = 1.5
+		}
+		xs[30] = bad
+		cps, err := Detect(xs, 1, DefaultEngineConfig())
+		if err == nil || !strings.Contains(err.Error(), "observation 30 ") {
+			t.Errorf("%v at 30: err = %v; want one naming observation 30", bad, err)
+		}
+		if cps != nil {
+			t.Errorf("%v at 30: change points %+v alongside the error", bad, cps)
+		}
 	}
 }

@@ -29,8 +29,11 @@ type Config struct {
 
 // DefaultConfig returns the online detector defaults: a 48-observation
 // window re-tested every 32 observations with the default engine
-// parameters. The window is sized so one evaluation costs on the order
-// of the per-interval detector work it rides alongside.
+// parameters. Measured on a 2-vCPU Xeon VM, one evaluation of the window
+// costs about 34 µs on a steady stream and 86 µs on one stepping every
+// 160 observations (BenchmarkDetectorObserve); on perfbench's fleet-full
+// workload that amortizes to about 1.5 µs per interval, against about
+// 9.5 µs for the rest of the pipeline's work on each interval.
 func DefaultConfig() Config {
 	return Config{Window: 48, EvalEvery: 32, Engine: DefaultEngineConfig(), Seed: 1}
 }
@@ -57,7 +60,8 @@ type Verdict struct {
 	// Value is the observed metric value.
 	Value float64
 	// Evaluated reports that this observation triggered an engine run
-	// over the window (every EvalEvery observations once full).
+	// over the window (every EvalEvery observations once full, unless
+	// the window holds a NaN or ±Inf).
 	Evaluated bool
 	// Changed reports a newly confirmed change point this interval.
 	Changed bool
@@ -123,8 +127,13 @@ func (d *Detector) Observe(value float64) Verdict {
 	if d.hist.Len() < d.cfg.Window || total%int64(d.cfg.EvalEvery) != 0 {
 		return v
 	}
-	v.Evaluated = true
 	d.vals = d.hist.Values(d.vals[:0])
+	// A non-finite value would read as a significant split (see
+	// Engine.Detect), so the window is not tested until it slides out.
+	if firstNonFinite(d.vals) >= 0 {
+		return v
+	}
+	v.Evaluated = true
 	d.cps = d.eng.Detect(d.vals, d.cfg.Seed^uint64(total)*0x9e3779b97f4a7c15, d.cps[:0])
 	if len(d.cps) == 0 {
 		return v

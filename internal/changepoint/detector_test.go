@@ -1,6 +1,7 @@
 package changepoint
 
 import (
+	"math"
 	"testing"
 )
 
@@ -110,5 +111,71 @@ func TestDetectorObserveAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Observe allocates %.2f allocs/op steady-state; want 0", avg)
+	}
+}
+
+// TestDetectorSkipsNonFiniteWindow: the detector does not run the engine
+// while a NaN or ±Inf sits in its window, so a steady stream with one
+// bad value confirms no change, and evaluation resumes once the value
+// has slid out.
+func TestDetectorSkipsNonFiniteWindow(t *testing.T) {
+	cfg := DefaultConfig()
+	const at = 100
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := MustNew(cfg)
+		stream := metricStream(400, 400, 1.5, 1.5)
+		stream[at] = bad
+		for i, x := range stream {
+			v := d.Observe(x)
+			if v.Changed {
+				t.Fatalf("%v at %d: change confirmed at interval %d: %+v", bad, at, i, v)
+			}
+			onStride := i+1 >= cfg.Window && (i+1)%cfg.EvalEvery == 0
+			inWindow := i >= at && i < at+cfg.Window
+			if v.Evaluated != (onStride && !inWindow) {
+				t.Fatalf("%v at %d: interval %d Evaluated = %v; want %v", bad, at, i, v.Evaluated, onStride && !inWindow)
+			}
+		}
+	}
+}
+
+// steppedStream alternates the metric between two levels every period
+// observations, like soak's phase rotation.
+func steppedStream(n, period int, lo, hi float64) []float64 {
+	g := noise{rng: 0xbeef}
+	out := make([]float64, n)
+	for i := range out {
+		base := lo
+		if (i/period)%2 == 1 {
+			base = hi
+		}
+		out[i] = g.value(base, base*0.02)
+	}
+	return out
+}
+
+var verdictSink Verdict
+
+// BenchmarkDetectorObserve times one Observe with the default
+// configuration, including the engine run every EvalEvery observations:
+// over a steady stream, where almost every test stops at its first
+// exceedance, and over one stepping between two levels every 160
+// observations, where the tests that find the steps run all rounds.
+func BenchmarkDetectorObserve(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		stream []float64
+	}{
+		{"steady", metricStream(4096, 4096, 1.5, 1.5)},
+		{"stepped", steppedStream(4096, 160, 1.0, 1.6)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := MustNew(DefaultConfig())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				verdictSink = d.Observe(bc.stream[i%len(bc.stream)])
+			}
+		})
 	}
 }

@@ -348,8 +348,8 @@ func TestHotPathAllocs(t *testing.T) {
 				pipe.ProcessOverflow(ov)
 			})
 			// The only allowed steady-state allocation is the amortized
-			// append to the UCR history (plus the working-set scheme's map
-			// internals); both average well below one per interval.
+			// append to the UCR history, which averages well below one per
+			// interval.
 			if avg > 1 {
 				t.Errorf("hot path allocates %.2f allocs/interval; want <= 1", avg)
 			}

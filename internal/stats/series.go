@@ -188,17 +188,20 @@ func (s *Series) AppendSnapshot(e *snap.Encoder) {
 // RestoreSnapshot decodes state written by AppendSnapshot into s,
 // replacing its contents. The snapshot must match the series' mode and
 // (in bounded mode) capacity: a snapshot is a resume point for an
-// identically configured monitor, not a migration format.
+// identically configured monitor, not a migration format. The whole
+// snapshot is decoded and checked before s changes, so on error s is
+// left as it was.
 func (s *Series) RestoreSnapshot(d *snap.Decoder) error {
 	d.Header(seriesTag, 1)
 	unbounded := d.Bool()
 	capa := d.Int()
 	total := d.I64()
 	sum := d.F64()
-	n := d.Len()
+	vals := d.F64s()
 	if err := d.Err(); err != nil {
 		return err
 	}
+	n := len(vals)
 	if unbounded != s.unbounded {
 		return fmt.Errorf("stats: series snapshot mode mismatch (snapshot unbounded=%v, series unbounded=%v)", unbounded, s.unbounded)
 	}
@@ -210,23 +213,15 @@ func (s *Series) RestoreSnapshot(d *snap.Decoder) error {
 			return fmt.Errorf("stats: series snapshot holds %d values, exceeds capacity %d", n, capa)
 		}
 	}
-	s.Reset()
+	if total < int64(n) {
+		return fmt.Errorf("stats: series snapshot total %d is below its %d values", total, n)
+	}
 	if s.unbounded {
-		if cap(s.buf) < n {
-			s.buf = make([]float64, 0, n)
-		}
-		for i := 0; i < n; i++ {
-			s.buf = append(s.buf, d.F64())
-		}
+		s.buf = vals
 	} else {
-		for i := 0; i < n; i++ {
-			s.buf[i] = d.F64()
-		}
+		copy(s.buf, vals)
 		s.n = n
 		s.head = n % len(s.buf)
-	}
-	if err := d.Err(); err != nil {
-		return err
 	}
 	s.total = total
 	s.sum = sum
@@ -254,28 +249,25 @@ func (w *Window) AppendSnapshot(e *snap.Encoder) {
 
 // RestoreSnapshot decodes state written by AppendSnapshot into w,
 // replacing its contents. The snapshot capacity must match the window's.
+// As with Series, a snapshot that fails to decode or check leaves w as
+// it was.
 func (w *Window) RestoreSnapshot(d *snap.Decoder) error {
 	d.Header(windowTag, 1)
 	capa := d.Int()
 	sum := d.F64()
 	sum2 := d.F64()
-	n := d.Len()
+	vals := d.F64s()
 	if err := d.Err(); err != nil {
 		return err
 	}
+	n := len(vals)
 	if capa != len(w.buf) {
 		return fmt.Errorf("stats: window snapshot capacity %d, window capacity %d", capa, len(w.buf))
 	}
 	if n > capa {
 		return fmt.Errorf("stats: window snapshot holds %d values, exceeds capacity %d", n, capa)
 	}
-	w.Reset()
-	for i := 0; i < n; i++ {
-		w.buf[i] = d.F64()
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
+	copy(w.buf, vals)
 	w.n = n
 	w.head = n % len(w.buf)
 	w.sum = sum

@@ -270,3 +270,73 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 		t.Error("expected capacity mismatch error")
 	}
 }
+
+// snapshotter is the encode/decode pair Series and Window share.
+type snapshotter interface {
+	AppendSnapshot(*snap.Encoder)
+	RestoreSnapshot(*snap.Decoder) error
+}
+
+func snapshotBytes(s snapshotter) []byte {
+	e := snap.NewEncoder()
+	s.AppendSnapshot(e)
+	return e.Bytes()
+}
+
+// TestRestoreTruncatedLeavesTargetUntouched: a snapshot cut at any
+// offset fails to restore and leaves the target byte-identical. Both
+// restores used to empty the target before reading the values.
+func TestRestoreTruncatedLeavesTargetUntouched(t *testing.T) {
+	series := func(s *Series, n int, x float64) *Series {
+		for i := 0; i < n; i++ {
+			s.Append(x + float64(i))
+		}
+		return s
+	}
+	window := func(n int, x float64) *Window {
+		w := NewWindow(8)
+		for i := 0; i < n; i++ {
+			w.Add(x + float64(i))
+		}
+		return w
+	}
+	for _, c := range []struct {
+		name        string
+		src, target snapshotter
+	}{
+		{"series", series(NewSeries(8), 11, 0), series(NewSeries(8), 3, -9)},
+		{"unbounded series", series(NewUnboundedSeries(), 5, 0), series(NewUnboundedSeries(), 3, -9)},
+		{"window", window(11, 0), window(3, -9)},
+	} {
+		data := snapshotBytes(c.src)
+		before := snapshotBytes(c.target)
+		for cut := 0; cut < len(data); cut++ {
+			if err := c.target.RestoreSnapshot(snap.NewDecoder(data[:cut])); err == nil {
+				t.Fatalf("%s cut at %d of %d: restore accepted", c.name, cut, len(data))
+			}
+			if string(snapshotBytes(c.target)) != string(before) {
+				t.Fatalf("%s cut at %d of %d: failed restore changed the target", c.name, cut, len(data))
+			}
+		}
+	}
+}
+
+// TestSeriesSnapshotRejectsTotalBelowValues: a ring cannot have seen
+// fewer observations than it holds.
+func TestSeriesSnapshotRejectsTotalBelowValues(t *testing.T) {
+	e := snap.NewEncoder()
+	e.Header(seriesTag, 1)
+	e.Bool(false)
+	e.Int(4)
+	e.I64(2)
+	e.F64(6)
+	e.F64s([]float64{1, 2, 3})
+	s := NewSeries(4)
+	s.Append(7)
+	if err := s.RestoreSnapshot(snap.NewDecoder(e.Bytes())); err == nil {
+		t.Fatal("snapshot with total 2 below its 3 values accepted")
+	}
+	if s.Len() != 1 || s.Total() != 1 || s.At(0) != 7 {
+		t.Errorf("failed restore changed the series: Len %d Total %d", s.Len(), s.Total())
+	}
+}
