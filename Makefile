@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-hot bench perfbench-test perfbench soak soak-short check
+.PHONY: all build vet lint test race race-hot bench fuzz perfbench-test perfbench soak soak-short check
 
 all: check
 
@@ -45,6 +45,18 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSystemRun|BenchmarkFig13' -benchtime 1x -benchmem ./.
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkPearson' -benchtime 1x -benchmem ./internal/lpd/ ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectorObserve|BenchmarkBBVObserve|BenchmarkWorkingSetObserve' -benchtime 1x -benchmem ./internal/changepoint/ ./internal/altdetect/
+	$(GO) test -run '^$$' -bench 'BenchmarkProcessOverflow' -benchtime 1x -benchmem ./internal/region/
+
+# Fuzz every restore path that has a fuzz target for 10 s each (manual,
+# about 45 s; not part of `make check`). The contract each target checks:
+# a corrupt snapshot returns an error, leaves the target's state
+# byte-identical and never panics. A failing input is written under the
+# package's testdata/fuzz/ and replays as a seed in `make test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s ./internal/changepoint/
+	$(GO) test -run '^$$' -fuzz '^FuzzBBVRestore$$' -fuzztime 10s ./internal/altdetect/
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkingSetRestore$$' -fuzztime 10s ./internal/altdetect/
+	$(GO) test -run '^$$' -fuzz '^FuzzMonitorRestore$$' -fuzztime 10s ./internal/region/
 
 # The benchmark module's own tests (perfbench/ is a separate Go module,
 # so the root `go test ./...` skips it): tiny runs of both workloads, the

@@ -604,39 +604,6 @@ func BenchmarkAblationInterProcedural(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIntervalTreeMonitor compares whole-monitor throughput
-// with the list, the interval tree and the batched epoch index on a
-// many-region benchmark (the end-to-end view of Figure 16).
-func BenchmarkAblationIntervalTreeMonitor(b *testing.B) {
-	for _, kind := range []struct {
-		name  string
-		index RegionIndexKind
-	}{
-		{"list", RegionIndexList},
-		{"interval-tree", RegionIndexTree},
-		{"epoch", RegionIndexEpoch},
-	} {
-		b.Run(kind.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bench, err := LoadBenchmark("197.parser", 0.01)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rcfg := DefaultRegionConfig()
-				rcfg.Index = kind.index
-				sys, err := NewSystem(bench.Prog, bench.Sched, SystemConfig{
-					Sampling: SamplingConfig{Period: 450, BufferSize: 512, JitterFrac: 0.1},
-					Region:   &rcfg,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys.Run()
-			}
-		})
-	}
-}
-
 func percent(v float64) string {
 	return "TH3=" + itoa(int(v*100)) + "%"
 }

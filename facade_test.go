@@ -319,37 +319,31 @@ func TestFacadeSchedule(t *testing.T) {
 	}
 }
 
-// TestFacadeRegionIndexKinds pins the distribution-structure re-exports:
-// every RegionIndex* constant builds a working monitor through the
-// façade, and the histogram accessors agree.
-func TestFacadeRegionIndexKinds(t *testing.T) {
+// TestFacadeRegionHistograms pins the region re-exports: a monitor built
+// through the façade distributes samples, and the histogram accessors
+// agree.
+func TestFacadeRegionHistograms(t *testing.T) {
 	prog, span := facadeProgram(t)
-	for _, kind := range []RegionIndexKind{RegionIndexEpoch, RegionIndexList, RegionIndexTree} {
-		cfg := DefaultRegionConfig()
-		cfg.Index = kind
-		rmon, err := NewRegionMonitor(prog, cfg)
-		if err != nil {
-			t.Fatalf("NewRegionMonitor(Index=%v): %v", kind, err)
-		}
-		r, err := rmon.AddRegion(span.Start, span.End)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ov := &Overflow{Samples: make([]Sample, 64)}
-		for i := range ov.Samples {
-			ov.Samples[i] = Sample{PC: span.Start, Instrs: 8}
-		}
-		rmon.ProcessOverflow(ov)
-		h := r.Histogram()
-		if got := r.AppendHistogram(nil); len(got) != len(h) {
-			t.Fatalf("AppendHistogram len %d != Histogram len %d", len(got), len(h))
-		}
-		if got := rmon.Regions(); len(got) != 1 || got[0] != r {
-			t.Fatalf("Regions() under %v = %v", kind, got)
-		}
+	rmon, err := NewRegionMonitor(prog, DefaultRegionConfig())
+	if err != nil {
+		t.Fatalf("NewRegionMonitor: %v", err)
 	}
-	if bad := (RegionConfig{UCRThreshold: 0.3, MinRegionSamples: 1, MinObserveSamples: 1,
-		Detector: DefaultLocalConfig(), Index: RegionIndexTree + 1}); bad.Validate() == nil {
-		t.Error("out-of-range index kind validated")
+	r, err := rmon.AddRegion(span.Start, span.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov := &Overflow{Samples: make([]Sample, 64)}
+	for i := range ov.Samples {
+		ov.Samples[i] = Sample{PC: span.Start, Instrs: 8}
+	}
+	if rep := rmon.ProcessOverflow(ov); rep.MonitoredSamples != 64 {
+		t.Fatalf("MonitoredSamples = %d, want 64", rep.MonitoredSamples)
+	}
+	h := r.Histogram()
+	if got := r.AppendHistogram(nil); len(got) != len(h) {
+		t.Fatalf("AppendHistogram len %d != Histogram len %d", len(got), len(h))
+	}
+	if got := rmon.Regions(); len(got) != 1 || got[0] != r {
+		t.Fatalf("Regions() = %v", got)
 	}
 }

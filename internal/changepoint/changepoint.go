@@ -110,9 +110,6 @@ func NewEngine(maxN int, cfg EngineConfig) (*Engine, error) {
 	}, nil
 }
 
-// MaxN returns the largest series length the engine accepts.
-func (e *Engine) MaxN() int { return len(e.perm) }
-
 // gamma is splitmix64's state increment: the PRNG is a counter that
 // advances by gamma per draw.
 const gamma = 0x9e3779b97f4a7c15

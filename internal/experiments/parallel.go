@@ -10,8 +10,9 @@ import (
 // (benchmark, period) cell is one fully independent simulation stack —
 // its own workload, executor, sampling monitor and detector pipeline,
 // each seeded deterministically — so cells can run on as many cores as
-// are available and still produce byte-identical results to the
-// sequential runners. Determinism comes from two properties:
+// are available and still produce byte-identical results at any worker
+// count (RunSweep and RunSpeedup are the one-worker case). Determinism
+// comes from two properties:
 //
 //  1. no shared mutable state: each cell builds everything it touches
 //     (the only cross-cell sharing is read-only package data and, where a
@@ -30,9 +31,10 @@ func DefaultWorkers(workers int) int {
 }
 
 // runCells runs fn(0..n-1) on a pool of workers and returns the first
-// error (by cell index, matching what the sequential loop would have
-// reported). fn must write its result to its own index of a preallocated
-// slice; runCells provides no result channel by design.
+// error by cell index, the one a single worker, which runs the cells in
+// order as a plain loop, would have stopped at. fn must write its result
+// to its own index of a preallocated slice; runCells provides no result
+// channel by design.
 func runCells(workers, n int, fn func(i int) error) error {
 	workers = DefaultWorkers(workers)
 	if workers > n {
@@ -79,7 +81,7 @@ func runCells(workers, n int, fn func(i int) error) error {
 // RunSweepParallel is RunSweep distributed over a worker pool: one
 // worker-owned simulation per (benchmark, period) cell, results collected
 // in grid order. workers < 1 selects runtime.NumCPU(); the result is
-// identical to RunSweep's regardless of worker count.
+// identical regardless of worker count.
 func RunSweepParallel(opts Options, names []string, workers int) (*SweepResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -29,22 +29,10 @@ type SpeedupResult struct {
 
 // RunSpeedup measures Figure 17: speedup of RTO-LPD over RTO-ORIG (the
 // centroid-based system that unpatches traces when the phase is unstable)
-// for the selected benchmarks at each RTO sampling period.
+// for the selected benchmarks at each RTO sampling period. It is
+// RunSpeedupParallel on one worker.
 func RunSpeedup(opts Options, names []string) (*SpeedupResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	res := &SpeedupResult{Opts: opts}
-	for _, name := range names {
-		for _, period := range opts.RTOPeriods {
-			cell, err := runSpeedupCell(opts, name, period)
-			if err != nil {
-				return nil, fmt.Errorf("speedup %s @ %d: %w", name, period, err)
-			}
-			res.Cells = append(res.Cells, cell)
-		}
-	}
-	return res, nil
+	return RunSpeedupParallel(opts, names, 1)
 }
 
 func runSpeedupCell(opts Options, name string, period uint64) (SpeedupCell, error) {

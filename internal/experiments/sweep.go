@@ -81,22 +81,10 @@ func (s *SweepResult) Cell(bench string, period uint64) *SweepCell {
 
 // RunSweep runs every named benchmark at every Options period, feeding the
 // sample stream to both a centroid GPD detector and a region monitor with
-// per-region LPD. One simulation per cell serves six figures.
+// per-region LPD. One simulation per cell serves six figures. It is
+// RunSweepParallel on one worker.
 func RunSweep(opts Options, names []string) (*SweepResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	res := &SweepResult{Opts: opts}
-	for _, name := range names {
-		for _, period := range opts.Periods {
-			cell, err := runSweepCell(opts, name, period)
-			if err != nil {
-				return nil, fmt.Errorf("sweep %s @ %d: %w", name, period, err)
-			}
-			res.Cells = append(res.Cells, cell)
-		}
-	}
-	return res, nil
+	return RunSweepParallel(opts, names, 1)
 }
 
 // runSweepCell simulates one independent (benchmark, period) stack:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"regionmon/internal/snap"
+	"regionmon/internal/stats"
 )
 
 // Detector and PerfTracker checkpointing. Snapshots capture the mutable
@@ -12,7 +13,9 @@ import (
 // machine position, the stability timer and the counters — but not the
 // configuration: Restore targets a detector constructed with the same
 // Config, and a resumed detector then produces a byte-identical verdict
-// stream for the same subsequent inputs.
+// stream for the same subsequent inputs. Both restores decode into a
+// fresh window and commit only after the whole snapshot checks out, so a
+// failed restore leaves the target as it was.
 
 const (
 	detectorTag = "gpd"
@@ -33,6 +36,13 @@ func (d *Detector) AppendSnapshot(e *snap.Encoder) {
 // RestoreSnapshot decodes state written by AppendSnapshot into d. The
 // snapshot's history capacity must match the detector's HistorySize.
 func (d *Detector) RestoreSnapshot(dec *snap.Decoder) error {
+	return d.restore(dec, dec.Err)
+}
+
+// restore decodes and checks a snapshot, committing it only once done
+// (the decoder's Err, or Finish for a standalone snapshot) reports
+// success.
+func (d *Detector) restore(dec *snap.Decoder, done func() error) error {
 	dec.Header(detectorTag, 1)
 	state := State(dec.Int())
 	timer := dec.Int()
@@ -47,9 +57,14 @@ func (d *Detector) RestoreSnapshot(dec *snap.Decoder) error {
 	default:
 		return fmt.Errorf("gpd: snapshot has invalid state %d", int(state))
 	}
-	if err := d.hist.RestoreSnapshot(dec); err != nil {
+	hist := stats.NewWindow(d.cfg.HistorySize)
+	if err := hist.RestoreSnapshot(dec); err != nil {
 		return err
 	}
+	if err := done(); err != nil {
+		return err
+	}
+	d.hist = hist
 	d.state = state
 	d.timer = timer
 	d.changes = changes
@@ -69,13 +84,10 @@ func (d *Detector) Snapshot() []byte {
 }
 
 // Restore replaces the detector's state from a Snapshot produced by a
-// detector with the same configuration.
+// detector with the same configuration. Trailing bytes are an error.
 func (d *Detector) Restore(data []byte) error {
 	dec := snap.NewDecoder(data)
-	if err := d.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
+	return d.restore(dec, dec.Finish)
 }
 
 // AppendSnapshot encodes the tracker's mutable state onto e.
@@ -88,15 +100,25 @@ func (p *PerfTracker) AppendSnapshot(e *snap.Encoder) {
 
 // RestoreSnapshot decodes state written by AppendSnapshot into p.
 func (p *PerfTracker) RestoreSnapshot(dec *snap.Decoder) error {
+	return p.restore(dec, dec.Err)
+}
+
+// restore is Detector.restore for the tracker.
+func (p *PerfTracker) restore(dec *snap.Decoder, done func() error) error {
 	dec.Header(perfTag, 1)
 	changes := dec.Int()
 	total := dec.Int()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := p.hist.RestoreSnapshot(dec); err != nil {
+	hist := stats.NewWindow(p.cfg.HistorySize)
+	if err := hist.RestoreSnapshot(dec); err != nil {
 		return err
 	}
+	if err := done(); err != nil {
+		return err
+	}
+	p.hist = hist
 	p.changes = changes
 	p.total = total
 	return nil
@@ -113,11 +135,8 @@ func (p *PerfTracker) Snapshot() []byte {
 }
 
 // Restore replaces the tracker's state from a Snapshot produced by a
-// tracker with the same configuration.
+// tracker with the same configuration. Trailing bytes are an error.
 func (p *PerfTracker) Restore(data []byte) error {
 	dec := snap.NewDecoder(data)
-	if err := p.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
+	return p.restore(dec, dec.Finish)
 }

@@ -1,6 +1,10 @@
 package gpd
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"testing"
+)
 
 // centroidStream deterministically generates centroids with stable
 // plateaus, drifts and one drastic jump, so the fork test crosses every
@@ -99,4 +103,54 @@ func TestPerfTrackerSnapshotForkEquality(t *testing.T) {
 	if ref.Changes() != restored.Changes() || ref.Intervals() != restored.Intervals() {
 		t.Fatal("counters diverged")
 	}
+}
+
+// checkRestoreFailures restores a real snapshot with one trailing byte,
+// and every truncation of it, into a target and requires each restore to
+// fail with the target's snapshot bytes unchanged. Before, the trailing
+// byte was reported only after the target had taken the snapshot's
+// state.
+func checkRestoreFailures(t *testing.T, src []byte, snapshot func() []byte, restore func([]byte) error) {
+	t.Helper()
+	before := snapshot()
+	check := func(name string, data []byte) {
+		t.Helper()
+		if err := restore(data); err == nil {
+			t.Fatalf("%s: restore accepted", name)
+		}
+		if !bytes.Equal(snapshot(), before) {
+			t.Fatalf("%s: failed restore changed the target", name)
+		}
+	}
+	check("trailing byte", append(append([]byte(nil), src...), 0))
+	for cut := 0; cut < len(src); cut++ {
+		check(fmt.Sprintf("cut at %d of %d", cut, len(src)), src[:cut])
+	}
+}
+
+func TestDetectorRestoreFailureLeavesDetectorUntouched(t *testing.T) {
+	fed := func(n int) *Detector {
+		d := MustNew(DefaultConfig())
+		for _, c := range centroidStream(n) {
+			d.Observe(c)
+		}
+		return d
+	}
+	d := fed(20)
+	checkRestoreFailures(t, fed(70).Snapshot(), d.Snapshot, d.Restore)
+}
+
+func TestPerfTrackerRestoreFailureLeavesTrackerUntouched(t *testing.T) {
+	fed := func(n int) *PerfTracker {
+		p, err := NewPerfTracker(DefaultPerfConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			p.Observe(1.2 + float64(i%5)*0.01)
+		}
+		return p
+	}
+	p := fed(3)
+	checkRestoreFailures(t, fed(30).Snapshot(), p.Snapshot, p.Restore)
 }

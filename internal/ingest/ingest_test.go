@@ -10,7 +10,6 @@ import (
 	"regionmon/internal/hpm"
 	"regionmon/internal/isa"
 	"regionmon/internal/pipeline"
-	"regionmon/internal/region"
 )
 
 // buildStack is the test fleet's per-stream detector stack: GPD, a CPI
@@ -599,110 +598,4 @@ func TestFleetCloseIdempotent(t *testing.T) {
 		}
 	}()
 	f.Push(0, newOverflow(1))
-}
-
-// buildLoopProgram assembles a small two-loop program for fleet runs that
-// exercise region formation and pruning (the distribution paths' cold
-// events) rather than just GPD.
-func buildLoopProgram(t *testing.T) (*isa.Program, []isa.LoopSpan) {
-	t.Helper()
-	b := isa.NewBuilder(0x10000)
-	p := b.Proc("main")
-	p.Code(16, isa.KindALU)
-	l1 := p.Loop(24, []isa.Kind{isa.KindLoad, isa.KindALU}, nil)
-	p.Code(8, isa.KindALU)
-	l2 := p.Loop(32, []isa.Kind{isa.KindLoad, isa.KindALU, isa.KindStore}, nil)
-	prog, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog, []isa.LoopSpan{l1, l2}
-}
-
-// fillLoopOverflow writes the deterministic interval (stream, seq) into
-// ov with PCs inside the program's loops, rotating the hot loop so phases
-// change, plus idle and straight-line stragglers so UCR accounting and
-// formation both fire.
-func fillLoopOverflow(ov *hpm.Overflow, loops []isa.LoopSpan, stream, seq int) {
-	rng := uint64(stream+1)*0x9e3779b97f4a7c15 + uint64(seq)*0x94d049bb133111eb
-	hot := loops[seq/60%len(loops)]
-	cycle := uint64(seq) * 30000
-	buf := ov.Samples[:cap(ov.Samples)]
-	for i := range buf {
-		cycle += 60 + smix(&rng)%40
-		var pc isa.Addr
-		switch r := smix(&rng) % 100; {
-		case r < 4:
-			pc = 0 // idle
-		case r < 88:
-			pc = hot.Start + isa.Addr(smix(&rng)%uint64(hot.NumInstrs()))*isa.InstrBytes
-		default:
-			pc = loops[len(loops)-1].End + isa.InstrBytes // straight-line straggler
-		}
-		buf[i] = hpm.Sample{PC: pc, Cycle: cycle, Instrs: 6 + smix(&rng)%10, DCMisses: smix(&rng) % 3}
-	}
-	ov.Samples = buf
-	ov.Seq = seq
-	ov.Cycle = cycle
-}
-
-// TestFleetIndexPathsAgree drives identical per-stream workloads through
-// region-monitor-only stacks under each distribution structure; the
-// per-stream verdict digests must be byte-identical across list, tree and
-// the batched epoch path, including under idle pruning (region churn).
-func TestFleetIndexPathsAgree(t *testing.T) {
-	const streams, intervals = 4, 240
-	prog, loops := buildLoopProgram(t)
-	run := func(kind region.IndexKind) []uint64 {
-		t.Helper()
-		cfg := Config{Shards: 2, QueueCap: 16, MaxSamples: 64, Build: func(stream int) (*pipeline.Pipeline, error) {
-			rcfg := region.DefaultConfig()
-			rcfg.Index = kind
-			rcfg.PruneAfter = 4
-			rmon, err := region.NewMonitor(prog, rcfg)
-			if err != nil {
-				return nil, err
-			}
-			pipe := pipeline.New()
-			pipe.MustRegister(pipeline.NewRegionMonitor(rmon))
-			return pipe, nil
-		}}
-		f, err := NewFleet(streams, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		ov := newOverflow(64)
-		for seq := 0; seq < intervals; seq++ {
-			for s := 0; s < streams; s++ {
-				fillLoopOverflow(ov, loops, s, seq)
-				f.PushWait(s, ov)
-			}
-		}
-		f.Drain()
-		digs := make([]uint64, streams)
-		for s := range digs {
-			info, err := f.StreamInfo(s)
-			if err != nil {
-				t.Fatalf("stream %d: %v", s, err)
-			}
-			if info.Intervals != intervals {
-				t.Fatalf("stream %d processed %d intervals, want %d", s, info.Intervals, intervals)
-			}
-			digs[s] = info.Digest
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return digs
-	}
-	ref := run(region.IndexList)
-	for _, kind := range []region.IndexKind{region.IndexTree, region.IndexEpoch} {
-		got := run(kind)
-		for s := range ref {
-			if got[s] != ref[s] {
-				t.Errorf("stream %d digest under index %v = %#x, want %#x (list)", s, kind, got[s], ref[s])
-			}
-		}
-	}
 }

@@ -25,7 +25,7 @@ import "slices"
 // constant width.
 type Epoch struct {
 	ranges []Range
-	byID   map[int]int // id -> index in ranges
+	byID   map[int]int //lint:bounded -- id -> index in ranges: one key per live range; Remove re-points an existing key and deletes its own
 	dirty  bool
 
 	// Flat snapshot: segment i spans [bounds[i], bounds[i+1]) and is

@@ -18,7 +18,7 @@ package interval
 
 // Index is a dynamic set of half-open address ranges [Start, End) with
 // integer identifiers, supporting stabbing queries. Implementations are
-// List and Tree.
+// List, Tree and Epoch.
 type Index interface {
 	// Insert adds the range [start, end) under id. It reports false when
 	// id is already present or the range is empty/inverted (nothing is
@@ -95,10 +95,3 @@ func (l *List) Stab(point uint64, visit func(id int)) {
 
 // Len implements Index.
 func (l *List) Len() int { return len(l.ranges) }
-
-// Ranges returns a copy of the stored ranges (test/debug helper).
-func (l *List) Ranges() []Range {
-	out := make([]Range, len(l.ranges))
-	copy(out, l.ranges)
-	return out
-}

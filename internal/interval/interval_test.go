@@ -81,20 +81,6 @@ func testIndexBasics(t *testing.T, mk func() Index) {
 func TestListBasics(t *testing.T) { testIndexBasics(t, func() Index { return NewList() }) }
 func TestTreeBasics(t *testing.T) { testIndexBasics(t, func() Index { return NewTree() }) }
 
-func TestListRanges(t *testing.T) {
-	l := NewList()
-	l.Insert(7, 10, 20)
-	rs := l.Ranges()
-	if len(rs) != 1 || rs[0] != (Range{ID: 7, Start: 10, End: 20}) {
-		t.Errorf("Ranges = %v", rs)
-	}
-	// Mutating the copy must not affect the list.
-	rs[0].Start = 0
-	if got := collect(l, 5); got != nil {
-		t.Error("Ranges returned aliased storage")
-	}
-}
-
 // TestTreeMatchesListRandom is the core property test: under a random
 // workload of inserts, removals and stabs, the tree agrees with the list
 // and maintains its red-black + max invariants throughout.

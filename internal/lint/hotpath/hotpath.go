@@ -12,7 +12,7 @@
 // Flagged inside hot-path-reachable functions:
 //
 //   - function literals (closure allocation; build them once at
-//     construction time instead, like region.Monitor's stabVisit);
+//     construction time instead);
 //   - calls into package fmt (Sprintf and friends allocate);
 //   - make(...), new(...), map and slice composite literals, and &T{}
 //     (per-interval heap allocation; reuse scratch owned by the detector);
@@ -126,7 +126,7 @@ func checkBody(pass *analysis.Pass, fd analysis.FuncDecl, via string) {
 				}
 			}
 		case *ast.FuncLit:
-			pass.Reportf(n.Pos(), "closure literal allocates in monitoring hot path (reachable from %s); build it once at construction time (see region.Monitor's stabVisit)", via)
+			pass.Reportf(n.Pos(), "closure literal allocates in monitoring hot path (reachable from %s); build it once at construction time", via)
 			return false // the literal's body is not itself hot-path code here
 		case *ast.CompositeLit:
 			if tv, ok := info.Types[n]; ok {

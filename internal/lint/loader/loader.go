@@ -30,7 +30,7 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	// ImportPath is the package's import path within the module (or the
-	// synthetic path given to LoadDir).
+	// synthetic path given to LoadDirs).
 	ImportPath string
 	// Dir is the directory holding the package's sources.
 	Dir string
@@ -54,7 +54,7 @@ type Program struct {
 	Fset *token.FileSet
 	// Packages holds the module's packages in import-path order.
 	Packages []*Package
-	// ModulePath is the module path from go.mod ("" for LoadDir).
+	// ModulePath is the module path from go.mod ("" for LoadDirs).
 	ModulePath string
 }
 
@@ -251,18 +251,6 @@ func LoadModule(root string) (*Program, error) {
 		return nil, err
 	}
 	return checkAll(fset, entries, modPath)
-}
-
-// LoadDir loads a single directory as one package under the given
-// synthetic import path (the analysistest entry point; the directory is
-// expected to import only the standard library).
-func LoadDir(dir, importPath string) (*Program, error) {
-	fset := token.NewFileSet()
-	e, err := dirEntry(fset, dir, importPath)
-	if err != nil {
-		return nil, err
-	}
-	return checkAll(fset, map[string]*entry{importPath: e}, "")
 }
 
 // LoadDirs loads several packages laid out GOPATH-style — each import

@@ -33,8 +33,15 @@ func (d *Detector) AppendSnapshot(e *snap.Encoder) {
 // RestoreSnapshot decodes state written by AppendSnapshot into d. The
 // snapshot must come from a detector of the same region size; a mismatch
 // means the caller is restoring into a differently built region and is
-// rejected.
+// rejected. On error d is left as it was.
 func (d *Detector) RestoreSnapshot(dec *snap.Decoder) error {
+	return d.restore(dec, dec.Err)
+}
+
+// restore decodes and checks a snapshot, committing it only once done
+// (the decoder's Err, or Finish for a standalone snapshot) reports
+// success.
+func (d *Detector) restore(dec *snap.Decoder, done func() error) error {
 	dec.Header(snapshotTag, 1)
 	n := dec.Int()
 	hasRef := dec.Bool()
@@ -44,7 +51,7 @@ func (d *Detector) RestoreSnapshot(dec *snap.Decoder) error {
 	changes := dec.Int()
 	stable := dec.Int()
 	total := dec.Int()
-	if err := dec.Err(); err != nil {
+	if err := done(); err != nil {
 		return err
 	}
 	if n != d.n {
@@ -85,11 +92,9 @@ func (d *Detector) Snapshot() []byte {
 }
 
 // Restore replaces the detector's state from a Snapshot produced by a
-// detector with the same configuration and region size.
+// detector with the same configuration and region size. Trailing bytes
+// are an error, and on any error d is left as it was.
 func (d *Detector) Restore(data []byte) error {
 	dec := snap.NewDecoder(data)
-	if err := d.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
+	return d.restore(dec, dec.Finish)
 }

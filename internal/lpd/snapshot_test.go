@@ -1,6 +1,8 @@
 package lpd
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"regionmon/internal/snap"
@@ -102,5 +104,36 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 	}
 	if err := d.Restore([]byte{1, 2, 3}); err == nil {
 		t.Fatal("expected decode error on garbage")
+	}
+}
+
+// TestRestoreFailureLeavesDetectorUntouched: a restore that fails — a
+// real snapshot with one trailing byte, or cut at any length — leaves
+// the target's state byte-identical. Before, the trailing byte was
+// reported only after the target had taken the snapshot's state.
+func TestRestoreFailureLeavesDetectorUntouched(t *testing.T) {
+	const n = 32
+	fed := func(intervals int) *Detector {
+		d := MustNew(n, DefaultConfig())
+		for _, h := range histStream(n, intervals) {
+			d.Observe(h)
+		}
+		return d
+	}
+	src := fed(47).Snapshot()
+	d := fed(25)
+	before := d.Snapshot()
+	check := func(name string, data []byte) {
+		t.Helper()
+		if err := d.Restore(data); err == nil {
+			t.Fatalf("%s: restore accepted", name)
+		}
+		if !bytes.Equal(d.Snapshot(), before) {
+			t.Fatalf("%s: failed restore changed the detector", name)
+		}
+	}
+	check("trailing byte", append(append([]byte(nil), src...), 0))
+	for cut := 0; cut < len(src); cut++ {
+		check(fmt.Sprintf("cut at %d of %d", cut, len(src)), src[:cut])
 	}
 }

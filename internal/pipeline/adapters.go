@@ -14,6 +14,7 @@ import (
 	"regionmon/internal/hpm"
 	"regionmon/internal/lpd"
 	"regionmon/internal/region"
+	"regionmon/internal/snap"
 )
 
 // Default detector names used by the adapter constructors.
@@ -158,6 +159,8 @@ func (r *RegionMonitor) ObserveInterval(ov *hpm.Overflow) Verdict {
 // altDetector is the shared shape of the Section 4 related-work schemes.
 type altDetector interface {
 	Observe(ov *hpm.Overflow) altdetect.Verdict
+	AppendSnapshot(e *snap.Encoder)
+	RestoreSnapshot(d *snap.Decoder) error
 }
 
 // Alt adapts either Section 4 related-work scheme (basic-block vectors or
@@ -179,12 +182,6 @@ func NewBBV(det *altdetect.BBV) *Alt { return &Alt{det: det, name: NameBBV} }
 // name.
 func NewWorkingSet(det *altdetect.WorkingSet) *Alt {
 	return &Alt{det: det, name: NameWorkingSet}
-}
-
-// NewNamedAlt wraps any detector with the altdetect Observe shape under an
-// explicit name.
-func NewNamedAlt(name string, det altDetector) *Alt {
-	return &Alt{det: det, name: name}
 }
 
 // Name implements PhaseDetector.

@@ -52,16 +52,11 @@ func spanPCs(span isa.LoopSpan, k int) []isa.Addr {
 // the principal adapters for inspection.
 func fullPipeline(t testing.TB, prog *isa.Program) (*Pipeline, *GPD, *RegionMonitor, *Alt, *Alt) {
 	t.Helper()
-	return fullPipelineCfg(t, prog, region.DefaultConfig())
-}
-
-func fullPipelineCfg(t testing.TB, prog *isa.Program, rcfg region.Config) (*Pipeline, *GPD, *RegionMonitor, *Alt, *Alt) {
-	t.Helper()
 	gdet, err := gpd.New(gpd.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmon, err := region.NewMonitor(prog, rcfg)
+	rmon, err := region.NewMonitor(prog, region.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,51 +313,39 @@ func TestObserveBatchEmpty(t *testing.T) {
 }
 
 // TestHotPathAllocs gates the per-interval allocation budget of the whole
-// fan-out (GPD + region monitoring with a formed region) under each
-// distribution path: after warm-up, processing an interval must not
-// allocate, save for the region monitor's amortized UCR-history growth.
+// fan-out (GPD + region monitoring with a formed region) on the region
+// monitor's distribution path, the flat epoch index: after warm-up,
+// processing an interval must not allocate, save for the region monitor's
+// amortized UCR-history growth.
 func TestHotPathAllocs(t *testing.T) {
-	for _, kind := range []struct {
-		name  string
-		index region.IndexKind
-	}{
-		{"list", region.IndexList},
-		{"tree", region.IndexTree},
-		{"epoch", region.IndexEpoch},
-	} {
-		kind := kind
-		t.Run(kind.name, func(t *testing.T) {
-			prog, l1, l2 := testProgram(t)
-			rcfg := region.DefaultConfig()
-			rcfg.Index = kind.index
-			pipe, _, ra, _, _ := fullPipelineCfg(t, prog, rcfg)
-			pcs := append(spanPCs(l1, 8), spanPCs(l2, 8)...)
-			for seq := 0; seq < 64; seq++ { // warm-up: form regions, fill scratch
-				pipe.ProcessOverflow(overflow(seq, 128, pcs...))
-			}
-			if len(ra.Monitor().Regions()) < 2 {
-				t.Fatalf("regions = %d; want 2 before measuring", len(ra.Monitor().Regions()))
-			}
-			ov := overflow(64, 128, pcs...)
-			avg := testing.AllocsPerRun(200, func() {
-				pipe.ProcessOverflow(ov)
-			})
-			// The only allowed steady-state allocation is the amortized
-			// append to the UCR history, which averages well below one per
-			// interval.
-			if avg > 1 {
-				t.Errorf("hot path allocates %.2f allocs/interval; want <= 1", avg)
-			}
-			// The batch entry holds the same budget per interval.
-			batch := make([]*hpm.Overflow, 8)
-			for i := range batch {
-				batch[i] = ov
-			}
-			if avg := testing.AllocsPerRun(50, func() {
-				pipe.ObserveBatch(batch)
-			}) / float64(len(batch)); avg > 1 {
-				t.Errorf("batched hot path allocates %.2f allocs/interval; want <= 1", avg)
-			}
+	t.Run("epoch", func(t *testing.T) {
+		prog, l1, l2 := testProgram(t)
+		pipe, _, ra, _, _ := fullPipeline(t, prog)
+		pcs := append(spanPCs(l1, 8), spanPCs(l2, 8)...)
+		for seq := 0; seq < 64; seq++ { // warm-up: form regions, fill scratch
+			pipe.ProcessOverflow(overflow(seq, 128, pcs...))
+		}
+		if len(ra.Monitor().Regions()) < 2 {
+			t.Fatalf("regions = %d; want 2 before measuring", len(ra.Monitor().Regions()))
+		}
+		ov := overflow(64, 128, pcs...)
+		avg := testing.AllocsPerRun(200, func() {
+			pipe.ProcessOverflow(ov)
 		})
-	}
+		// The only allowed steady-state allocation is the amortized append
+		// to the UCR history, which averages well below one per interval.
+		if avg > 1 {
+			t.Errorf("hot path allocates %.2f allocs/interval; want <= 1", avg)
+		}
+		// The batch entry holds the same budget per interval.
+		batch := make([]*hpm.Overflow, 8)
+		for i := range batch {
+			batch[i] = ov
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			pipe.ObserveBatch(batch)
+		}) / float64(len(batch)); avg > 1 {
+			t.Errorf("batched hot path allocates %.2f allocs/interval; want <= 1", avg)
+		}
+	})
 }

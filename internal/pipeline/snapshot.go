@@ -14,7 +14,6 @@ package pipeline
 import (
 	"fmt"
 
-	"regionmon/internal/altdetect"
 	"regionmon/internal/gpd"
 	"regionmon/internal/region"
 	"regionmon/internal/snap"
@@ -167,16 +166,10 @@ func (r *RegionMonitor) RestoreSnapshot(d *snap.Decoder) error {
 	return d.Err()
 }
 
-// AppendSnapshot implements Snapshotter. It fails when the wrapped
-// detector (a custom NewNamedAlt implementation) does not itself support
-// snapshotting; the built-in BBV and working-set detectors do.
+// AppendSnapshot implements Snapshotter.
 func (a *Alt) AppendSnapshot(e *snap.Encoder) error {
-	s, ok := a.det.(altSnapshotter)
-	if !ok {
-		return fmt.Errorf("wrapped detector %T does not support snapshotting", a.det)
-	}
 	e.Header(altAdapterTag, 1)
-	s.AppendSnapshot(e)
+	a.det.AppendSnapshot(e)
 	e.F64(a.last.Similarity)
 	e.Bool(a.last.Changed)
 	e.Int(a.last.Blocks)
@@ -185,24 +178,14 @@ func (a *Alt) AppendSnapshot(e *snap.Encoder) error {
 
 // RestoreSnapshot implements Snapshotter.
 func (a *Alt) RestoreSnapshot(d *snap.Decoder) error {
-	s, ok := a.det.(altSnapshotter)
-	if !ok {
-		return fmt.Errorf("wrapped detector %T does not support snapshotting", a.det)
-	}
 	d.Header(altAdapterTag, 1)
-	if err := s.RestoreSnapshot(d); err != nil {
+	if err := a.det.RestoreSnapshot(d); err != nil {
 		return err
 	}
 	a.last.Similarity = d.F64()
 	a.last.Changed = d.Bool()
 	a.last.Blocks = d.Int()
 	return d.Err()
-}
-
-// altSnapshotter is the snapshot shape shared by the altdetect detectors.
-type altSnapshotter interface {
-	AppendSnapshot(e *snap.Encoder)
-	RestoreSnapshot(d *snap.Decoder) error
 }
 
 // AppendSnapshot implements Snapshotter.
@@ -261,11 +244,9 @@ func (c *ChangePoint) RestoreSnapshot(d *snap.Decoder) error {
 
 // Interface conformance for every built-in adapter.
 var (
-	_ Snapshotter    = (*GPD)(nil)
-	_ Snapshotter    = (*RegionMonitor)(nil)
-	_ Snapshotter    = (*Alt)(nil)
-	_ Snapshotter    = (*Perf)(nil)
-	_ Snapshotter    = (*ChangePoint)(nil)
-	_ altSnapshotter = (*altdetect.BBV)(nil)
-	_ altSnapshotter = (*altdetect.WorkingSet)(nil)
+	_ Snapshotter = (*GPD)(nil)
+	_ Snapshotter = (*RegionMonitor)(nil)
+	_ Snapshotter = (*Alt)(nil)
+	_ Snapshotter = (*Perf)(nil)
+	_ Snapshotter = (*ChangePoint)(nil)
 )

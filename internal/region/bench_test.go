@@ -63,35 +63,29 @@ func benchOverflow(spans []isa.LoopSpan, samples int) *hpm.Overflow {
 }
 
 // BenchmarkProcessOverflow measures one interval of region monitoring —
-// distribution, UCR accounting, per-region detection — per distribution
-// structure and region count, on a full-size loopy buffer.
+// distribution, UCR accounting, per-region detection — per region count,
+// on a full-size loopy buffer.
 func BenchmarkProcessOverflow(b *testing.B) {
-	kinds := []struct {
-		name string
-		kind IndexKind
-	}{{"list", IndexList}, {"tree", IndexTree}, {"epoch", IndexEpoch}}
 	for _, n := range []int{4, 64, 512} {
 		prog, spans := benchProgram(b, n)
 		ov := benchOverflow(spans, hpm.DefaultBufferSize)
-		for _, k := range kinds {
-			b.Run(fmt.Sprintf("%s/regions=%d", k.name, n), func(b *testing.B) {
-				m := newMonitor(b, prog, func(c *Config) { c.Index = k.kind })
-				for _, s := range spans {
-					if _, err := m.AddRegion(s.Start, s.End); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("regions=%d", n), func(b *testing.B) {
+			m := newMonitor(b, prog, nil)
+			for _, s := range spans {
+				if _, err := m.AddRegion(s.Start, s.End); err != nil {
+					b.Fatal(err)
 				}
-				for i := 0; i < 4; i++ { // warm scratch, build snapshot
-					ov.Seq = i
-					m.ProcessOverflow(ov)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ov.Seq = 4 + i
-					m.ProcessOverflow(ov)
-				}
-			})
-		}
+			}
+			for i := 0; i < 4; i++ { // warm scratch, build snapshot
+				ov.Seq = i
+				m.ProcessOverflow(ov)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ov.Seq = 4 + i
+				m.ProcessOverflow(ov)
+			}
+		})
 	}
 }

@@ -3,9 +3,8 @@
 // detection. On every sample-buffer overflow it
 //
 //  1. distributes the buffered PC samples across the monitored regions
-//     (using a linear region list, an interval tree — the paper's
-//     Section 3.2.3 cost comparison — or, by default, a count-compressed
-//     batch over a flat epoch index), incrementing per-instruction
+//     (count-compressing the buffer and stabbing a flat epoch index of
+//     the region set once per distinct PC), incrementing per-instruction
 //     histograms; a sample falling in several overlapping regions (nested
 //     loops) increments all of them;
 //  2. attributes samples outside every monitored region to the
@@ -50,9 +49,6 @@ type Config struct {
 	MinObserveSamples int
 	// Detector configures each region's local phase detector.
 	Detector lpd.Config
-	// Index selects the sample-to-region distribution structure. The
-	// zero value is IndexEpoch: the count-compressed batch path.
-	Index IndexKind
 	// PruneAfter removes a region after this many consecutive intervals
 	// without samples (the paper's proposed region pruning); 0 disables.
 	PruneAfter int
@@ -77,24 +73,6 @@ type Config struct {
 	// slow leak on the ROADMAP's billions-of-intervals runs.
 	UCRHistoryCap int
 }
-
-// IndexKind selects the structure that distributes buffered samples
-// across the monitored regions (the paper's Section 3.2.3 cost knob).
-type IndexKind int
-
-const (
-	// IndexEpoch (the default) distributes through a flat epoch index: an
-	// immutable sorted-segment snapshot of the region set, rebuilt only
-	// when the set changes, stabbed once per distinct PC over the
-	// count-compressed buffer.
-	IndexEpoch IndexKind = iota
-	// IndexList is the paper's baseline linear region list, stabbed once
-	// per sample.
-	IndexList
-	// IndexTree is the paper's augmented red-black interval tree, stabbed
-	// once per sample.
-	IndexTree
-)
 
 // DefaultUCRHistoryCap is the UCR history window used when
 // Config.UCRHistoryCap is 0 — deep enough for any online consumer
@@ -137,9 +115,6 @@ func (c *Config) Validate() error {
 	}
 	if c.UCRHistoryCap < RetainAllHistory {
 		return fmt.Errorf("region: UCR history cap %d < %d", c.UCRHistoryCap, RetainAllHistory)
-	}
-	if c.Index < IndexEpoch || c.Index > IndexTree {
-		return fmt.Errorf("region: unknown index kind %d", c.Index)
 	}
 	return c.Detector.Validate()
 }
@@ -281,10 +256,7 @@ type Monitor struct {
 
 	regions map[int]*Region
 	// index is rebuilt from regions on restore, never serialized.
-	index interval.Index //lint:config
-	// epoch is non-nil exactly when index is the epoch snapshot; its
-	// closure-free Lookup enables the count-compressed batch path.
-	epoch *interval.Epoch //lint:config -- derived view of index
+	index *interval.Epoch //lint:config
 	// sortedIDs holds the monitored region IDs ascending, maintained
 	// incrementally (AddRegion assigns monotonically increasing IDs, so
 	// insertion is an append; removal copies down in place). It replaces
@@ -298,16 +270,13 @@ type Monitor struct {
 
 	// Per-interval scratch, reused across ProcessOverflow calls so the
 	// monitoring hot path stays allocation-free in steady state.
-	runs       *stats.RunScratch //lint:config -- count-compression scratch (epoch path)
-	keyScratch []uint64          //lint:config -- sample PCs as radix keys (epoch path)
+	runs       *stats.RunScratch //lint:config -- count-compression scratch
+	keyScratch []uint64          //lint:config -- sample PCs as radix keys
 	ucrScratch []isa.Addr        //lint:config -- UCR PCs of the current interval
 	// idScratch holds the sorted region IDs the verdict loop iterates.
 	//lint:bounded -- reused via [:0]; one entry per region
 	idScratch      []int           //lint:config
 	verdictScratch []RegionVerdict //lint:config -- backing array for Report.Verdicts
-	stabPC         isa.Addr        //lint:config -- current sample PC for stabVisit
-	stabHit        bool            //lint:config -- current sample landed in a region
-	stabVisit      func(id int)    //lint:config -- distribution callback (built once)
 	medScratch     []float64       //lint:config -- UCRMedian sort scratch
 }
 
@@ -322,38 +291,16 @@ func NewMonitor(prog *isa.Program, cfg Config) (*Monitor, error) {
 	if err := cfg.validateAnnotations(prog); err != nil {
 		return nil, err
 	}
-	var ix interval.Index
-	var epoch *interval.Epoch
-	switch cfg.Index {
-	case IndexTree:
-		ix = interval.NewTree()
-	case IndexList:
-		ix = interval.NewList()
-	default:
-		epoch = interval.NewEpoch()
-		ix = epoch
-	}
 	m := &Monitor{
-		prog:      prog,
-		cfg:       cfg,
-		regions:   make(map[int]*Region),
-		index:     ix,
-		epoch:     epoch,
-		loopCount: make(map[*isa.Loop]int),
-	}
-	if epoch != nil {
-		m.runs = stats.NewRunScratch(hpm.DefaultBufferSize)
-		m.keyScratch = make([]uint64, 0, hpm.DefaultBufferSize)
+		prog:       prog,
+		cfg:        cfg,
+		regions:    make(map[int]*Region),
+		index:      interval.NewEpoch(),
+		loopCount:  make(map[*isa.Loop]int),
+		runs:       stats.NewRunScratch(hpm.DefaultBufferSize),
+		keyScratch: make([]uint64, 0, hpm.DefaultBufferSize),
 	}
 	m.ucr = m.newUCRSeries()
-	// Built once so sample distribution creates no per-sample closures.
-	m.stabVisit = func(id int) {
-		r := m.regions[id]
-		r.curr[int(m.stabPC-r.Start)/isa.InstrBytes]++
-		r.intervalHits++
-		r.totalSamples++
-		m.stabHit = true
-	}
 	return m, nil
 }
 
@@ -379,16 +326,16 @@ func (m *Monitor) Regions() []*Region {
 	return out
 }
 
-// RegionAt returns the first monitored region containing addr, preferring
-// the innermost (smallest) one, or nil.
+// RegionAt returns the innermost (smallest) monitored region containing
+// addr, the lowest ID among equal sizes, or nil.
 func (m *Monitor) RegionAt(addr isa.Addr) *Region {
 	var best *Region
-	m.index.Stab(uint64(addr), func(id int) {
+	for _, id := range m.index.Lookup(uint64(addr)) {
 		r := m.regions[id]
 		if best == nil || r.End-r.Start < best.End-best.Start {
 			best = r
 		}
-	})
+	}
 	return best
 }
 
@@ -482,16 +429,7 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	m.seq = ov.Seq
 
 	// Phase 1: distribute samples. UCR PCs are collected for formation.
-	// The epoch path count-compresses the buffer first so each distinct PC
-	// is stabbed once; it produces the same counters and histograms as the
-	// per-sample path (formation is insensitive to ucrPCs order, the only
-	// thing that differs).
-	var ucrPCs []isa.Addr
-	if m.epoch != nil {
-		ucrPCs = m.distributeBatched(ov, &rep)
-	} else {
-		ucrPCs = m.distributePerSample(ov, &rep)
-	}
+	ucrPCs := m.distribute(ov, &rep)
 	m.ucrScratch = ucrPCs
 	if rep.TotalSamples > 0 {
 		rep.UCRFraction = float64(rep.UCRSamples) / float64(rep.TotalSamples)
@@ -556,37 +494,15 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	return rep
 }
 
-// distributePerSample stabs the index once per buffered sample (the list
-// and tree paths). It returns the interval's non-idle UCR PCs, backed by
-// monitor scratch.
-func (m *Monitor) distributePerSample(ov *hpm.Overflow, rep *Report) []isa.Addr {
-	ucrPCs := m.ucrScratch[:0]
-	for i := range ov.Samples {
-		m.stabPC = ov.Samples[i].PC
-		m.stabHit = false
-		m.index.Stab(uint64(m.stabPC), m.stabVisit)
-		if m.stabHit {
-			rep.MonitoredSamples++
-		} else {
-			rep.UCRSamples++
-			if m.stabPC != 0 {
-				ucrPCs = append(ucrPCs, m.stabPC)
-			} else {
-				rep.IdleSamples++
-			}
-		}
-	}
-	return ucrPCs
-}
-
-// distributeBatched is the epoch path: the buffer is count-compressed
-// into (distinct PC, count) runs, each run stabs the epoch snapshot once,
-// and histograms advance by the run count. Loopy buffers hold far fewer
-// distinct PCs than samples, so this removes most of the stabbing work.
-// UCR PCs are re-expanded run-by-run so formation sees the same multiset
-// as the per-sample path (sorted rather than in buffer order, which
-// formation is insensitive to).
-func (m *Monitor) distributeBatched(ov *hpm.Overflow, rep *Report) []isa.Addr {
+// distribute spreads the buffer over the monitored regions and returns
+// the interval's non-idle UCR PCs, backed by monitor scratch. The buffer
+// is count-compressed into (distinct PC, count) runs, each run stabs the
+// epoch snapshot once, and histograms advance by the run count. Loopy
+// buffers hold far fewer distinct PCs than samples, so this removes most
+// of the stabbing work. UCR PCs are re-expanded run-by-run, so formation
+// sees every unmonitored sample (sorted rather than in buffer order,
+// which formation is insensitive to).
+func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) []isa.Addr {
 	keys := m.keyScratch[:0]
 	for i := range ov.Samples {
 		keys = append(keys, uint64(ov.Samples[i].PC))
@@ -597,7 +513,7 @@ func (m *Monitor) distributeBatched(ov *hpm.Overflow, rep *Report) []isa.Addr {
 	ucrPCs := m.ucrScratch[:0]
 	for i, pc := range pcs {
 		c := int(counts[i])
-		ids := m.epoch.Lookup(pc)
+		ids := m.index.Lookup(pc)
 		if len(ids) > 0 {
 			rep.MonitoredSamples += c
 			for _, id := range ids {

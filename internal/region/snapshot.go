@@ -59,6 +59,13 @@ func (m *Monitor) AppendSnapshot(e *snap.Encoder) {
 // history shapes that do not fit the current program/configuration are
 // rejected. On error the monitor is left unchanged.
 func (m *Monitor) RestoreSnapshot(dec *snap.Decoder) error {
+	return m.restore(dec, dec.Err)
+}
+
+// restore decodes and checks the whole snapshot into staged state and
+// commits it only once done (the decoder's Err, or Finish for a
+// standalone snapshot) reports success.
+func (m *Monitor) restore(dec *snap.Decoder, done func() error) error {
 	dec.Header(monitorTag, 1)
 	seq := dec.Int()
 	nextID := dec.Int()
@@ -73,12 +80,9 @@ func (m *Monitor) RestoreSnapshot(dec *snap.Decoder) error {
 		return err
 	}
 
-	count := dec.Int()
+	count := dec.Len()
 	if err := dec.Err(); err != nil {
 		return err
-	}
-	if count < 0 {
-		return fmt.Errorf("region: snapshot region count %d < 0", count)
 	}
 	if m.cfg.MaxRegions > 0 && count > m.cfg.MaxRegions {
 		return fmt.Errorf("region: snapshot has %d regions, exceeds cap %d", count, m.cfg.MaxRegions)
@@ -98,6 +102,11 @@ func (m *Monitor) RestoreSnapshot(dec *snap.Decoder) error {
 		}
 		if start >= end {
 			return fmt.Errorf("region: snapshot region %d has empty span %v-%v", id, start, end)
+		}
+		// A partial trailing instruction would let a sample at the last
+		// address index one past the histogram.
+		if (end-start)%isa.InstrBytes != 0 {
+			return fmt.Errorf("region: snapshot region %d span %v-%v is not a whole number of instructions", id, start, end)
 		}
 		if id < 0 || id >= nextID {
 			return fmt.Errorf("region: snapshot region ID %d outside [0, %d)", id, nextID)
@@ -137,6 +146,9 @@ func (m *Monitor) RestoreSnapshot(dec *snap.Decoder) error {
 			idleFor:      idleFor,
 		})
 	}
+	if err := done(); err != nil {
+		return err
+	}
 
 	// Commit: swap in the staged state and rebuild the stab index.
 	m.seq = seq
@@ -168,11 +180,9 @@ func (m *Monitor) Snapshot() []byte {
 }
 
 // Restore replaces the monitor's state from a Snapshot produced by a
-// monitor over the same program with the same configuration.
+// monitor over the same program with the same configuration. Trailing
+// bytes are an error, and on any error m is left as it was.
 func (m *Monitor) Restore(data []byte) error {
 	dec := snap.NewDecoder(data)
-	if err := m.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
+	return m.restore(dec, dec.Finish)
 }

@@ -49,9 +49,6 @@ func NewUnboundedSeries() *Series {
 	return &Series{unbounded: true}
 }
 
-// Unbounded reports whether the series retains every observation.
-func (s *Series) Unbounded() bool { return s.unbounded }
-
 // Append records one observation, evicting the oldest in bounded mode when
 // the ring is full.
 func (s *Series) Append(x float64) {

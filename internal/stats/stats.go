@@ -68,39 +68,6 @@ func Pearson(x, y []int64) (r float64, ok bool) {
 	return r, true
 }
 
-// PearsonFloat is Pearson over float64 vectors; used by tests and by the
-// similarity-metric ablations.
-func PearsonFloat(x, y []float64) (r float64, ok bool) {
-	n := len(x)
-	if n == 0 || n != len(y) {
-		return 0, false
-	}
-	var sx, sy, sxx, syy, sxy float64
-	for i := 0; i < n; i++ {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		syy += y[i] * y[i]
-		sxy += x[i] * y[i]
-	}
-	nf := float64(n)
-	vx := sxx - sx*sx/nf
-	vy := syy - sy*sy/nf
-	if vx <= 0 || vy <= 0 {
-		if vx <= 0 && vy <= 0 {
-			return 1, true
-		}
-		return 0, false
-	}
-	r = (sxy - sx*sy/nf) / math.Sqrt(vx*vy)
-	if r > 1 {
-		r = 1
-	} else if r < -1 {
-		r = -1
-	}
-	return r, true
-}
-
 // Manhattan returns the normalized Manhattan (L1) distance between two
 // sample vectors after normalizing each to a probability distribution.
 // The result lies in [0, 2] (0 = identical distributions). It is one of the
@@ -127,27 +94,13 @@ func Manhattan(x, y []int64) float64 {
 	return d
 }
 
-// TopKOverlap returns the fraction of overlap between the index sets of the
-// k largest entries of x and y (1 = same hot instructions, 0 = disjoint).
-// It is the second cheap similarity metric used in the ablation study.
-// k is clamped to len(x). Ties are broken by lower index.
-//
-// TopKOverlap is the convenience form for offline analysis and tests: it
-// sizes a fresh TopKScratch per call and delegates, so there is exactly
-// one selection implementation and no per-call map churn. Per-interval
-// callers hold a construction-time TopKScratch and call Overlap directly.
-func TopKOverlap(x, y []int64, k int) float64 {
-	if len(x) != len(y) || len(x) == 0 || k <= 0 {
-		return 0
-	}
-	return NewTopKScratch(len(x), k).Overlap(x, y, k)
-}
-
-// TopKScratch is caller-owned working storage for scratch-based top-k
-// overlap. Detectors that compare histograms every interval size one at
-// construction time (NewTopKScratch) so the per-interval computation
-// performs no allocations; TopKOverlap above stays as the convenient
-// allocating form for offline analysis and tests.
+// TopKScratch is caller-owned working storage for top-k overlap: the
+// fraction of overlap between the index sets of the k largest entries of
+// two histograms (1 = same hot instructions, 0 = disjoint), the second
+// cheap similarity metric of the ablation study. Detectors that compare
+// histograms every interval size one at construction time
+// (NewTopKScratch), so the per-interval computation performs no
+// allocations.
 type TopKScratch struct {
 	xs, ys []int
 	used   []bool
@@ -168,8 +121,10 @@ func NewTopKScratch(n, k int) *TopKScratch {
 	}
 }
 
-// Overlap computes TopKOverlap(x, y, k) in s without allocating. x and y
-// must be no longer than the n the scratch was built for.
+// Overlap returns the top-k overlap of x and y without allocating. k is
+// clamped to len(x), and ties are broken by lower index. x and y must be
+// no longer than the n the scratch was built for; mismatched lengths,
+// empty histograms and k <= 0 give 0.
 func (s *TopKScratch) Overlap(x, y []int64, k int) float64 {
 	if len(x) != len(y) || len(x) == 0 || k <= 0 {
 		return 0
@@ -196,7 +151,7 @@ func (s *TopKScratch) Overlap(x, y []int64, k int) float64 {
 }
 
 // selectTopK appends the indices of the k largest entries of v to dst,
-// ties broken by lower index (same selection as topKIndices).
+// ties broken by lower index.
 func (s *TopKScratch) selectTopK(v []int64, k int, dst []int) []int {
 	used := s.used[:len(v)]
 	for i := range used {
@@ -376,41 +331,6 @@ func insertionSort(v []float64) {
 		v[j+1] = x
 	}
 }
-
-// Running accumulates a stream of observations and yields mean, variance and
-// standard deviation in O(1) per observation (Welford's algorithm). The
-// centroid history uses a bounded variant (see Window); Running backs
-// whole-run summaries such as per-benchmark UCR statistics.
-type Running struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (r *Running) Add(x float64) {
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of observations added.
-func (r *Running) N() int64 { return r.n }
-
-// Mean returns the running mean (0 before any observation).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the running population variance.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
 // Window is a fixed-capacity sliding window of float64 observations with
 // O(1) amortized mean and standard deviation. The GPD centroid history is a

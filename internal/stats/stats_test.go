@@ -126,21 +126,6 @@ func TestPearsonProperties(t *testing.T) {
 	}
 }
 
-func TestPearsonFloatMatchesInt(t *testing.T) {
-	x := []int64{3, 1, 4, 1, 5, 9, 2, 6}
-	y := []int64{2, 7, 1, 8, 2, 8, 1, 8}
-	xf := make([]float64, len(x))
-	yf := make([]float64, len(y))
-	for i := range x {
-		xf[i], yf[i] = float64(x[i]), float64(y[i])
-	}
-	ri, oki := Pearson(x, y)
-	rf, okf := PearsonFloat(xf, yf)
-	if oki != okf || !almost(ri, rf, 1e-12) {
-		t.Errorf("int/float Pearson disagree: %v,%v vs %v,%v", ri, oki, rf, okf)
-	}
-}
-
 func TestManhattan(t *testing.T) {
 	x := []int64{10, 0, 0}
 	if d := Manhattan(x, x); d != 0 {
@@ -164,30 +149,30 @@ func TestManhattan(t *testing.T) {
 }
 
 func TestTopKOverlap(t *testing.T) {
+	overlap := func(x, y []int64, k int) float64 { return NewTopKScratch(len(x), k).Overlap(x, y, k) }
 	x := []int64{100, 90, 80, 1, 2, 3}
 	y := []int64{95, 85, 75, 3, 2, 1}
-	if o := TopKOverlap(x, y, 3); o != 1 {
-		t.Errorf("TopKOverlap same-hot = %v; want 1", o)
+	if o := overlap(x, y, 3); o != 1 {
+		t.Errorf("same-hot overlap = %v; want 1", o)
 	}
 	z := []int64{1, 2, 3, 100, 90, 80}
-	if o := TopKOverlap(x, z, 3); o != 0 {
-		t.Errorf("TopKOverlap disjoint-hot = %v; want 0", o)
+	if o := overlap(x, z, 3); o != 0 {
+		t.Errorf("disjoint-hot overlap = %v; want 0", o)
 	}
-	if o := TopKOverlap(x, y, 100); o < 0 || o > 1 {
-		t.Errorf("TopKOverlap clamped k out of range: %v", o)
+	if o := overlap(x, y, 100); o < 0 || o > 1 {
+		t.Errorf("clamped k out of range: %v", o)
 	}
-	if o := TopKOverlap(x, y, 0); o != 0 {
-		t.Errorf("TopKOverlap k=0 = %v; want 0", o)
+	if o := overlap(x, y, 0); o != 0 {
+		t.Errorf("k=0 overlap = %v; want 0", o)
 	}
-	if o := TopKOverlap([]int64{1}, []int64{1, 2}, 1); o != 0 {
-		t.Errorf("TopKOverlap mismatched lengths = %v; want 0", o)
+	if o := overlap([]int64{1}, []int64{1, 2}, 1); o != 0 {
+		t.Errorf("mismatched lengths overlap = %v; want 0", o)
 	}
 }
 
-// TestTopKScratchMatchesTopKOverlap checks the scratch form against the
-// allocating reference on a seeded random stream, including repeated reuse
-// of one scratch.
-func TestTopKScratchMatchesTopKOverlap(t *testing.T) {
+// TestTopKScratchReuseMatchesFresh checks one scratch reused across a
+// seeded random stream and several k against a fresh scratch per call.
+func TestTopKScratchReuseMatchesFresh(t *testing.T) {
 	const n = 24
 	s := NewTopKScratch(n, 5)
 	seed := uint64(0x70CC)
@@ -202,14 +187,11 @@ func TestTopKScratchMatchesTopKOverlap(t *testing.T) {
 			x[i], y[i] = next(), next()
 		}
 		for _, k := range []int{0, 1, 3, 5} {
-			want := TopKOverlap(x, y, k)
+			want := NewTopKScratch(n, k).Overlap(x, y, k)
 			if got := s.Overlap(x, y, k); got != want {
-				t.Fatalf("trial %d k=%d: scratch Overlap = %v; TopKOverlap = %v", trial, k, got, want)
+				t.Fatalf("trial %d k=%d: reused scratch Overlap = %v; fresh = %v", trial, k, got, want)
 			}
 		}
-	}
-	if o := s.Overlap([]int64{1}, []int64{1, 2}, 1); o != 0 {
-		t.Errorf("scratch Overlap mismatched lengths = %v; want 0", o)
 	}
 }
 
@@ -389,47 +371,6 @@ func TestMeanStdDevMedian(t *testing.T) {
 	}
 	if StdDev([]float64{5}) != 0 {
 		t.Error("single-element StdDev should be 0")
-	}
-}
-
-func TestRunning(t *testing.T) {
-	var r Running
-	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range data {
-		r.Add(x)
-	}
-	if r.N() != 8 {
-		t.Fatalf("N = %d; want 8", r.N())
-	}
-	if !almost(r.Mean(), 5, 1e-12) {
-		t.Errorf("Running.Mean = %v; want 5", r.Mean())
-	}
-	if !almost(r.StdDev(), 2, 1e-12) {
-		t.Errorf("Running.StdDev = %v; want 2", r.StdDev())
-	}
-	var empty Running
-	if empty.Mean() != 0 || empty.Variance() != 0 {
-		t.Error("empty Running should report zeros")
-	}
-}
-
-// Property: Running matches the two-pass Mean/StdDev on random streams.
-func TestRunningMatchesTwoPass(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 9))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.IntN(200)
-		v := make([]float64, n)
-		var r Running
-		for i := range v {
-			v[i] = rng.Float64()*1000 - 500
-			r.Add(v[i])
-		}
-		if !almost(r.Mean(), Mean(v), 1e-9) {
-			t.Fatalf("trial %d: running mean %v != %v", trial, r.Mean(), Mean(v))
-		}
-		if !almost(r.StdDev(), StdDev(v), 1e-9) {
-			t.Fatalf("trial %d: running stddev %v != %v", trial, r.StdDev(), StdDev(v))
-		}
 	}
 }
 

@@ -219,20 +219,6 @@ type (
 	// Annotation is a compiler-provided candidate region span (the
 	// Section 3.1 future-work extension).
 	Annotation = region.Annotation
-	// RegionIndexKind selects the monitor's sample-distribution
-	// structure (RegionConfig.Index).
-	RegionIndexKind = region.IndexKind
-)
-
-// Sample-distribution structures (RegionConfig.Index).
-const (
-	// RegionIndexEpoch is the default: count-compressed batched
-	// distribution over a flat epoch snapshot of the region set.
-	RegionIndexEpoch = region.IndexEpoch
-	// RegionIndexList is the paper's per-sample linear list.
-	RegionIndexList = region.IndexList
-	// RegionIndexTree is the paper's per-sample interval tree.
-	RegionIndexTree = region.IndexTree
 )
 
 // DefaultRegionConfig returns the paper's region-monitoring parameters
