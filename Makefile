@@ -48,7 +48,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessOverflow' -benchtime 1x -benchmem ./internal/region/
 
 # Fuzz every restore path that has a fuzz target for 10 s each (manual,
-# about 45 s; not part of `make check`). The contract each target checks:
+# about 80 s; not part of `make check`). The contract each target checks:
 # a corrupt snapshot returns an error, leaves the target's state
 # byte-identical and never panics. A failing input is written under the
 # package's testdata/fuzz/ and replays as a seed in `make test`.
@@ -57,6 +57,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBBVRestore$$' -fuzztime 10s ./internal/altdetect/
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkingSetRestore$$' -fuzztime 10s ./internal/altdetect/
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitorRestore$$' -fuzztime 10s ./internal/region/
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s ./internal/lpd/
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s ./internal/gpd/
+	$(GO) test -run '^$$' -fuzz '^FuzzPerfTrackerRestore$$' -fuzztime 10s ./internal/gpd/
 
 # The benchmark module's own tests (perfbench/ is a separate Go module,
 # so the root `go test ./...` skips it): tiny runs of both workloads, the

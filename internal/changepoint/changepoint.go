@@ -127,10 +127,13 @@ func (e *Engine) next() uint64 {
 // ascending Index order, and returns the extended slice. The PRNG is
 // re-seeded from seed on every call, so identical (xs, seed) inputs
 // yield identical output regardless of what the engine processed before.
-// xs is read-only and must be finite: a NaN or ±Inf makes every split's
-// statistic NaN, which no permutation reaches, so it reads as
-// significant (the package-level Detect and the online Detector screen
-// for them). It panics if len(xs) exceeds the construction maxN.
+// xs is read-only. A span whose best-split statistic is NaN is not
+// significant and is not split further: no permutation can reach a NaN,
+// so the test would otherwise call it significant at p = 1/(R+1). A NaN
+// or ±Inf in xs does that, and so do finite values far enough apart
+// (near ±1e308) that their differences overflow; the package-level
+// Detect rejects non-finite input and the online Detector skips windows
+// holding it. It panics if len(xs) exceeds the construction maxN.
 func (e *Engine) Detect(xs []float64, seed uint64, dst []ChangePoint) []ChangePoint {
 	if len(xs) > len(e.perm) {
 		panic(fmt.Sprintf("changepoint: series length %d exceeds engine capacity %d", len(xs), len(e.perm)))
@@ -146,7 +149,7 @@ func (e *Engine) Detect(xs []float64, seed uint64, dst []ChangePoint) []ChangePo
 			continue
 		}
 		tau, stat := bestSplit(xs[sp.start:sp.end], e.cfg.MinSegment)
-		if tau < 0 {
+		if tau < 0 || math.IsNaN(stat) {
 			continue
 		}
 		p := e.permutationPValue(xs[sp.start:sp.end], stat)

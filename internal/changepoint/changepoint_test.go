@@ -218,3 +218,32 @@ func TestDetectRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestOverflowingSeriesNotSignificant: finite values alternating between
+// +1e308 and -1e308 overflow the pairwise differences to +Inf and the
+// statistic to NaN. Before, every such span read as significant: Detect
+// returned four change points with Stat NaN and PValue 0.01, and the
+// online detector confirmed them. A NaN statistic is now not significant
+// on both paths.
+func TestOverflowingSeriesNotSignificant(t *testing.T) {
+	xs := make([]float64, 40)
+	for i := range xs {
+		xs[i] = 1e308
+		if i%2 == 1 {
+			xs[i] = -1e308
+		}
+	}
+	cps, err := Detect(xs, 1, DefaultEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cps) != 0 {
+		t.Errorf("Detect found %d change points: %+v", len(cps), cps)
+	}
+	d := MustNew(DefaultConfig())
+	for i := 0; i < 400; i++ {
+		if v := d.Observe(xs[i%len(xs)]); v.Changed {
+			t.Fatalf("online detector confirmed a change at interval %d: %+v", i, v)
+		}
+	}
+}

@@ -60,10 +60,8 @@ func RunChart(opts Options, name string) (*ChartResult, error) {
 	}
 	res := &ChartResult{Bench: name, Period: opts.ChartPeriod}
 	totals := map[string]int64{}
-	var pcs []uint64
 	handler := func(ov *hpm.Overflow) {
-		pcs = hpm.PCs(ov, pcs[:0])
-		gv := gdet.ObservePCs(pcs)
+		gv := gdet.ObserveOverflow(ov)
 		rep := rmon.ProcessOverflow(ov)
 		pt := ChartPoint{
 			Interval:  ov.Seq,

@@ -94,10 +94,8 @@ func RunCost(opts Options, names []string) (*CostResult, error) {
 			if err != nil {
 				return err
 			}
-			var pcs []uint64
 			for _, ov := range rs.overflows {
-				pcs = hpm.PCs(ov, pcs[:0])
-				gdet.ObservePCs(pcs)
+				gdet.ObserveOverflow(ov)
 			}
 			return nil
 		}, &err)

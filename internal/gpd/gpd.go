@@ -29,6 +29,7 @@ package gpd
 import (
 	"fmt"
 
+	"regionmon/internal/hpm"
 	"regionmon/internal/stats"
 )
 
@@ -185,18 +186,28 @@ func (d *Detector) StableFraction() float64 {
 // Intervals returns the number of intervals observed.
 func (d *Detector) Intervals() int { return d.total }
 
-// ObservePCs computes the centroid of an interval's PC samples and feeds
-// it to Observe. An empty interval repeats the previous state without
-// advancing the machine.
-func (d *Detector) ObservePCs(pcs []uint64) Verdict {
-	if len(pcs) == 0 {
+// ObserveOverflow computes the centroid of an interval's PC samples and
+// feeds it to Observe. The centroid is the aggregate metric at the heart
+// of global phase detection: "the average value of program counter
+// obtained by sampling ... does not deviate much; when it does deviate,
+// it often indicates a phase change". It is summed in float64 in buffer
+// order: PC values fit the 52-bit mantissa for the simulated address
+// space (< 2^40), and even real 64-bit address spaces lose at most a few
+// ULPs, far below the detector's thresholds. An empty interval repeats
+// the previous state without advancing the machine.
+func (d *Detector) ObserveOverflow(ov *hpm.Overflow) Verdict {
+	if len(ov.Samples) == 0 {
 		d.total++
 		if d.state == Stable {
 			d.stable++
 		}
 		return Verdict{State: d.state, Prev: d.state}
 	}
-	return d.Observe(stats.Centroid(pcs))
+	var sum float64
+	for i := range ov.Samples {
+		sum += float64(ov.Samples[i].PC)
+	}
+	return d.Observe(sum / float64(len(ov.Samples)))
 }
 
 // Observe feeds one interval centroid to the detector and returns the

@@ -1,9 +1,13 @@
 package gpd
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"regionmon/internal/hpm"
+	"regionmon/internal/isa"
 )
 
 func newDefault(t *testing.T) *Detector {
@@ -184,26 +188,64 @@ func TestPeriodicSwitchingCausesInstability(t *testing.T) {
 	}
 }
 
-func TestObservePCs(t *testing.T) {
+// pcOverflow returns an overflow whose samples hit pcs in order.
+func pcOverflow(pcs []isa.Addr) *hpm.Overflow {
+	ov := &hpm.Overflow{Samples: make([]hpm.Sample, len(pcs))}
+	for i, pc := range pcs {
+		ov.Samples[i].PC = pc
+	}
+	return ov
+}
+
+func TestObserveOverflow(t *testing.T) {
 	d := newDefault(t)
-	pcs := make([]uint64, 100)
+	pcs := make([]isa.Addr, 100)
 	for i := range pcs {
 		pcs[i] = 100_000
 	}
+	ov := pcOverflow(pcs)
 	var v Verdict
 	for i := 0; i < 20; i++ {
-		v = d.ObservePCs(pcs)
+		v = d.ObserveOverflow(ov)
 	}
 	if v.State != Stable {
-		t.Errorf("ObservePCs steady stream = %v; want stable", v.State)
+		t.Errorf("ObserveOverflow steady stream = %v; want stable", v.State)
 	}
 	// Empty interval: state repeats, no transition.
-	v2 := d.ObservePCs(nil)
+	v2 := d.ObserveOverflow(&hpm.Overflow{})
 	if v2.State != Stable || v2.PhaseChange {
 		t.Errorf("empty interval verdict = %+v; want unchanged stable", v2)
 	}
 	if d.Intervals() != 21 {
 		t.Errorf("intervals = %d; want 21", d.Intervals())
+	}
+}
+
+// TestObserveOverflowCentroidBits: the centroid ObserveOverflow feeds the
+// machine is, bit for bit, the float64 sum of the sample PCs in buffer
+// order divided by the sample count, over random PCs below 2^40 and
+// random buffer lengths, including empty (centroid 0).
+func TestObserveOverflowCentroidBits(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 2))
+	d := newDefault(t)
+	for trial := 0; trial < 300; trial++ {
+		pcs := make([]isa.Addr, rng.IntN(2100))
+		for i := range pcs {
+			pcs[i] = isa.Addr(rng.Uint64N(1 << 40))
+		}
+		want := 0.0
+		if len(pcs) > 0 {
+			var sum float64
+			for _, pc := range pcs {
+				sum += float64(pc)
+			}
+			want = sum / float64(len(pcs))
+		}
+		got := d.ObserveOverflow(pcOverflow(pcs)).Centroid
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (%d samples): centroid %v (%#x); in-order sum gives %v (%#x)",
+				trial, len(pcs), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

@@ -154,3 +154,69 @@ func TestPerfTrackerRestoreFailureLeavesTrackerUntouched(t *testing.T) {
 	p := fed(3)
 	checkRestoreFailures(t, fed(30).Snapshot(), p.Snapshot, p.Restore)
 }
+
+// fuzzRestore seeds f with snapshots of a target fed 0, 13, 37 and 70
+// intervals, three truncations of the 37-interval one and that snapshot
+// with a trailing byte. For every input restored into a target fed 20
+// intervals it checks that Restore does not panic, that a failed restore
+// leaves the target's snapshot bytes unchanged, and that a restored
+// target keeps observing without panicking. observe feeds target its
+// i-th interval.
+func fuzzRestore[T interface {
+	Snapshot() []byte
+	Restore([]byte) error
+}](f *testing.F, fresh func() T, observe func(target T, i int)) {
+	fed := func(n int) []byte {
+		target := fresh()
+		for i := 0; i < n; i++ {
+			observe(target, i)
+		}
+		return target.Snapshot()
+	}
+	for _, n := range []int{0, 13, 37, 70} {
+		f.Add(fed(n))
+	}
+	src := fed(37)
+	for _, cut := range []int{len(src) / 3, len(src) / 2, len(src) - 1} {
+		f.Add(src[:cut])
+	}
+	f.Add(append(append([]byte(nil), src...), 0))
+	base := fed(20)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		target := fresh()
+		if err := target.Restore(base); err != nil {
+			t.Fatal(err)
+		}
+		if err := target.Restore(data); err != nil {
+			if !bytes.Equal(target.Snapshot(), base) {
+				t.Fatalf("failed restore (%v) changed the target", err)
+			}
+			return
+		}
+		for i := 20; i < 60; i++ {
+			observe(target, i)
+		}
+	})
+}
+
+func FuzzDetectorRestore(f *testing.F) {
+	stream := centroidStream(100)
+	fuzzRestore(f, func() *Detector { return MustNew(DefaultConfig()) },
+		func(d *Detector, i int) { d.Observe(stream[i]) })
+}
+
+func FuzzPerfTrackerRestore(f *testing.F) {
+	fuzzRestore(f, func() *PerfTracker {
+		p, err := NewPerfTracker(DefaultPerfConfig())
+		if err != nil {
+			f.Fatal(err)
+		}
+		return p
+	}, func(p *PerfTracker, i int) {
+		v := 1.2 + float64(i%5)*0.01
+		if i >= 40 && i < 50 {
+			v = 3.5 // CPI spike
+		}
+		p.Observe(v)
+	})
+}

@@ -6,10 +6,12 @@ import "slices"
 // the current range set, rebuilt lazily after mutations. Where List pays
 // O(n) and Tree O(log n + k) pointer-chasing per stab, Epoch slices the
 // address space at every range boundary into disjoint segments and stores,
-// per segment, the ids of every range covering it in one flat CSR layout
-// (segOff offsets into segIDs). A stabbing query is then a single
-// branch-light binary search over the boundary array followed by a
-// contiguous slice read — no per-visit closure, no node traversal.
+// per segment, the ranks of every range covering it in one flat CSR layout
+// (segOff offsets into segRanks). A range's rank is its position in id
+// order among the live ranges, so a caller that keeps its own items in
+// id order indexes them with a rank directly. A stabbing query is then a
+// single branch-light binary search over the boundary array followed by
+// a contiguous slice read — no per-visit closure, no node traversal.
 //
 // The trade is rebuild cost on mutation: Insert and Remove only record the
 // change and mark the snapshot dirty; the next query rebuilds it. Region
@@ -29,12 +31,13 @@ type Epoch struct {
 	dirty  bool
 
 	// Flat snapshot: segment i spans [bounds[i], bounds[i+1]) and is
-	// covered by segIDs[segOff[i]:segOff[i+1]] (ids ascending).
-	bounds []uint64
-	segOff []int
-	segIDs []int
+	// covered by the ranges ranked segRanks[segOff[i]:segOff[i+1]]
+	// (ascending); sorted[rank] is the range of that rank.
+	bounds   []uint64
+	segOff   []int
+	segRanks []int
 
-	sorted []Range // rebuild scratch: ranges ordered by id
+	sorted []Range // ranges ordered by id
 	cursor []int   // rebuild scratch: per-segment fill position
 }
 
@@ -78,17 +81,19 @@ func (e *Epoch) Remove(id int) bool {
 // Len implements Index.
 func (e *Epoch) Len() int { return len(e.ranges) }
 
-// Stab implements Index.
+// Stab implements Index, mapping Lookup's ranks back to ids.
 func (e *Epoch) Stab(point uint64, visit func(id int)) {
-	for _, id := range e.Lookup(point) {
-		visit(id)
+	for _, k := range e.Lookup(point) {
+		visit(e.sorted[k].ID)
 	}
 }
 
-// Lookup returns the ids of every range containing point, ascending, as a
-// sub-slice of the epoch's flat snapshot — valid until the next Insert or
-// Remove, and not to be mutated. It is the closure-free form of Stab the
-// batched distribution hot path uses: one binary search, one slice.
+// Lookup returns the ranks of every range containing point, ascending,
+// as a sub-slice of the epoch's flat snapshot — valid until the next
+// Insert or Remove, and not to be mutated. A rank is the range's position
+// in id order among the live ranges: rank 0 is the smallest live id. It
+// is the closure-free form of Stab the batched distribution hot path
+// uses: one binary search, one slice.
 func (e *Epoch) Lookup(point uint64) []int {
 	if e.dirty {
 		e.rebuild()
@@ -109,7 +114,7 @@ func (e *Epoch) Lookup(point uint64) []int {
 			hi = mid
 		}
 	}
-	return e.segIDs[e.segOff[lo]:e.segOff[lo+1]]
+	return e.segRanks[e.segOff[lo]:e.segOff[lo+1]]
 }
 
 // rebuild recomputes the flat snapshot from the live range set. It runs
@@ -122,26 +127,26 @@ func (e *Epoch) rebuild() {
 	e.dirty = false
 	e.bounds = e.bounds[:0]
 	e.segOff = e.segOff[:0]
-	e.segIDs = e.segIDs[:0]
-	if len(e.ranges) == 0 {
+	e.segRanks = e.segRanks[:0]
+	sorted := append(e.sorted[:0], e.ranges...)
+	slices.SortFunc(sorted, func(a, b Range) int { return a.ID - b.ID })
+	e.sorted = sorted
+	if len(sorted) == 0 {
 		return
 	}
 
 	// Boundaries: every Start and End, sorted and deduplicated. Segments
-	// between consecutive boundaries are covered by a fixed id set (a gap
-	// between ranges is simply a segment with an empty set).
-	sorted := append(e.sorted[:0], e.ranges...)
-	slices.SortFunc(sorted, func(a, b Range) int { return a.ID - b.ID })
-	e.sorted = sorted
+	// between consecutive boundaries are covered by a fixed rank set (a
+	// gap between ranges is simply a segment with an empty set).
 	for _, r := range sorted {
 		e.bounds = append(e.bounds, r.Start, r.End)
 	}
 	slices.Sort(e.bounds)
 	e.bounds = slices.Compact(e.bounds)
 
-	// CSR fill in two passes: count ids per segment, prefix-sum into
-	// offsets, then place ids. Iterating ranges in id order makes each
-	// segment's id list ascending, giving the snapshot a deterministic
+	// CSR fill in two passes: count ranges per segment, prefix-sum into
+	// offsets, then place ranks. Iterating ranges in id order makes each
+	// segment's rank list ascending, giving the snapshot a deterministic
 	// shape independent of insertion and removal history.
 	segs := len(e.bounds) - 1
 	e.segOff = slices.Grow(e.segOff, segs+1)[:segs+1]
@@ -158,14 +163,14 @@ func (e *Epoch) rebuild() {
 	for i := 1; i <= segs; i++ {
 		e.segOff[i] += e.segOff[i-1]
 	}
-	e.segIDs = slices.Grow(e.segIDs, e.segOff[segs])[:e.segOff[segs]]
+	e.segRanks = slices.Grow(e.segRanks, e.segOff[segs])[:e.segOff[segs]]
 	cursor := slices.Grow(e.cursor[:0], segs)[:segs]
 	copy(cursor, e.segOff[:segs])
-	for _, r := range sorted {
+	for k, r := range sorted {
 		first, _ := slices.BinarySearch(e.bounds, r.Start)
 		last, _ := slices.BinarySearch(e.bounds, r.End)
 		for s := first; s < last; s++ {
-			e.segIDs[cursor[s]] = r.ID
+			e.segRanks[cursor[s]] = k
 			cursor[s]++
 		}
 	}

@@ -2,25 +2,39 @@ package interval
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
 func TestEpochBasics(t *testing.T) { testIndexBasics(t, func() Index { return NewEpoch() }) }
 
+// rankIDs maps Lookup's ranks to ids, given the live ids in id order.
+func rankIDs(ranks, ids []int) []int {
+	out := make([]int, 0, len(ranks))
+	for _, k := range ranks {
+		out = append(out, ids[k])
+	}
+	return out
+}
+
 func TestEpochLookupMatchesStab(t *testing.T) {
 	e := NewEpoch()
-	e.Insert(0, 100, 400)
-	e.Insert(1, 200, 300)
-	e.Insert(2, 250, 600)
-	for _, p := range []uint64{0, 99, 100, 150, 200, 250, 299, 300, 399, 400, 599, 600} {
-		got := append([]int(nil), e.Lookup(p)...)
+	e.Insert(9, 100, 400)
+	e.Insert(4, 50, 80)
+	e.Insert(12, 200, 300)
+	e.Insert(17, 250, 600)
+	e.Remove(4)
+	ids := []int{9, 12, 17}
+	for _, p := range []uint64{0, 60, 99, 100, 150, 200, 250, 299, 300, 399, 400, 599, 600} {
+		got := rankIDs(e.Lookup(p), ids)
 		if want := collect(e, p); !equalInts(got, want) {
-			t.Errorf("Lookup(%d) = %v; Stab collected %v", p, got, want)
+			t.Errorf("Lookup(%d) maps to ids %v; Stab collected %v", p, got, want)
 		}
 	}
-	// Lookup slices the snapshot in ascending id order.
+	// Lookup returns ranks — positions in id order among the live
+	// ranges — ascending.
 	if got := e.Lookup(260); !equalInts(got, []int{0, 1, 2}) {
-		t.Errorf("Lookup(260) = %v; want ascending [0 1 2]", got)
+		t.Errorf("Lookup(260) = %v; want ranks [0 1 2]", got)
 	}
 }
 
@@ -39,8 +53,11 @@ func TestIndexChurnAgreement(t *testing.T) {
 		ix   Index
 	}{{"list", list}, {"tree", tree}, {"epoch", epoch}}
 
+	var live []int
 	check := func(wave int) {
 		t.Helper()
+		ids := slices.Clone(live)
+		slices.Sort(ids)
 		for p := uint64(0); p < 4600; p += 37 {
 			want := collect(list, p)
 			for _, x := range indexes[1:] {
@@ -48,13 +65,12 @@ func TestIndexChurnAgreement(t *testing.T) {
 					t.Fatalf("wave %d: %s.Stab(%d) = %v; list says %v", wave, x.name, p, got, want)
 				}
 			}
-			if got := append([]int(nil), epoch.Lookup(p)...); !equalInts(got, want) {
-				t.Fatalf("wave %d: epoch.Lookup(%d) = %v; list says %v", wave, p, got, want)
+			if got := rankIDs(epoch.Lookup(p), ids); !equalInts(got, want) {
+				t.Fatalf("wave %d: epoch.Lookup(%d) maps to ids %v; list says %v", wave, p, got, want)
 			}
 		}
 	}
 
-	var live []int
 	nextID := 0
 	for wave := 0; wave < 60; wave++ {
 		// Formation burst: a handful of new (possibly nested or identical)

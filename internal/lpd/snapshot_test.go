@@ -137,3 +137,42 @@ func TestRestoreFailureLeavesDetectorUntouched(t *testing.T) {
 		check(fmt.Sprintf("cut at %d of %d", cut, len(src)), src[:cut])
 	}
 }
+
+// FuzzDetectorRestore: Restore never panics, a failed restore leaves the
+// detector's state byte-identical, and a restored detector keeps
+// observing without panicking.
+func FuzzDetectorRestore(f *testing.F) {
+	const n = 32
+	stream := histStream(n, 120)
+	fed := func(intervals int) *Detector {
+		d := MustNew(n, DefaultConfig())
+		for _, h := range stream[:intervals] {
+			d.Observe(h)
+		}
+		return d
+	}
+	for _, k := range []int{0, 13, 47, 120} {
+		f.Add(fed(k).Snapshot())
+	}
+	src := fed(47).Snapshot()
+	for _, cut := range []int{len(src) / 3, len(src) / 2, len(src) - 1} {
+		f.Add(src[:cut])
+	}
+	f.Add(append(append([]byte(nil), src...), 0))
+	target := fed(25).Snapshot()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := MustNew(n, DefaultConfig())
+		if err := d.Restore(target); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Restore(data); err != nil {
+			if !bytes.Equal(d.Snapshot(), target) {
+				t.Fatalf("failed restore (%v) changed the detector", err)
+			}
+			return
+		}
+		for _, h := range stream[25:60] {
+			d.Observe(h)
+		}
+	})
+}

@@ -2,10 +2,10 @@ package pipeline
 
 // Adapters wrapping each of the repo's detector families behind the
 // PhaseDetector interface. Each adapter owns whatever scratch state its
-// detector needs per interval (PC buffers, last-verdict storage) and
-// reuses it across intervals, so the fan-out adds no per-interval
-// allocations to the monitoring hot path. Verdict payloads point into
-// that reused storage — valid until the adapter's next ObserveInterval.
+// detector needs per interval (last-verdict storage) and reuses it
+// across intervals, so the fan-out adds no per-interval allocations to
+// the monitoring hot path. Verdict payloads point into that reused
+// storage — valid until the adapter's next ObserveInterval.
 
 import (
 	"regionmon/internal/altdetect"
@@ -33,8 +33,7 @@ const (
 //lint:single-owner
 type GPD struct {
 	det  *gpd.Detector
-	name string   //lint:config -- fixed at construction
-	pcs  []uint64 //lint:config -- scratch, reused across intervals
+	name string //lint:config -- fixed at construction
 	last gpd.Verdict
 }
 
@@ -58,8 +57,7 @@ func (g *GPD) Last() gpd.Verdict { return g.last }
 
 // ObserveInterval implements PhaseDetector.
 func (g *GPD) ObserveInterval(ov *hpm.Overflow) Verdict {
-	g.pcs = hpm.PCs(ov, g.pcs[:0])
-	g.last = g.det.ObservePCs(g.pcs)
+	g.last = g.det.ObserveOverflow(ov)
 	return Verdict{
 		Detector:    g.name,
 		Stable:      g.last.State == gpd.Stable,

@@ -64,28 +64,31 @@ func benchOverflow(spans []isa.LoopSpan, samples int) *hpm.Overflow {
 
 // BenchmarkProcessOverflow measures one interval of region monitoring —
 // distribution, UCR accounting, per-region detection — per region count,
-// on a full-size loopy buffer.
+// on a loopy buffer of the paper's full 2032 samples and of the 96
+// samples perfbench's fleet-full streams deliver per interval.
 func BenchmarkProcessOverflow(b *testing.B) {
 	for _, n := range []int{4, 64, 512} {
 		prog, spans := benchProgram(b, n)
-		ov := benchOverflow(spans, hpm.DefaultBufferSize)
-		b.Run(fmt.Sprintf("regions=%d", n), func(b *testing.B) {
-			m := newMonitor(b, prog, nil)
-			for _, s := range spans {
-				if _, err := m.AddRegion(s.Start, s.End); err != nil {
-					b.Fatal(err)
+		for _, size := range []int{96, hpm.DefaultBufferSize} {
+			ov := benchOverflow(spans, size)
+			b.Run(fmt.Sprintf("regions=%d/samples=%d", n, size), func(b *testing.B) {
+				m := newMonitor(b, prog, nil)
+				for _, s := range spans {
+					if _, err := m.AddRegion(s.Start, s.End); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			for i := 0; i < 4; i++ { // warm scratch, build snapshot
-				ov.Seq = i
-				m.ProcessOverflow(ov)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ov.Seq = 4 + i
-				m.ProcessOverflow(ov)
-			}
-		})
+				for i := 0; i < 4; i++ { // warm scratch, build snapshot
+					ov.Seq = i
+					m.ProcessOverflow(ov)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ov.Seq = 4 + i
+					m.ProcessOverflow(ov)
+				}
+			})
+		}
 	}
 }

@@ -32,6 +32,9 @@ func (a *Annotation) Validate(prog *isa.Program) error {
 	if a.Start >= a.End {
 		return fmt.Errorf("region: annotation %q has empty span %v-%v", a.Name, a.Start, a.End)
 	}
+	if (a.End-a.Start)%isa.InstrBytes != 0 {
+		return fmt.Errorf("region: annotation %q span %v-%v is not a whole number of instructions", a.Name, a.Start, a.End)
+	}
 	if prog.BlockAt(a.Start) == nil || prog.BlockAt(a.End-isa.InstrBytes) == nil {
 		return fmt.Errorf("region: annotation %q span %v-%v outside program text", a.Name, a.Start, a.End)
 	}
@@ -50,17 +53,17 @@ type candidate struct {
 }
 
 // extendedCandidates collects annotation- and procedure-based candidates
-// from the interval's unmonitored PCs. Loop candidates are gathered by the
-// caller; this adds the two extension classes when enabled.
-func (m *Monitor) extendedCandidates(ucrPCs []isa.Addr) []candidate {
+// from the interval's unmonitored runs. Loop candidates are gathered by
+// the caller; this adds the two extension classes when enabled.
+func (m *Monitor) extendedCandidates(ucr []pcRun) []candidate {
 	var out []candidate
 
 	if len(m.cfg.Annotations) > 0 {
 		counts := make([]int, len(m.cfg.Annotations))
-		for _, pc := range ucrPCs {
+		for _, u := range ucr {
 			for i := range m.cfg.Annotations {
-				if m.cfg.Annotations[i].Contains(pc) {
-					counts[i]++
+				if m.cfg.Annotations[i].Contains(u.pc) {
+					counts[i] += u.n
 				}
 			}
 		}
@@ -76,15 +79,15 @@ func (m *Monitor) extendedCandidates(ucrPCs []isa.Addr) []candidate {
 
 	if m.cfg.InterProcedural {
 		procCounts := make(map[*isa.Procedure]int)
-		for _, pc := range ucrPCs {
-			p := m.prog.ProcAt(pc)
+		for _, u := range ucr {
+			p := m.prog.ProcAt(u.pc)
 			if p == nil {
 				continue
 			}
 			// Only samples the loop finder cannot place feed procedure
 			// regions; loop-covered samples stay with their loops.
-			if p.InnermostLoopAt(pc) == nil {
-				procCounts[p]++
+			if p.InnermostLoopAt(u.pc) == nil {
+				procCounts[p] += u.n
 			}
 		}
 		maxInstrs := m.cfg.MaxProcRegionInstrs

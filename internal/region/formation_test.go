@@ -118,9 +118,10 @@ func TestLoopSamplesDoNotFeedProcedureRegions(t *testing.T) {
 func TestAnnotationValidation(t *testing.T) {
 	prog, hot, _ := dispatcherProgram(t)
 	bad := []Annotation{
-		{Start: hot.End(), End: hot.Start()},   // inverted
-		{Start: 0x100, End: 0x200},             // outside text
-		{Start: hot.Start(), End: hot.Start()}, // empty
+		{Start: hot.End(), End: hot.Start()},                        // inverted
+		{Start: 0x100, End: 0x200},                                  // outside text
+		{Start: hot.Start(), End: hot.Start()},                      // empty
+		{Start: hot.Start(), End: hot.Start() + isa.InstrBytes + 2}, // partial instruction
 	}
 	for i, a := range bad {
 		cfg := DefaultConfig()

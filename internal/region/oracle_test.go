@@ -83,7 +83,12 @@ func checkDistribute(t *testing.T, m *Monitor, ov *hpm.Overflow) {
 	}
 	want := oracleDistribute(m.Regions(), ov)
 	var rep Report
-	got := slices.Clone(fork.distribute(ov, &rep))
+	var got []isa.Addr
+	for _, u := range fork.distribute(ov, &rep) {
+		for i := 0; i < u.n; i++ {
+			got = append(got, u.pc)
+		}
+	}
 	slices.Sort(got)
 	if rep.MonitoredSamples != want.monitored || rep.UCRSamples != want.ucr || rep.IdleSamples != want.idle {
 		t.Fatalf("interval %d: monitored/UCR/idle samples %d/%d/%d, oracle %d/%d/%d", ov.Seq,

@@ -3,10 +3,10 @@
 // detection. On every sample-buffer overflow it
 //
 //  1. distributes the buffered PC samples across the monitored regions
-//     (count-compressing the buffer and stabbing a flat epoch index of
-//     the region set once per distinct PC), incrementing per-instruction
-//     histograms; a sample falling in several overlapping regions (nested
-//     loops) increments all of them;
+//     (counting the buffer's distinct PCs in one hashed pass and stabbing
+//     a flat epoch index of the region set once per distinct PC),
+//     incrementing per-instruction histograms; a sample falling in several
+//     overlapping regions (nested loops) increments all of them;
 //  2. attributes samples outside every monitored region to the
 //     UnMonitored Code Region (UCR) and, when the UCR fraction exceeds a
 //     threshold (30% in the paper's study), triggers region formation —
@@ -254,28 +254,21 @@ type Monitor struct {
 	prog *isa.Program //lint:config -- fixed at construction
 	cfg  Config       //lint:config -- fixed at construction
 
-	regions map[int]*Region
+	// regions holds the monitored regions in ID order. AddRegion assigns
+	// IDs in increasing order, so insertion is an append, and the epoch's
+	// ranks are positions in this slice.
+	regions []*Region
 	// index is rebuilt from regions on restore, never serialized.
-	index *interval.Epoch //lint:config
-	// sortedIDs holds the monitored region IDs ascending, maintained
-	// incrementally (AddRegion assigns monotonically increasing IDs, so
-	// insertion is an append; removal copies down in place). It replaces
-	// the per-interval collect-and-sort over the regions map.
-	sortedIDs []int //lint:config -- derived from regions; rebuilt on restore
-	nextID    int
-	seq       int
+	index  *interval.Epoch //lint:config
+	nextID int
+	seq    int
 
 	ucr       *stats.Series
 	loopCount map[*isa.Loop]int //lint:config -- scratch for formation
 
 	// Per-interval scratch, reused across ProcessOverflow calls so the
 	// monitoring hot path stays allocation-free in steady state.
-	runs       *stats.RunScratch //lint:config -- count-compression scratch
-	keyScratch []uint64          //lint:config -- sample PCs as radix keys
-	ucrScratch []isa.Addr        //lint:config -- UCR PCs of the current interval
-	// idScratch holds the sorted region IDs the verdict loop iterates.
-	//lint:bounded -- reused via [:0]; one entry per region
-	idScratch      []int           //lint:config
+	pcs            pcTable         //lint:config -- count-compression scratch
 	verdictScratch []RegionVerdict //lint:config -- backing array for Report.Verdicts
 	medScratch     []float64       //lint:config -- UCRMedian sort scratch
 }
@@ -292,13 +285,10 @@ func NewMonitor(prog *isa.Program, cfg Config) (*Monitor, error) {
 		return nil, err
 	}
 	m := &Monitor{
-		prog:       prog,
-		cfg:        cfg,
-		regions:    make(map[int]*Region),
-		index:      interval.NewEpoch(),
-		loopCount:  make(map[*isa.Loop]int),
-		runs:       stats.NewRunScratch(hpm.DefaultBufferSize),
-		keyScratch: make([]uint64, 0, hpm.DefaultBufferSize),
+		prog:      prog,
+		cfg:       cfg,
+		index:     interval.NewEpoch(),
+		loopCount: make(map[*isa.Loop]int),
 	}
 	m.ucr = m.newUCRSeries()
 	return m, nil
@@ -319,19 +309,15 @@ func (m *Monitor) newUCRSeries() *stats.Series {
 
 // Regions returns the monitored regions in ID order.
 func (m *Monitor) Regions() []*Region {
-	out := make([]*Region, 0, len(m.sortedIDs))
-	for _, id := range m.sortedIDs {
-		out = append(out, m.regions[id])
-	}
-	return out
+	return append(make([]*Region, 0, len(m.regions)), m.regions...)
 }
 
 // RegionAt returns the innermost (smallest) monitored region containing
 // addr, the lowest ID among equal sizes, or nil.
 func (m *Monitor) RegionAt(addr isa.Addr) *Region {
 	var best *Region
-	for _, id := range m.index.Lookup(uint64(addr)) {
-		r := m.regions[id]
+	for _, k := range m.index.Lookup(uint64(addr)) {
+		r := m.regions[k]
 		if best == nil || r.End-r.Start < best.End-best.Start {
 			best = r
 		}
@@ -367,6 +353,11 @@ func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
 	if start >= end {
 		return nil, fmt.Errorf("region: empty span %v-%v", start, end)
 	}
+	// A partial trailing instruction would let a sample at the last
+	// address index one past the histogram.
+	if (end-start)%isa.InstrBytes != 0 {
+		return nil, fmt.Errorf("region: span %v-%v is not a whole number of instructions", start, end)
+	}
 	for _, r := range m.regions {
 		if r.Start == start && r.End == end {
 			return nil, fmt.Errorf("region: span %v-%v already monitored", start, end)
@@ -396,28 +387,9 @@ func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
 		curr:     make([]int64, n),
 	}
 	m.nextID++
-	m.regions[r.ID] = r
+	m.regions = append(m.regions, r)
 	m.index.Insert(r.ID, uint64(start), uint64(end))
-	// IDs are assigned monotonically, so the append keeps sortedIDs sorted.
-	m.sortedIDs = append(m.sortedIDs, r.ID)
 	return r, nil
-}
-
-// removeRegion drops r from the monitor.
-func (m *Monitor) removeRegion(r *Region) {
-	delete(m.regions, r.ID)
-	m.index.Remove(r.ID)
-	ids := m.sortedIDs
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < r.ID {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	m.sortedIDs = append(ids[:lo], ids[lo+1:]...)
 }
 
 // ProcessOverflow runs one interval of region monitoring over the
@@ -428,9 +400,8 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	rep := Report{Seq: ov.Seq, TotalSamples: len(ov.Samples)}
 	m.seq = ov.Seq
 
-	// Phase 1: distribute samples. UCR PCs are collected for formation.
-	ucrPCs := m.distribute(ov, &rep)
-	m.ucrScratch = ucrPCs
+	// Phase 1: distribute samples. UCR runs are collected for formation.
+	ucr := m.distribute(ov, &rep)
 	if rep.TotalSamples > 0 {
 		rep.UCRFraction = float64(rep.UCRSamples) / float64(rep.TotalSamples)
 	}
@@ -444,17 +415,14 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	codeUCR := rep.UCRSamples - rep.IdleSamples
 	if codeSamples > 0 && float64(codeUCR)/float64(codeSamples) > m.cfg.UCRThreshold {
 		rep.FormationTriggered = true
-		rep.NewRegions = m.formRegions(ucrPCs)
+		rep.NewRegions = m.formRegions(ucr)
 	}
 
 	// Phase 3: local phase detection per region, then reset interval
-	// state and prune cold regions. Pruning mutates sortedIDs mid-loop,
-	// so iterate over a scratch copy.
-	ids := append(m.idScratch[:0], m.sortedIDs...)
-	m.idScratch = ids
+	// state and prune cold regions, compacting the region slice in place.
 	rep.Verdicts = m.verdictScratch[:0]
-	for _, id := range ids {
-		r := m.regions[id]
+	live := m.regions[:0]
+	for _, r := range m.regions {
 		sparse := r.intervalHits > 0 && r.intervalHits < m.cfg.MinObserveSamples
 		if sparse {
 			// Too sparse to judge: treat as an empty interval.
@@ -486,59 +454,55 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 		}
 		r.intervalHits = 0
 		if m.cfg.PruneAfter > 0 && r.idleFor >= m.cfg.PruneAfter {
-			m.removeRegion(r)
+			m.index.Remove(r.ID)
 			rep.Pruned = append(rep.Pruned, r)
+			continue
 		}
+		live = append(live, r)
 	}
+	clear(m.regions[len(live):])
+	m.regions = live
 	m.verdictScratch = rep.Verdicts
 	return rep
 }
 
 // distribute spreads the buffer over the monitored regions and returns
-// the interval's non-idle UCR PCs, backed by monitor scratch. The buffer
-// is count-compressed into (distinct PC, count) runs, each run stabs the
-// epoch snapshot once, and histograms advance by the run count. Loopy
-// buffers hold far fewer distinct PCs than samples, so this removes most
-// of the stabbing work. UCR PCs are re-expanded run-by-run, so formation
-// sees every unmonitored sample (sorted rather than in buffer order,
-// which formation is insensitive to).
-func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) []isa.Addr {
-	keys := m.keyScratch[:0]
-	for i := range ov.Samples {
-		keys = append(keys, uint64(ov.Samples[i].PC))
-	}
-	m.keyScratch = keys
-	pcs, counts := m.runs.Compress(keys)
-
-	ucrPCs := m.ucrScratch[:0]
-	for i, pc := range pcs {
-		c := int(counts[i])
-		ids := m.index.Lookup(pc)
-		if len(ids) > 0 {
-			rep.MonitoredSamples += c
-			for _, id := range ids {
-				r := m.regions[id]
-				r.curr[int(isa.Addr(pc)-r.Start)/isa.InstrBytes] += int64(c)
-				r.intervalHits += c
-				r.totalSamples += int64(c)
+// the interval's non-idle UCR runs, backed by the PC table. The table
+// count-compresses the buffer into (distinct PC, count) runs, each run
+// stabs the epoch snapshot once, and histograms advance by the run count.
+// Loopy buffers hold far fewer distinct PCs than samples, so this removes
+// most of the stabbing work. The UCR runs are compacted into the front of
+// the table's run slice, in first-seen order, which no consumer depends
+// on: formation only adds their counts.
+func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) []pcRun {
+	runs := m.pcs.count(ov.Samples)
+	ucr := runs[:0]
+	for _, run := range runs {
+		ranks := m.index.Lookup(uint64(run.pc))
+		if len(ranks) > 0 {
+			rep.MonitoredSamples += run.n
+			for _, k := range ranks {
+				r := m.regions[k]
+				r.curr[int(run.pc-r.Start)/isa.InstrBytes] += int64(run.n)
+				r.intervalHits += run.n
+				r.totalSamples += int64(run.n)
 			}
 			continue
 		}
-		rep.UCRSamples += c
-		if pc == 0 {
-			rep.IdleSamples += c
+		rep.UCRSamples += run.n
+		if run.pc == 0 {
+			rep.IdleSamples += run.n
 			continue
 		}
-		for ; c > 0; c-- {
-			ucrPCs = append(ucrPCs, isa.Addr(pc))
-		}
+		ucr = append(ucr, run)
 	}
-	return ucrPCs
+	return ucr
 }
 
-// formRegions builds loop regions around unmonitored hot samples: each UCR
-// PC is mapped to its innermost enclosing natural loop; loops gathering at
-// least MinRegionSamples become regions. Samples with no enclosing loop
+// formRegions builds loop regions around unmonitored hot samples: each
+// distinct UCR PC is mapped to its innermost enclosing natural loop, which
+// gathers the PC's sample count; loops gathering at least
+// MinRegionSamples become regions. Samples with no enclosing loop
 // (straight-line code, loops crossing procedure boundaries) form nothing —
 // the paper's persistent-UCR limitation. The triggering interval's samples
 // are replayed into the new regions so detection starts immediately.
@@ -548,15 +512,15 @@ func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) []isa.Addr {
 // their detectors, histogram storage).
 //
 //lint:allow hotpath boundedstate -- region formation is a declared cold sub-path, capped by cfg.MaxRegions
-func (m *Monitor) formRegions(ucrPCs []isa.Addr) []*Region {
+func (m *Monitor) formRegions(ucr []pcRun) []*Region {
 	clear(m.loopCount)
-	for _, pc := range ucrPCs {
-		p := m.prog.ProcAt(pc)
+	for _, u := range ucr {
+		p := m.prog.ProcAt(u.pc)
 		if p == nil {
 			continue
 		}
-		if l := p.InnermostLoopAt(pc); l != nil {
-			m.loopCount[l]++
+		if l := p.InnermostLoopAt(u.pc); l != nil {
+			m.loopCount[l] += u.n
 		}
 	}
 	// Deterministic formation order: hottest loop first, address as tie
@@ -588,7 +552,7 @@ func (m *Monitor) formRegions(ucrPCs []isa.Addr) []*Region {
 	}
 	// Extension candidates (compiler annotations, inter-procedural
 	// regions) — no-ops under the paper's baseline configuration.
-	for _, c := range m.extendedCandidates(ucrPCs) {
+	for _, c := range m.extendedCandidates(ucr) {
 		r, err := m.AddRegion(c.start, c.end)
 		if err != nil {
 			continue
@@ -599,12 +563,12 @@ func (m *Monitor) formRegions(ucrPCs []isa.Addr) []*Region {
 		return nil
 	}
 	// Replay the triggering interval's UCR samples into the new regions.
-	for _, pc := range ucrPCs {
+	for _, u := range ucr {
 		for _, r := range formed {
-			if r.Contains(pc) {
-				r.curr[int(pc-r.Start)/isa.InstrBytes]++
-				r.intervalHits++
-				r.totalSamples++
+			if r.Contains(u.pc) {
+				r.curr[int(u.pc-r.Start)/isa.InstrBytes] += int64(u.n)
+				r.intervalHits += u.n
+				r.totalSamples += int64(u.n)
 			}
 		}
 	}

@@ -290,6 +290,13 @@ func TestAddRegionValidation(t *testing.T) {
 	if _, err := m.AddRegion(l1.Start, l1.End); err == nil {
 		t.Error("duplicate span accepted")
 	}
+	// A span ending inside an instruction: before, it was accepted with a
+	// one-bin histogram, and the next sample at the partial
+	// instruction's address panicked, index out of range.
+	if _, err := m.AddRegion(l1.Start, l1.Start+isa.InstrBytes+2); err == nil {
+		t.Error("span of one and a half instructions accepted")
+	}
+	m.ProcessOverflow(overflow(0, 64, l1.Start+isa.InstrBytes))
 }
 
 func TestUCRHistoryIsCopied(t *testing.T) {

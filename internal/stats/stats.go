@@ -1,8 +1,7 @@
 // Package stats provides the statistical primitives shared by the global
 // (centroid) and local (Pearson-correlation) phase detectors: correlation
 // coefficients over sample histograms, running mean/variance accumulators,
-// centroid computation over program-counter samples, and small order
-// statistics helpers.
+// and small order statistics helpers.
 //
 // All functions are deterministic and allocation-conscious; the phase
 // detectors call them once per sample-buffer overflow, which in the paper's
@@ -421,23 +420,4 @@ func (w *Window) Values(dst []float64) []float64 {
 		dst = append(dst, w.buf[(w.head-w.n+i+len(w.buf))%len(w.buf)])
 	}
 	return dst
-}
-
-// Centroid returns the mean of a set of program-counter values, the
-// aggregate metric at the heart of global phase detection: "the average
-// value of program counter obtained by sampling ... does not deviate much;
-// when it does deviate, it often indicates a phase change".
-// Returns 0 for an empty set.
-func Centroid(pcs []uint64) float64 {
-	if len(pcs) == 0 {
-		return 0
-	}
-	// Sum in float64: PC values fit in 52-bit mantissa comfortably for the
-	// simulated address space (< 2^40), and even real 64-bit address spaces
-	// lose at most a few ULPs, far below the detector's thresholds.
-	var s float64
-	for _, pc := range pcs {
-		s += float64(pc)
-	}
-	return s / float64(len(pcs))
 }

@@ -438,16 +438,6 @@ func TestWindowMatchesTwoPass(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	if c := Centroid(nil); c != 0 {
-		t.Errorf("Centroid(nil) = %v; want 0", c)
-	}
-	pcs := []uint64{100, 200, 300}
-	if c := Centroid(pcs); !almost(c, 200, 1e-12) {
-		t.Errorf("Centroid = %v; want 200", c)
-	}
-}
-
 func TestMedianLargeRandomAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	v := make([]float64, 999)
