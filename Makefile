@@ -11,9 +11,8 @@ vet:
 	$(GO) vet ./...
 
 # Run go vet plus the phaselint suite (internal/lint): single-owner leak,
-# determinism, hot-path allocation, payload-switch exhaustiveness,
-# snapshot-completeness, bounded-state, batch-wrapper and atomic-discipline
-# checks over the whole module.
+# determinism, hot-path allocation, snapshot-completeness and
+# bounded-state checks over the whole module.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/phaselint ./...

@@ -349,9 +349,8 @@ func BenchmarkSystemRun(b *testing.B) {
 }
 
 // TestSystemRunAllocs is the allocation gate behind BenchmarkSystemRun,
-// enforced at plain `go test` time: once the detectors are warm, one
-// sampling interval through the full System fan-out must average at most
-// one allocation (amortized slice growth only).
+// enforced at plain `go test` time: once the detectors are warm, a
+// sampling interval through the full System fan-out must not allocate.
 func TestSystemRunAllocs(t *testing.T) {
 	bench, err := LoadBenchmark("181.mcf", 0.01)
 	if err != nil {
@@ -379,8 +378,8 @@ func TestSystemRunAllocs(t *testing.T) {
 		ov.Seq++
 		pipe.ProcessOverflow(ov)
 	})
-	if avg > 1 {
-		t.Errorf("steady-state interval allocates %.2f allocs; want <= 1", avg)
+	if avg != 0 {
+		t.Errorf("steady-state interval allocates %.2f allocs; want 0", avg)
 	}
 }
 

@@ -9,54 +9,35 @@
 //     or anything they statically call (Snapshot/Restore and the
 //     AppendSnapshot/RestoreSnapshot pair are cold by contract and stop
 //     the walk);
-//   - payloadswitch: type switches over //lint:payload types must cover the
-//     whole registry or carry a default;
 //   - snapshotsafe: every field of a snapshotting type is referenced on
 //     both the encode and decode paths or marked //lint:config;
 //   - boundedstate: slice/map fields in detector state closures may not
-//     grow on the monitoring hot path unless marked //lint:bounded;
-//   - batchwrap: //lint:wraps-declared per-item entry points stay trivial
-//     wrappers around their batch cores;
-//   - atomicpair: //lint:atomic fields are only touched through
-//     sync/atomic.
+//     grow on the monitoring hot path unless marked //lint:bounded.
 //
 // The list itself lives in internal/lint.Suite(); this command and the
 // clean-module self-test both consume it.
 //
 // Usage:
 //
-//	go run ./cmd/phaselint [-json] [./...]
+//	go run ./cmd/phaselint [./...]
 //
 // The only accepted package pattern is ./... (the whole module); the tool
 // exists to hold the global invariants, so partial runs are not offered.
-// Analyzers run per-package in parallel, bounded by GOMAXPROCS, and the
-// total wall time is reported on stderr. Exits 1 if any analyzer reports
-// a finding, printing one `file:line:col: [analyzer] message` line per
-// finding — or, with -json, one JSON object per line with fields
-// file/line/col/analyzer/message, for CI annotation.
+// The analysis wall time is reported on stderr. Exits 1 if any analyzer
+// reports a finding, printing one `file:line:col: [analyzer] message`
+// line per finding.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"regionmon/internal/lint"
 	"regionmon/internal/lint/analysis"
 	"regionmon/internal/lint/loader"
 )
-
-// Record is the -json output schema, one object per finding per line.
-type Record struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -66,13 +47,8 @@ func main() {
 }
 
 func run(args []string) error {
-	jsonOut := false
 	for _, a := range args {
-		switch a {
-		case "-json", "--json":
-			jsonOut = true
-		case "./...":
-		default:
+		if a != "./..." {
 			return fmt.Errorf("unsupported argument %q (phaselint always checks the whole module; pass ./... or nothing)", a)
 		}
 	}
@@ -95,38 +71,19 @@ func run(args []string) error {
 		return err
 	}
 	elapsed := time.Since(start) //lint:allow determinism -- wall-time report, stderr only
-	fmt.Fprintf(os.Stderr, "phaselint: %d analyzers × %d packages on %d workers in %dms\n",
-		len(suite), len(prog.Packages), runtime.GOMAXPROCS(0), elapsed.Milliseconds())
+	fmt.Fprintf(os.Stderr, "phaselint: %d analyzers × %d packages in %dms\n",
+		len(suite), len(prog.Packages), elapsed.Milliseconds())
 
-	enc := json.NewEncoder(os.Stdout)
 	for _, f := range findings {
-		rec := toRecord(root, prog, f)
-		if jsonOut {
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
-			continue
+		pos := prog.Fset.Position(f.Diagnostic.Pos)
+		file := pos.Filename
+		if rel, err := filepath.Rel(root, file); err == nil {
+			file = rel
 		}
-		fmt.Printf("%s:%d:%d: [%s] %s\n", rec.File, rec.Line, rec.Col, rec.Analyzer, rec.Message)
+		fmt.Printf("%s:%d:%d: [%s] %s\n", filepath.ToSlash(file), pos.Line, pos.Column, f.Analyzer.Name, f.Diagnostic.Message)
 	}
 	if len(findings) > 0 {
 		return fmt.Errorf("%d finding(s)", len(findings))
 	}
 	return nil
-}
-
-// toRecord renders one finding with its path relative to the module root.
-func toRecord(root string, prog *loader.Program, f analysis.Finding) Record {
-	pos := prog.Fset.Position(f.Diagnostic.Pos)
-	file := pos.Filename
-	if rel, err := filepath.Rel(root, file); err == nil {
-		file = rel
-	}
-	return Record{
-		File:     filepath.ToSlash(file),
-		Line:     pos.Line,
-		Col:      pos.Column,
-		Analyzer: f.Analyzer.Name,
-		Message:  f.Diagnostic.Message,
-	}
 }

@@ -31,8 +31,6 @@ import (
 
 // Verdict is one interval's outcome for either detector. It is the
 // pipeline payload the Alt adapter publishes.
-//
-//lint:payload
 type Verdict struct {
 	// Similarity is in [0, 1]: 1 = identical to the previous interval.
 	Similarity float64

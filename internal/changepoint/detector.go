@@ -54,8 +54,6 @@ func (c *Config) Validate() error {
 
 // Verdict is the outcome of observing one interval's metric value. It is
 // the pipeline payload the ChangePoint adapter publishes.
-//
-//lint:payload
 type Verdict struct {
 	// Value is the observed metric value.
 	Value float64

@@ -117,8 +117,6 @@ func (c *Config) Validate() error {
 
 // Verdict is the outcome of observing one interval. It is the pipeline
 // payload the GPD adapter publishes.
-//
-//lint:payload
 type Verdict struct {
 	// State is the detector state after the observation.
 	State State

@@ -43,8 +43,6 @@ func (c *PerfConfig) Validate() error {
 
 // PerfVerdict is the outcome of observing one interval's metric value.
 // It is the pipeline payload the Perf adapter publishes.
-//
-//lint:payload
 type PerfVerdict struct {
 	// Value is the observed metric value.
 	Value float64

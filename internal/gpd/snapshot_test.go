@@ -26,35 +26,44 @@ func centroidStream(n int) []float64 {
 	return out
 }
 
+// TestDetectorSnapshotForkEquality forks at every interval of the stream:
+// a snapshot taken there and restored into a fresh detector must track
+// the never-snapshotted original verdict for verdict to the end. A fork
+// at a single point misses state that happens to match there (a stability
+// timer at zero, a stable count equal to its restored default).
 func TestDetectorSnapshotForkEquality(t *testing.T) {
-	const total, at = 100, 37
+	const total = 100
 	stream := centroidStream(total)
-
-	ref := MustNew(DefaultConfig())
-	forked := MustNew(DefaultConfig())
-	for i := 0; i < at; i++ {
-		ref.Observe(stream[i])
-		forked.Observe(stream[i])
-	}
-	snapBytes := forked.Snapshot()
-
-	restored := MustNew(DefaultConfig())
-	if err := restored.Restore(snapBytes); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if string(restored.Snapshot()) != string(snapBytes) {
-		t.Fatal("restored detector snapshots to different bytes")
-	}
-
-	for i := at; i < total; i++ {
-		rv := ref.Observe(stream[i])
-		sv := restored.Observe(stream[i])
-		if rv != sv {
-			t.Fatalf("interval %d: verdict diverged: ref %+v restored %+v", i, rv, sv)
+	for at := 0; at < total; at++ {
+		ref := MustNew(DefaultConfig())
+		forked := MustNew(DefaultConfig())
+		for i := 0; i < at; i++ {
+			ref.Observe(stream[i])
+			forked.Observe(stream[i])
 		}
-	}
-	if ref.PhaseChanges() != restored.PhaseChanges() || ref.Intervals() != restored.Intervals() {
-		t.Fatalf("counters diverged")
+		snapBytes := forked.Snapshot()
+
+		restored := MustNew(DefaultConfig())
+		if err := restored.Restore(snapBytes); err != nil {
+			t.Fatalf("fork at %d: Restore: %v", at, err)
+		}
+		if string(restored.Snapshot()) != string(snapBytes) {
+			t.Fatalf("fork at %d: restored detector snapshots to different bytes", at)
+		}
+
+		for i := at; i < total; i++ {
+			rv := ref.Observe(stream[i])
+			sv := restored.Observe(stream[i])
+			if rv != sv {
+				t.Fatalf("fork at %d, interval %d: verdict diverged: ref %+v restored %+v", at, i, rv, sv)
+			}
+		}
+		if ref.PhaseChanges() != restored.PhaseChanges() || ref.Intervals() != restored.Intervals() ||
+			ref.StableFraction() != restored.StableFraction() {
+			t.Fatalf("fork at %d: counters diverged: (%d,%d,%v) vs (%d,%d,%v)", at,
+				ref.PhaseChanges(), ref.Intervals(), ref.StableFraction(),
+				restored.PhaseChanges(), restored.Intervals(), restored.StableFraction())
+		}
 	}
 }
 
@@ -68,8 +77,10 @@ func TestDetectorSnapshotConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestPerfTrackerSnapshotForkEquality forks the CPI tracker at every
+// interval, as TestDetectorSnapshotForkEquality does the detector.
 func TestPerfTrackerSnapshotForkEquality(t *testing.T) {
-	const total, at = 80, 33
+	const total = 80
 	mk := func() *PerfTracker {
 		p, err := NewPerfTracker(DefaultPerfConfig())
 		if err != nil {
@@ -84,24 +95,26 @@ func TestPerfTrackerSnapshotForkEquality(t *testing.T) {
 		return 1.2 + float64(i%5)*0.01
 	}
 
-	ref, forked := mk(), mk()
-	for i := 0; i < at; i++ {
-		ref.Observe(value(i))
-		forked.Observe(value(i))
-	}
-	restored := mk()
-	if err := restored.Restore(forked.Snapshot()); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	for i := at; i < total; i++ {
-		rv := ref.Observe(value(i))
-		sv := restored.Observe(value(i))
-		if rv != sv {
-			t.Fatalf("interval %d: verdict diverged: %+v vs %+v", i, rv, sv)
+	for at := 0; at < total; at++ {
+		ref, forked := mk(), mk()
+		for i := 0; i < at; i++ {
+			ref.Observe(value(i))
+			forked.Observe(value(i))
 		}
-	}
-	if ref.Changes() != restored.Changes() || ref.Intervals() != restored.Intervals() {
-		t.Fatal("counters diverged")
+		restored := mk()
+		if err := restored.Restore(forked.Snapshot()); err != nil {
+			t.Fatalf("fork at %d: Restore: %v", at, err)
+		}
+		for i := at; i < total; i++ {
+			rv := ref.Observe(value(i))
+			sv := restored.Observe(value(i))
+			if rv != sv {
+				t.Fatalf("fork at %d, interval %d: verdict diverged: %+v vs %+v", at, i, rv, sv)
+			}
+		}
+		if ref.Changes() != restored.Changes() || ref.Intervals() != restored.Intervals() {
+			t.Fatalf("fork at %d: counters diverged", at)
+		}
 	}
 }
 

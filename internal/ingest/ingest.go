@@ -317,8 +317,6 @@ func (f *Fleet) PushBatchWait(stream int, ovs []*hpm.Overflow) {
 // returns false — and counts a drop against the stream — when the shard's
 // ring is full. Per-item wrapper over the PushBatch core; it shares that
 // API's copy semantics, panics and zero-allocation contract.
-//
-//lint:wraps PushBatch
 func (f *Fleet) Push(stream int, ov *hpm.Overflow) bool {
 	f.one[0] = ov
 	return f.PushBatch(stream, f.one[:]) == 1
@@ -326,8 +324,6 @@ func (f *Fleet) Push(stream int, ov *hpm.Overflow) bool {
 
 // PushWait is Push for lossless replay: it blocks until the shard ring
 // has space instead of dropping. Per-item wrapper over PushBatchWait.
-//
-//lint:wraps PushBatchWait
 func (f *Fleet) PushWait(stream int, ov *hpm.Overflow) {
 	f.one[0] = ov
 	f.PushBatchWait(stream, f.one[:])
@@ -419,9 +415,8 @@ func (f *Fleet) roundTrip(c *control) *control {
 // pushControl enqueues a control op, blocking for ring space (control ops
 // are cold paths and must never be dropped).
 func pushControl(r *ring, c *control) {
-	s := r.reserveWait()
-	s.ctl = c
-	r.publish()
+	r.reserveRunWait(1)[0].ctl = c
+	r.publishRun(1)
 }
 
 // Close stops every worker and waits for them to exit. It returns the
@@ -511,10 +506,10 @@ func (sh *shard) run(numStreams int, build BuildFunc, ready chan<- error) {
 		// failing control ops — so the owner's Close still gets its stop
 		// acknowledged and never deadlocks against a dead consumer.
 		for {
-			s := sh.ring.waitSlot()
+			s := &sh.ring.waitRun()[0]
 			c := s.ctl
 			s.ctl = nil
-			sh.ring.release()
+			sh.ring.releaseRun(1)
 			if c == nil {
 				continue
 			}

@@ -28,12 +28,12 @@ type slot struct {
 // reads slots at head (which the producer cannot reuse until head is
 // advanced).
 //
-// The transfer primitives are batch-first: reserveRun/publishRun move a
+// The transfer primitives move runs: reserveRun/publishRun move a
 // contiguous run of slots with one tail advance and at most one consumer
 // wake, and waitRun/releaseRun drain a contiguous run with one head
-// advance and at most one producer wake. The per-slot reserve/publish and
-// waitSlot/release used by the control path are thin wrappers over the
-// run forms, so both paths share one synchronization core.
+// advance and at most one producer wake. The control path moves one slot
+// through the same calls (a run of one), so there is one synchronization
+// core.
 //
 // Blocking is event-driven, not spinning: dataWake (capacity 1) carries
 // "something was published" from producer to consumer, spaceWake carries
@@ -44,8 +44,8 @@ type ring struct {
 	slots []slot
 	mask  uint64
 
-	head atomic.Uint64 //lint:atomic -- next slot to consume; advanced only by the consumer
-	tail atomic.Uint64 //lint:atomic -- next slot to produce; advanced only by the producer
+	head atomic.Uint64 // next slot to consume; advanced only by the consumer
+	tail atomic.Uint64 // next slot to produce; advanced only by the producer
 
 	dataWake  chan struct{}
 	spaceWake chan struct{}
@@ -121,31 +121,6 @@ func (r *ring) publishRun(n int) {
 	}
 }
 
-// reserve returns the next producer slot, or nil when the ring is full.
-// Per-item wrapper over reserveRun. Producer-only.
-//
-//lint:wraps reserveRun
-func (r *ring) reserve() *slot {
-	run := r.reserveRun(1)
-	if run == nil {
-		return nil
-	}
-	return &run[0]
-}
-
-// reserveWait is reserve, blocking until a slot frees up. Producer-only.
-//
-//lint:wraps reserveRunWait
-func (r *ring) reserveWait() *slot {
-	return &r.reserveRunWait(1)[0]
-}
-
-// publish makes the last reserved slot visible to the consumer and wakes
-// it if parked. Producer-only.
-//
-//lint:wraps publishRun
-func (r *ring) publish() { r.publishRun(1) }
-
 // waitRun returns the maximal contiguous run of queued slots starting at
 // head, parking until at least one is published. The run is bounded by
 // the backing array's wrap point; the next call picks up the wrapped
@@ -178,15 +153,3 @@ func (r *ring) releaseRun(n int) {
 	default:
 	}
 }
-
-// waitSlot returns the next queued slot, parking until one is published.
-// Per-item wrapper over waitRun. Consumer-only.
-//
-//lint:wraps waitRun
-func (r *ring) waitSlot() *slot { return &r.waitRun()[0] }
-
-// release returns the current consumer slot to the producer. Per-item
-// wrapper over releaseRun. Consumer-only.
-//
-//lint:wraps releaseRun
-func (r *ring) release() { r.releaseRun(1) }

@@ -8,9 +8,6 @@
 //	//lint:single-owner         on a type declaration: values of the type
 //	                            must stay confined to one goroutine
 //	                            (enforced by the singleowner analyzer).
-//	//lint:payload              on a type declaration: the type is a
-//	                            registered pipeline.Verdict payload
-//	                            (enforced by the payloadswitch analyzer).
 //	//lint:allow <name> [why]   on or immediately above a flagged line, or
 //	                            in the doc comment of the enclosing
 //	                            function: suppress the named analyzer
@@ -25,10 +22,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"regionmon/internal/lint/loader"
 )
@@ -40,13 +35,6 @@ type Analyzer struct {
 	Name string
 	// Doc describes what the analyzer enforces.
 	Doc string
-	// Facts, when non-nil, is the analyzer's export-only pre-pass: it
-	// runs over every module package before any analyzer's Run phase
-	// starts, so facts it exports are visible to every Run pass
-	// regardless of package dependency direction (a detector type in a
-	// downstream package can mark state fields it borrows from an
-	// upstream one).
-	Facts func(*Pass) error
 	// Run analyzes one package.
 	Run func(*Pass) error
 }
@@ -71,7 +59,6 @@ type Pass struct {
 	// cross-package context: marked types, static call graphs).
 	Module []*loader.Package
 
-	facts  *factStore
 	report func(Diagnostic)
 }
 
@@ -90,76 +77,30 @@ type Finding struct {
 	Diagnostic Diagnostic
 }
 
-// Run applies every analyzer to every package and returns the surviving
-// findings sorted by position, parallelized over GOMAXPROCS workers.
-// //lint:allow directives are honoured here, centrally, so individual
-// analyzers never re-implement suppression.
+// Run applies every analyzer to every package — packages in import-path
+// order, the suite's analyzers in order within each — and returns the
+// surviving findings sorted by position. It stops at the first analyzer
+// error. //lint:allow directives are honoured here, centrally, so
+// individual analyzers never re-implement suppression.
 func Run(prog *loader.Program, analyzers []*Analyzer) ([]Finding, error) {
-	return RunParallel(prog, analyzers, runtime.GOMAXPROCS(0))
-}
-
-// runner drives one Run/RunParallel invocation: a shared fact store, the
-// per-package allow indexes, and the finding/error sinks the parallel
-// passes write through.
-type runner struct {
-	prog      *loader.Program
-	analyzers []*Analyzer
-	facts     *factStore
-	allow     map[*loader.Package]*allowIndex
-
-	mu       sync.Mutex
-	findings []Finding
-	errs     map[unitKey]error
-}
-
-// unitKey identifies one (package, analyzer) unit of work for
-// deterministic error selection.
-type unitKey struct {
-	pkgPath  string
-	analyzer int
-}
-
-// RunParallel is Run with an explicit worker bound. Packages are analyzed
-// in dependency waves — a package runs only after every module package it
-// imports — with the packages inside a wave fanned out across at most
-// workers goroutines and the suite's analyzers applied in order within
-// each package. Two phases keep facts coherent in both directions: every
-// analyzer's Facts hook runs over the whole module first, then every Run.
-// Findings are position-sorted and errors are selected deterministically,
-// so the output is byte-identical at any worker count.
-func RunParallel(prog *loader.Program, analyzers []*Analyzer, workers int) ([]Finding, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	r := &runner{
-		prog:      prog,
-		analyzers: analyzers,
-		facts:     newFactStore(),
-		allow:     make(map[*loader.Package]*allowIndex, len(prog.Packages)),
-		errs:      make(map[unitKey]error),
-	}
+	var findings []Finding
 	for _, pkg := range prog.Packages {
-		r.allow[pkg] = newAllowIndex(prog.Fset, pkg)
-	}
-	waves := dependencyWaves(prog)
-
-	hasFacts := false
-	for _, a := range analyzers {
-		if a.Facts != nil {
-			hasFacts = true
+		allow := newAllowIndex(prog.Fset, pkg)
+		for _, a := range analyzers {
+			pass := &Pass{Analyzer: a, Fset: prog.Fset, Pkg: pkg, Module: prog.Packages}
+			pass.report = func(d Diagnostic) {
+				if !allow.allowed(a.Name, d.Pos) {
+					findings = append(findings, Finding{Analyzer: a, Diagnostic: d})
+				}
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
+			}
 		}
 	}
-	if hasFacts {
-		r.runPhase(waves, workers, true)
-	}
-	r.runPhase(waves, workers, false)
-
-	if err := r.firstError(); err != nil {
-		return nil, err
-	}
-	sort.SliceStable(r.findings, func(i, j int) bool {
-		pi := prog.Fset.Position(r.findings[i].Diagnostic.Pos)
-		pj := prog.Fset.Position(r.findings[j].Diagnostic.Pos)
+	sort.SliceStable(findings, func(i, j int) bool {
+		pi := prog.Fset.Position(findings[i].Diagnostic.Pos)
+		pj := prog.Fset.Position(findings[j].Diagnostic.Pos)
 		if pi.Filename != pj.Filename {
 			return pi.Filename < pj.Filename
 		}
@@ -168,125 +109,12 @@ func RunParallel(prog *loader.Program, analyzers []*Analyzer, workers int) ([]Fi
 		}
 		return pi.Column < pj.Column
 	})
-	return r.findings, nil
-}
-
-// runPhase applies one phase (Facts or Run) of every analyzer to every
-// package, wave by wave.
-func (r *runner) runPhase(waves [][]*loader.Package, workers int, factsPhase bool) {
-	sem := make(chan struct{}, workers)
-	for _, wave := range waves {
-		var wg sync.WaitGroup
-		for _, pkg := range wave {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(pkg *loader.Package) {
-				defer func() { <-sem; wg.Done() }()
-				r.runPackage(pkg, factsPhase)
-			}(pkg)
-		}
-		wg.Wait()
-	}
-}
-
-// runPackage applies the suite to one package, analyzers in suite order.
-func (r *runner) runPackage(pkg *loader.Package, factsPhase bool) {
-	for i, a := range r.analyzers {
-		hook := a.Run
-		if factsPhase {
-			hook = a.Facts
-		}
-		if hook == nil {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     r.prog.Fset,
-			Pkg:      pkg,
-			Module:   r.prog.Packages,
-			facts:    r.facts,
-		}
-		pass.report = func(d Diagnostic) {
-			if r.allow[pkg].allowed(a.Name, d.Pos) {
-				return
-			}
-			r.mu.Lock()
-			r.findings = append(r.findings, Finding{Analyzer: a, Diagnostic: d})
-			r.mu.Unlock()
-		}
-		if err := hook(pass); err != nil {
-			r.mu.Lock()
-			key := unitKey{pkg.ImportPath, i}
-			if _, dup := r.errs[key]; !dup {
-				r.errs[key] = fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
-			}
-			r.mu.Unlock()
-		}
-	}
-}
-
-// firstError picks the error of the lexically-first failing unit, so a
-// parallel run reports the same error a sequential one would.
-func (r *runner) firstError() error {
-	if len(r.errs) == 0 {
-		return nil
-	}
-	keys := make([]unitKey, 0, len(r.errs))
-	for k := range r.errs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].pkgPath != keys[j].pkgPath {
-			return keys[i].pkgPath < keys[j].pkgPath
-		}
-		return keys[i].analyzer < keys[j].analyzer
-	})
-	return r.errs[keys[0]]
-}
-
-// dependencyWaves groups the module's packages into topological levels:
-// every package lands one wave after the deepest module package it
-// imports, so intra-wave packages are independent and safe to analyze
-// concurrently while facts flow strictly wave-to-wave.
-func dependencyWaves(prog *loader.Program) [][]*loader.Package {
-	byPath := make(map[string]*loader.Package, len(prog.Packages))
-	for _, pkg := range prog.Packages {
-		byPath[pkg.ImportPath] = pkg
-	}
-	level := make(map[*loader.Package]int, len(prog.Packages))
-	var levelOf func(p *loader.Package) int
-	levelOf = func(p *loader.Package) int {
-		if l, ok := level[p]; ok {
-			return l
-		}
-		level[p] = 0 // cycle guard; the loader rejects real cycles
-		max := 0
-		for _, imp := range p.Types.Imports() {
-			if dep, ok := byPath[imp.Path()]; ok {
-				if l := levelOf(dep) + 1; l > max {
-					max = l
-				}
-			}
-		}
-		level[p] = max
-		return max
-	}
-	deepest := 0
-	for _, pkg := range prog.Packages {
-		if l := levelOf(pkg); l > deepest {
-			deepest = l
-		}
-	}
-	waves := make([][]*loader.Package, deepest+1)
-	for _, pkg := range prog.Packages {
-		waves[level[pkg]] = append(waves[level[pkg]], pkg)
-	}
-	return waves
+	return findings, nil
 }
 
 // directive is one parsed //lint: comment.
 type directive struct {
-	verb string // "allow", "single-owner", "payload", ...
+	verb string // "allow", "single-owner", "config", ...
 	args []string
 	line int
 }
@@ -399,21 +227,9 @@ func FuncAllows(fset *token.FileSet, fn *ast.FuncDecl, analyzer string) bool {
 	return false
 }
 
-// CommentArgs returns the arguments of the first //lint:<verb> directive
-// in the comment group (e.g. the core name in //lint:wraps ObserveBatch),
-// reporting whether one was present.
-func CommentArgs(fset *token.FileSet, cg *ast.CommentGroup, verb string) ([]string, bool) {
-	for _, d := range commentDirectives(fset, cg) {
-		if d.verb == verb {
-			return d.args, true
-		}
-	}
-	return nil, false
-}
-
 // MarkedTypes scans every module package for type declarations whose doc
 // comment carries the given //lint:<verb> directive and returns their
-// *types.TypeName objects (e.g. verb "single-owner" or "payload").
+// *types.TypeName objects (e.g. verb "single-owner" or "snapshot").
 func MarkedTypes(fset *token.FileSet, module []*loader.Package, verb string) map[*types.TypeName]bool {
 	marked := make(map[*types.TypeName]bool)
 	for _, pkg := range module {
@@ -442,8 +258,8 @@ func MarkedTypes(fset *token.FileSet, module []*loader.Package, verb string) map
 
 // MarkedFields scans every module package for struct fields whose doc or
 // trailing line comment carries the given //lint:<verb> directive and
-// returns their *types.Var objects (e.g. verb "config", "bounded",
-// "atomic"). Embedded fields are matched through their type name.
+// returns their *types.Var objects (e.g. verb "config" or "bounded").
+// Embedded fields are matched through their type name.
 func MarkedFields(fset *token.FileSet, module []*loader.Package, verb string) map[*types.Var]bool {
 	marked := make(map[*types.Var]bool)
 	for _, pkg := range module {
@@ -514,19 +330,4 @@ func NamedOrPointee(t types.Type) *types.TypeName {
 		return n.Obj()
 	}
 	return nil
-}
-
-// TypeNames renders a sorted, comma-separated list of package-qualified
-// type names (for diagnostics).
-func TypeNames(objs []*types.TypeName) string {
-	names := make([]string, 0, len(objs))
-	for _, o := range objs {
-		if o.Pkg() != nil {
-			names = append(names, o.Pkg().Name()+"."+o.Name())
-		} else {
-			names = append(names, o.Name())
-		}
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
 }

@@ -37,9 +37,9 @@ type expectation struct {
 
 // Run loads testdata/src/<pkg> for every named package relative to dir,
 // type-checks them together (later packages may import earlier ones by
-// their bare names — how the fact-layer analyzers get cross-package
-// fixtures), applies the analyzer, and compares diagnostics against the
-// packages' // want comments.
+// their bare names — how boundedstate gets its cross-package fixture),
+// applies the analyzer, and compares diagnostics against the packages'
+// // want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	if len(pkgs) == 0 {

@@ -9,13 +9,11 @@
 // one, inside any function statically reachable from the three entry
 // methods.
 //
-// This is the suite's showcase of the cross-package fact layer: the
-// detector type usually lives *downstream* of the state it borrows
-// (region.Monitor's closure includes stats scratch buffers), so the Facts
-// pre-pass walks every detector's field-type closure and exports a
-// StateField fact on each growable field — wherever it is declared — and
-// the Run phase then fires on growth sites in whatever package they
-// occur.
+// The detector type usually lives *downstream* of the state it borrows
+// (region.Monitor's closure includes stats scratch buffers), so each pass
+// walks every module detector's field-type closure to find the growable
+// fields — wherever they are declared — and then fires on growth sites in
+// its own package.
 //
 // Escapes:
 //
@@ -33,8 +31,6 @@ package boundedstate
 import (
 	"go/ast"
 	"go/types"
-	"sort"
-	"sync"
 
 	"regionmon/internal/lint/analysis"
 )
@@ -42,10 +38,9 @@ import (
 const name = "boundedstate"
 
 var Analyzer = &analysis.Analyzer{
-	Name:  name,
-	Doc:   "slice/map fields reachable from detector state may not grow on the monitoring hot path; bound them or mark //lint:bounded",
-	Facts: exportFacts,
-	Run:   run,
+	Name: name,
+	Doc:  "slice/map fields reachable from detector state may not grow on the monitoring hot path; bound them or mark //lint:bounded",
+	Run:  run,
 }
 
 // rootNames are the detector entry points whose call graphs constitute
@@ -65,84 +60,53 @@ var coldNames = map[string]bool{
 	"RestoreSnapshot": true,
 }
 
-// StateField marks a slice or map field as long-lived detector state.
-// Exported by the Facts pre-pass from the detector's package, possibly
-// onto fields declared upstream.
-type StateField struct {
-	// Owner is the package-qualified struct declaring the field.
-	Owner string
-	// Detector is the (lexically first) detector type whose state
-	// closure reached the field.
-	Detector string
+// stateField describes a slice or map field in some detector's state
+// closure, for diagnostics.
+type stateField struct {
+	// owner is the package-qualified struct declaring the field.
+	owner string
+	// detector is the lexically first detector type whose state closure
+	// reaches the field.
+	detector string
 }
 
-func (*StateField) AFact() {}
-
-// factsMu serializes the read-modify-write merge of StateField facts when
-// parallel packages' Facts passes reach the same field.
-var factsMu sync.Mutex
-
-// exportFacts walks every detector type declared in this package and
-// exports a StateField fact for each growable field in its state closure.
-func exportFacts(pass *analysis.Pass) error {
-	detectors := detectorTypes(pass)
-	if len(detectors) == 0 {
-		return nil
+// stateFields walks the state closure of every detector type — the
+// receiver base types of the root methods — and returns each growable
+// field not marked //lint:bounded.
+func stateFields(pass *analysis.Pass, roots []*types.Func) map[*types.Var]stateField {
+	w := &walker{
+		bounded: analysis.MarkedFields(pass.Fset, pass.Module, "bounded"),
+		module:  make(map[*types.Package]bool, len(pass.Module)),
+		fields:  make(map[*types.Var]stateField),
 	}
-	bounded := analysis.MarkedFields(pass.Fset, pass.Module, "bounded")
-	module := make(map[*types.Package]bool, len(pass.Module))
 	for _, pkg := range pass.Module {
-		module[pkg.Types] = true
+		w.module[pkg.Types] = true
 	}
-	for _, tn := range detectors {
-		w := &walker{
-			pass:     pass,
-			bounded:  bounded,
-			module:   module,
-			detector: tn.Pkg().Name() + "." + tn.Name(),
-			visited:  make(map[*types.Named]bool),
+	seen := make(map[*types.TypeName]bool)
+	for _, fn := range roots {
+		tn := analysis.NamedOrPointee(fn.Type().(*types.Signature).Recv().Type())
+		if tn == nil || seen[tn] {
+			continue
 		}
+		seen[tn] = true
+		w.detector = tn.Pkg().Name() + "." + tn.Name()
+		w.visited = make(map[*types.Named]bool)
 		w.walkType(tn.Type())
 	}
-	return nil
+	return w.fields
 }
 
-// detectorTypes returns this package's detector types (receiver base
-// types of the root methods), sorted by position.
-func detectorTypes(pass *analysis.Pass) []*types.TypeName {
-	seen := make(map[*types.TypeName]bool)
-	var out []*types.TypeName
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || !rootNames[fd.Name.Name] {
-				continue
-			}
-			fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if tn := analysis.NamedOrPointee(fn.Type().(*types.Signature).Recv().Type()); tn != nil && !seen[tn] {
-				seen[tn] = true
-				out = append(out, tn)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
-}
-
-// walker accumulates one detector's state closure.
+// walker accumulates detector state closures.
 type walker struct {
-	pass     *analysis.Pass
 	bounded  map[*types.Var]bool
 	module   map[*types.Package]bool
+	fields   map[*types.Var]stateField
 	detector string
 	visited  map[*types.Named]bool
 }
 
 // walkType descends through pointers, containers, and module-local named
-// structs, exporting facts on growable fields as it goes.
+// structs, recording growable fields as it goes.
 func (w *walker) walkType(t types.Type) {
 	switch t := types.Unalias(t).(type) {
 	case *types.Pointer:
@@ -169,64 +133,53 @@ func (w *walker) walkType(t types.Type) {
 	}
 }
 
-// walkField exports a fact if the field is growable, then descends into
-// its type.
+// walkField records the field if it is growable, keeping the lexically
+// smallest detector label when several closures reach it, then descends
+// into its type.
 func (w *walker) walkField(owner string, v *types.Var) {
 	switch types.Unalias(v.Type()).Underlying().(type) {
 	case *types.Slice, *types.Map:
-		if !w.bounded[v] {
-			w.exportMerged(v, owner)
+		if prev, ok := w.fields[v]; !w.bounded[v] && (!ok || w.detector < prev.detector) {
+			w.fields[v] = stateField{owner: owner, detector: w.detector}
 		}
 	}
 	w.walkType(v.Type())
 }
 
-// exportMerged records a StateField fact, keeping the lexically smallest
-// detector label when several detectors' closures reach the same field —
-// the end state is deterministic regardless of package schedule.
-func (w *walker) exportMerged(v *types.Var, owner string) {
-	factsMu.Lock()
-	defer factsMu.Unlock()
-	var existing StateField
-	if w.pass.ImportObjectFact(v, &existing) && existing.Detector <= w.detector {
-		return
-	}
-	w.pass.ExportObjectFact(v, &StateField{Owner: owner, Detector: w.detector})
-}
-
 func run(pass *analysis.Pass) error {
 	ix := analysis.IndexFuncs(pass.Fset, pass.Module)
 	roots := ix.Methods(func(n string) bool { return rootNames[n] })
+	state := stateFields(pass, roots)
 	for fn, via := range ix.Reachable(roots, name, coldNames) {
 		fd, ok := ix.Decl(fn)
 		if !ok || fd.Pkg != pass.Pkg {
 			continue
 		}
-		checkBody(pass, fd, via)
+		checkBody(pass, state, fd, via)
 	}
 	return nil
 }
 
 // checkBody flags growth sites on state fields in one hot-reachable
 // function.
-func checkBody(pass *analysis.Pass, fd analysis.FuncDecl, via string) {
+func checkBody(pass *analysis.Pass, state map[*types.Var]stateField, fd analysis.FuncDecl, via string) {
 	info := fd.Pkg.Info
 	ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && len(n.Args) > 0 {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					if v, fact := stateField(pass, info, n.Args[0]); v != nil {
-						pass.Reportf(n.Pos(), "append grows detector state field %s.%s (state of %s, reachable from %s); bound it like stats.Series or mark the field //lint:bounded", fact.Owner, v.Name(), fact.Detector, via)
+					if v, sf, ok := lookupField(state, info, n.Args[0]); ok {
+						pass.Reportf(n.Pos(), "append grows detector state field %s.%s (state of %s, reachable from %s); bound it like stats.Series or mark the field //lint:bounded", sf.owner, v.Name(), sf.detector, via)
 					}
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				checkMapWrite(pass, info, lhs, via)
+				checkMapWrite(pass, state, info, lhs, via)
 			}
 		case *ast.IncDecStmt:
-			checkMapWrite(pass, info, n.X, via)
+			checkMapWrite(pass, state, info, n.X, via)
 		}
 		return true
 	})
@@ -234,24 +187,24 @@ func checkBody(pass *analysis.Pass, fd analysis.FuncDecl, via string) {
 
 // checkMapWrite flags an index write to a state map field (writes to an
 // existing slice index don't grow anything and pass).
-func checkMapWrite(pass *analysis.Pass, info *types.Info, lhs ast.Expr, via string) {
+func checkMapWrite(pass *analysis.Pass, state map[*types.Var]stateField, info *types.Info, lhs ast.Expr, via string) {
 	ix, ok := lhs.(*ast.IndexExpr)
 	if !ok {
 		return
 	}
-	v, fact := stateField(pass, info, ix.X)
-	if v == nil {
+	v, sf, ok := lookupField(state, info, ix.X)
+	if !ok {
 		return
 	}
 	if _, isMap := types.Unalias(v.Type()).Underlying().(*types.Map); !isMap {
 		return
 	}
-	pass.Reportf(lhs.Pos(), "map write grows detector state field %s.%s (state of %s, reachable from %s); bound it or mark the field //lint:bounded", fact.Owner, v.Name(), fact.Detector, via)
+	pass.Reportf(lhs.Pos(), "map write grows detector state field %s.%s (state of %s, reachable from %s); bound it or mark the field //lint:bounded", sf.owner, v.Name(), sf.detector, via)
 }
 
-// stateField resolves an expression to a struct field carrying a
-// StateField fact, peeling reslices (s.buf[:0]) and parens.
-func stateField(pass *analysis.Pass, info *types.Info, e ast.Expr) (*types.Var, *StateField) {
+// lookupField resolves an expression to a detector state field, peeling
+// reslices (s.buf[:0]) and parens.
+func lookupField(state map[*types.Var]stateField, info *types.Info, e ast.Expr) (*types.Var, stateField, bool) {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -259,15 +212,14 @@ func stateField(pass *analysis.Pass, info *types.Info, e ast.Expr) (*types.Var, 
 		case *ast.SliceExpr:
 			e = x.X
 		case *ast.SelectorExpr:
-			if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
-				var fact StateField
-				if pass.ImportObjectFact(v, &fact) {
-					return v, &fact
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok {
+				if sf, ok := state[v]; ok {
+					return v, sf, true
 				}
 			}
-			return nil, nil
+			return nil, stateField{}, false
 		default:
-			return nil, nil
+			return nil, stateField{}, false
 		}
 	}
 }

@@ -1,7 +1,6 @@
-// Package decl declares state a downstream detector borrows: the
-// StateField facts on its fields are exported by the detector package's
-// Facts pass, and the growth sites here are flagged because they are
-// reachable from the detector's hot path.
+// Package decl declares state a downstream detector borrows: its fields
+// are in the detector's state closure, and the growth sites here are
+// flagged because they are reachable from the detector's hot path.
 package decl
 
 // Buf is a history buffer owned by a detector in bounded/det.

@@ -9,6 +9,10 @@
 // cheap (ADORE's <1% overhead); a stray fmt.Sprintf or closure literal in
 // an interval handler silently breaks that.
 //
+// The runtime gates measure steady intervals only. This check also
+// covers the branches a steady interval never takes — an LPD or GPD state
+// transition, a region prune — where an allocation fails no test.
+//
 // Flagged inside hot-path-reachable functions:
 //
 //   - function literals (closure allocation; build them once at

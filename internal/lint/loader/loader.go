@@ -256,8 +256,8 @@ func LoadModule(root string) (*Program, error) {
 // LoadDirs loads several packages laid out GOPATH-style — each import
 // path p's sources live at srcRoot/p — and type-checks them together, so
 // testdata packages may import one another by those synthetic paths (the
-// cross-package fixtures the fact-layer analyzers need: a declaring
-// package exports facts, a consuming package triggers on them).
+// cross-package fixtures an analyzer like boundedstate needs: a declaring
+// package holds the state, a consuming package reaches it).
 func LoadDirs(srcRoot string, importPaths []string) (*Program, error) {
 	fset := token.NewFileSet()
 	entries := make(map[string]*entry, len(importPaths))

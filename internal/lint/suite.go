@@ -8,12 +8,9 @@ package lint
 
 import (
 	"regionmon/internal/lint/analysis"
-	"regionmon/internal/lint/atomicpair"
-	"regionmon/internal/lint/batchwrap"
 	"regionmon/internal/lint/boundedstate"
 	"regionmon/internal/lint/determinism"
 	"regionmon/internal/lint/hotpath"
-	"regionmon/internal/lint/payloadswitch"
 	"regionmon/internal/lint/singleowner"
 	"regionmon/internal/lint/snapshotsafe"
 )
@@ -32,10 +29,7 @@ func Suite() []*analysis.Analyzer {
 			"regionmon/cmd/...",
 		),
 		hotpath.Analyzer,
-		payloadswitch.Analyzer,
 		snapshotsafe.Analyzer,
 		boundedstate.Analyzer,
-		batchwrap.Analyzer,
-		atomicpair.Analyzer,
 	}
 }

@@ -41,41 +41,43 @@ func histStream(n, intervals int) [][]int64 {
 }
 
 func TestSnapshotForkEquality(t *testing.T) {
-	const n, total, at = 32, 120, 47
+	const n, total = 32, 120
 	stream := histStream(n, total)
 
-	ref := MustNew(n, DefaultConfig())
-	forked := MustNew(n, DefaultConfig())
-
-	var snapBytes []byte
-	for i := 0; i < at; i++ {
-		ref.Observe(stream[i])
-		forked.Observe(stream[i])
-	}
-	snapBytes = forked.Snapshot()
-
-	restored := MustNew(n, DefaultConfig())
-	if err := restored.Restore(snapBytes); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	// The restored detector re-snapshots to identical bytes.
-	if string(restored.Snapshot()) != string(snapBytes) {
-		t.Fatal("restored detector snapshots to different bytes")
-	}
-
-	for i := at; i < total; i++ {
-		rv := ref.Observe(stream[i])
-		sv := restored.Observe(stream[i])
-		if rv != sv {
-			t.Fatalf("interval %d: verdict diverged: ref %+v restored %+v", i, rv, sv)
+	// Fork at every interval: state that matches its restored default at
+	// one fork point rarely matches it at all of them.
+	for at := 0; at < total; at++ {
+		ref := MustNew(n, DefaultConfig())
+		forked := MustNew(n, DefaultConfig())
+		for i := 0; i < at; i++ {
+			ref.Observe(stream[i])
+			forked.Observe(stream[i])
 		}
-	}
-	if ref.PhaseChanges() != restored.PhaseChanges() ||
-		ref.StableFraction() != restored.StableFraction() ||
-		ref.Intervals() != restored.Intervals() {
-		t.Fatalf("counters diverged: (%d,%v,%d) vs (%d,%v,%d)",
-			ref.PhaseChanges(), ref.StableFraction(), ref.Intervals(),
-			restored.PhaseChanges(), restored.StableFraction(), restored.Intervals())
+		snapBytes := forked.Snapshot()
+
+		restored := MustNew(n, DefaultConfig())
+		if err := restored.Restore(snapBytes); err != nil {
+			t.Fatalf("fork at %d: Restore: %v", at, err)
+		}
+		// The restored detector re-snapshots to identical bytes.
+		if string(restored.Snapshot()) != string(snapBytes) {
+			t.Fatalf("fork at %d: restored detector snapshots to different bytes", at)
+		}
+
+		for i := at; i < total; i++ {
+			rv := ref.Observe(stream[i])
+			sv := restored.Observe(stream[i])
+			if rv != sv {
+				t.Fatalf("fork at %d, interval %d: verdict diverged: ref %+v restored %+v", at, i, rv, sv)
+			}
+		}
+		if ref.PhaseChanges() != restored.PhaseChanges() ||
+			ref.StableFraction() != restored.StableFraction() ||
+			ref.Intervals() != restored.Intervals() {
+			t.Fatalf("fork at %d: counters diverged: (%d,%v,%d) vs (%d,%v,%d)", at,
+				ref.PhaseChanges(), ref.StableFraction(), ref.Intervals(),
+				restored.PhaseChanges(), restored.StableFraction(), restored.Intervals())
+		}
 	}
 }
 

@@ -211,8 +211,6 @@ func (p *Pipeline) Handler() func(*hpm.Overflow) {
 // hpm overflow callback:
 //
 //	mon, _ := hpm.New(cfg, func(ov *hpm.Overflow) { pipe.ProcessOverflow(ov) })
-//
-//lint:wraps ObserveBatch
 func (p *Pipeline) ProcessOverflow(ov *hpm.Overflow) *IntervalReport {
 	p.one[0] = ov
 	p.ObserveBatch(p.one[:])

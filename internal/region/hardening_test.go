@@ -232,46 +232,50 @@ func TestMonitorSnapshotForkEquality(t *testing.T) {
 		c.PruneAfter = 4
 		c.UCRHistoryCap = 32 // small, so the snapshot catches a wrapped ring
 	}
-	const total, at = 140, 57
+	const total = 140
 	stream := hardeningStream(l1, l2, total)
 
-	ref := newMonitor(t, prog, mut)
-	forked := newMonitor(t, prog, mut)
-	for i := 0; i < at; i++ {
-		ra := ref.ProcessOverflow(stream[i])
-		rb := forked.ProcessOverflow(stream[i])
-		if !reportsEqual(t, ra, rb) {
-			t.Fatalf("identical monitors diverged at %d before any snapshot", i)
+	// Fork at every interval: per-region state such as an idle count
+	// matches its restored default at some fork points, never at all.
+	for at := 0; at < total; at++ {
+		ref := newMonitor(t, prog, mut)
+		forked := newMonitor(t, prog, mut)
+		for i := 0; i < at; i++ {
+			ra := ref.ProcessOverflow(stream[i])
+			rb := forked.ProcessOverflow(stream[i])
+			if !reportsEqual(t, ra, rb) {
+				t.Fatalf("identical monitors diverged at %d before any snapshot", i)
+			}
 		}
-	}
 
-	s1, s2 := forked.Snapshot(), forked.Snapshot()
-	if string(s1) != string(s2) {
-		t.Fatal("monitor snapshot is not deterministic")
-	}
-
-	restored := newMonitor(t, prog, mut)
-	if err := restored.Restore(s1); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if string(restored.Snapshot()) != string(s1) {
-		t.Fatal("restored monitor snapshots to different bytes")
-	}
-	if restored.UCRMedian() != ref.UCRMedian() || restored.UCRDropped() != ref.UCRDropped() {
-		t.Fatal("restored UCR history differs")
-	}
-
-	for i := at; i < total; i++ {
-		ra := ref.ProcessOverflow(stream[i])
-		rb := restored.ProcessOverflow(stream[i])
-		if !reportsEqual(t, ra, rb) {
-			t.Fatalf("interval %d: restored monitor diverged:\nref      %+v\nrestored %+v", i, ra, rb)
+		s1, s2 := forked.Snapshot(), forked.Snapshot()
+		if string(s1) != string(s2) {
+			t.Fatalf("fork at %d: monitor snapshot is not deterministic", at)
 		}
-	}
-	// Region loop linkage was re-derived, not lost.
-	for _, r := range restored.Regions() {
-		if r.Loop == nil {
-			t.Errorf("restored region %s lost its loop", r.Name())
+
+		restored := newMonitor(t, prog, mut)
+		if err := restored.Restore(s1); err != nil {
+			t.Fatalf("fork at %d: Restore: %v", at, err)
+		}
+		if string(restored.Snapshot()) != string(s1) {
+			t.Fatalf("fork at %d: restored monitor snapshots to different bytes", at)
+		}
+		if restored.UCRMedian() != ref.UCRMedian() || restored.UCRDropped() != ref.UCRDropped() {
+			t.Fatalf("fork at %d: restored UCR history differs", at)
+		}
+
+		for i := at; i < total; i++ {
+			ra := ref.ProcessOverflow(stream[i])
+			rb := restored.ProcessOverflow(stream[i])
+			if !reportsEqual(t, ra, rb) {
+				t.Fatalf("fork at %d, interval %d: restored monitor diverged:\nref      %+v\nrestored %+v", at, i, ra, rb)
+			}
+		}
+		// Region loop linkage was re-derived, not lost.
+		for _, r := range restored.Regions() {
+			if r.Loop == nil {
+				t.Errorf("fork at %d: restored region %s lost its loop", at, r.Name())
+			}
 		}
 	}
 }

@@ -131,7 +131,10 @@ func (c *Config) validateAnnotations(prog *isa.Program) error {
 }
 
 // Region is one monitored code region: a loop's address span, its
-// interval histogram and its local phase detector.
+// interval histogram and its local phase detector. Monitor's snapshot
+// methods serialize it field by field.
+//
+//lint:snapshot
 type Region struct {
 	// ID is the region's stable identifier within its monitor.
 	ID int
@@ -139,7 +142,7 @@ type Region struct {
 	Start, End isa.Addr
 	// Loop is the natural loop the region was built from (nil for
 	// regions added manually via AddRegion on a non-loop span).
-	Loop *isa.Loop
+	Loop *isa.Loop //lint:config -- re-derived from the program on restore
 	// Detector is the region's local phase detector.
 	Detector *lpd.Detector
 	// FormedAt is the overflow sequence number at which the region was
@@ -210,8 +213,6 @@ type RegionVerdict struct {
 // valid only until the next ProcessOverflow call, so consumers that
 // retain verdicts must copy them. It is the pipeline payload the
 // RegionMonitor adapter publishes.
-//
-//lint:payload
 type Report struct {
 	// Seq is the overflow sequence number.
 	Seq int

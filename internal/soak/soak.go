@@ -128,6 +128,7 @@ func Run(cfg Config) (Result, error) {
 	pipe.AddObserver(obs)
 
 	g := NewWorkload(cfg.Seed, loops, cfg.SamplesPerInterval)
+	ov := &hpm.Overflow{Samples: make([]hpm.Sample, cfg.SamplesPerInterval)}
 	var res Result
 	for i := 0; i < cfg.Intervals; i++ {
 		if cfg.RestoreEvery > 0 && i > 0 && i%cfg.RestoreEvery == 0 {
@@ -147,7 +148,7 @@ func Run(cfg Config) (Result, error) {
 			res.Restores++
 			res.SnapshotBytes = len(snap)
 		}
-		pipe.ProcessOverflow(g.Interval(i))
+		pipe.ProcessOverflow(g.IntervalInto(i, ov))
 		if hashErr != nil {
 			return res, hashErr
 		}
@@ -257,14 +258,12 @@ type Workload struct {
 	loops []isa.LoopSpan
 	buf   int // samples per full interval
 	cycle uint64
-	ov    hpm.Overflow // reused by Interval, like a real hpm buffer
 }
 
 // NewWorkload returns a generator seeded with seed over the given loops
 // (from BuildProgram), emitting buf samples per interval.
 func NewWorkload(seed uint64, loops []isa.LoopSpan, buf int) *Workload {
-	return &Workload{rng: seed, loops: loops, buf: buf,
-		ov: hpm.Overflow{Samples: make([]hpm.Sample, buf)}}
+	return &Workload{rng: seed, loops: loops, buf: buf}
 }
 
 // next is splitmix64.
@@ -280,25 +279,15 @@ func (g *Workload) next() uint64 {
 // shifts to the next loop pair.
 const phaseLen = 160
 
-// Interval produces the i'th sampling interval. The returned overflow
-// aliases the generator's reusable sample buffer: consume (or copy) it
-// before requesting the next interval. Per-item wrapper over
-// IntervalInto.
-//
-//lint:wraps IntervalInto
-func (g *Workload) Interval(i int) *hpm.Overflow {
-	return g.IntervalInto(i, &g.ov)
-}
-
 // IntervalInto fills ov with the i'th sampling interval, writing samples
 // into ov.Samples' backing array (which must have capacity for at least
-// the generator's per-interval buffer size), and returns ov. It is the
-// batch-friendly core: a driver batching K intervals into one
-// ingest.PushBatch call fills K caller-owned overflows — every one alive
-// at once — without the generator owning K buffers itself (see
-// NewOverflowBatch). The sample stream depends only on the seed and the
-// call sequence, so batched and per-item drivers generate bit-identical
-// workloads.
+// the generator's per-interval buffer size), and returns ov. A per-item
+// driver reuses one overflow, like a real hpm buffer; a driver batching K
+// intervals into one ingest.PushBatch call fills K caller-owned overflows
+// — every one alive at once — without the generator owning K buffers
+// itself (see NewOverflowBatch). The sample stream depends only on the
+// seed and the call sequence, so batched and per-item drivers generate
+// bit-identical workloads.
 func (g *Workload) IntervalInto(i int, ov *hpm.Overflow) *hpm.Overflow {
 	phase := (i / phaseLen) % len(g.loops)
 	hot := g.loops[phase]

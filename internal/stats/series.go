@@ -136,16 +136,6 @@ func (s *Series) Mean() float64 {
 	return s.sum / float64(n)
 }
 
-// Median returns the median of the retained observations (0 when empty).
-// It lets MedianInto grow a fresh scratch slice per call; periodic
-// reporting loops should hold a scratch buffer and use MedianInto.
-// Convenience wrapper over MedianInto.
-//
-//lint:wraps MedianInto
-func (s *Series) Median() float64 {
-	return s.MedianInto(nil)
-}
-
 // MedianInto returns the median of the retained observations (0 when
 // empty), using scratch as working storage: the values are copied into
 // scratch (growing it only if its capacity is short) and sorted there.
