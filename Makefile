@@ -27,13 +27,16 @@ race:
 	$(GO) test -race ./...
 
 # Race-detector pass over just the concurrency-bearing packages — the
-# ring/fleet ingestion path, the pipeline sweeps and the soak harness —
-# plus the benchmark module (perfbench/), whose fleet workload drives
-# ingest from its own producer. This is what CI's dedicated race job
-# runs, decoupled from the fast tier-1 job so a slow race schedule never
-# blocks the main signal.
+# ring/fleet ingestion path, the pipeline package and the soak harness —
+# plus the experiments runner's concurrent-sweep tests (>= 4 simultaneous
+# executor/monitor/pipeline stacks, one per worker; about 15 s) and the
+# benchmark module (perfbench/), whose fleet workload drives ingest from
+# its own producer. This is what CI's dedicated race job runs, decoupled
+# from the fast tier-1 job so a slow race schedule never blocks the main
+# signal.
 race-hot:
 	$(GO) test -race ./internal/ingest/... ./internal/pipeline/... ./internal/soak/...
+	$(GO) test -race -run 'TestRunCells|TestParallelSweepDeterministic|TestConcurrentSweeps' ./internal/experiments/
 	cd perfbench && $(GO) test -race ./...
 
 # Smoke-run the hot-path benchmarks: one iteration each, with allocation
@@ -47,10 +50,11 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessOverflow' -benchtime 1x -benchmem ./internal/region/
 
 # Fuzz every restore path that has a fuzz target for 10 s each (manual,
-# about 80 s; not part of `make check`). The contract each target checks:
-# a corrupt snapshot returns an error, leaves the target's state
-# byte-identical and never panics. A failing input is written under the
-# package's testdata/fuzz/ and replays as a seed in `make test`.
+# about 100 s; not part of `make check`): the seven detector leaves, the
+# pipeline and the fleet. The contract each target checks: a corrupt
+# snapshot returns an error, leaves the target's state byte-identical and
+# never panics. A failing input is written under the package's
+# testdata/fuzz/ and replays as a seed in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s ./internal/changepoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzBBVRestore$$' -fuzztime 10s ./internal/altdetect/
@@ -59,6 +63,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s ./internal/lpd/
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s ./internal/gpd/
 	$(GO) test -run '^$$' -fuzz '^FuzzPerfTrackerRestore$$' -fuzztime 10s ./internal/gpd/
+	$(GO) test -run '^$$' -fuzz '^FuzzPipelineRestore$$' -fuzztime 10s ./internal/pipeline/
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetRestore$$' -fuzztime 10s ./internal/ingest/
 
 # The benchmark module's own tests (perfbench/ is a separate Go module,
 # so the root `go test ./...` skips it): tiny runs of both workloads, the

@@ -7,7 +7,7 @@
 //     (annotate intentional timing sites with //lint:allow determinism);
 //   - hotpath: no allocating constructs in ObserveInterval/ProcessOverflow
 //     or anything they statically call (Snapshot/Restore and the
-//     AppendSnapshot/RestoreSnapshot pair are cold by contract and stop
+//     AppendSnapshot/StageSnapshot pair are cold by contract and stop
 //     the walk);
 //   - snapshotsafe: every field of a snapshotting type is referenced on
 //     both the encode and decode paths or marked //lint:config;

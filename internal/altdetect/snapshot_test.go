@@ -39,7 +39,7 @@ func TestBBVSnapshotForkEquality(t *testing.T) {
 		forked.Observe(stream[i])
 	}
 	restored, _ := NewBBV(prog, 0.8)
-	if err := restored.Restore(forked.Snapshot()); err != nil {
+	if err := snap.Unmarshal(restored, snap.Marshal(forked)); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	for i := at; i < total; i++ {
@@ -66,12 +66,12 @@ func TestWorkingSetSnapshotForkEquality(t *testing.T) {
 		forked.Observe(stream[i])
 	}
 	// Snapshot twice: the encoding must not depend on anything but state.
-	s1, s2 := forked.Snapshot(), forked.Snapshot()
+	s1, s2 := snap.Marshal(forked), snap.Marshal(forked)
 	if string(s1) != string(s2) {
 		t.Fatal("working-set snapshot is not deterministic")
 	}
 	restored, _ := NewWorkingSet(prog, 0.5)
-	if err := restored.Restore(s1); err != nil {
+	if err := snap.Unmarshal(restored, s1); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	for i := at; i < total; i++ {
@@ -90,7 +90,7 @@ func TestWorkingSetSnapshotRejectsBadBlock(t *testing.T) {
 	prog, a, b := testProgram(t)
 	d, _ := NewWorkingSet(prog, 0.5)
 	d.Observe(ov(0, 10, a, b))
-	snapBytes := d.Snapshot()
+	snapBytes := snap.Marshal(d)
 
 	// A single-proc program has fewer blocks; restoring the richer
 	// snapshot into it must fail validation.
@@ -101,7 +101,7 @@ func TestWorkingSetSnapshotRejectsBadBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	sd, _ := NewWorkingSet(sp, 0.5)
-	if err := sd.Restore(snapBytes); err == nil {
+	if err := snap.Unmarshal(sd, snapBytes); err == nil {
 		t.Fatal("expected block-range validation error")
 	}
 }
@@ -136,7 +136,7 @@ func fedWorkingSet(t testing.TB, n int) *WorkingSet {
 // must reject: a real one cut by 8 bytes or followed by a stray byte,
 // and hand-encoded ones whose counters or blocks no run can produce.
 func badBBVSnapshots(t testing.TB) map[string][]byte {
-	src := fedBBV(t, 23).Snapshot()
+	src := snap.Marshal(fedBBV(t, 23))
 	blocks := len(fedBBV(t, 0).prev)
 	encode := func(changes, total int) []byte {
 		e := snap.NewEncoder()
@@ -157,7 +157,7 @@ func badBBVSnapshots(t testing.TB) map[string][]byte {
 }
 
 func badWorkingSetSnapshots(t testing.TB) map[string][]byte {
-	src := fedWorkingSet(t, 29).Snapshot()
+	src := snap.Marshal(fedWorkingSet(t, 29))
 	encode := func(changes, total int, blocks ...int) []byte {
 		e := snap.NewEncoder()
 		e.Header(wsTag, 1)
@@ -180,19 +180,18 @@ func badWorkingSetSnapshots(t testing.TB) map[string][]byte {
 // detector is the surface BBV and WorkingSet share.
 type detector interface {
 	Observe(*hpm.Overflow) Verdict
-	Snapshot() []byte
-	Restore([]byte) error
+	snap.Snapshotter
 }
 
 // checkRestoreFails asserts that restoring data into d fails and leaves
 // d's state byte-identical.
 func checkRestoreFails(t *testing.T, name string, d detector, data []byte) {
 	t.Helper()
-	before := d.Snapshot()
-	if err := d.Restore(data); err == nil {
+	before := snap.Marshal(d)
+	if err := snap.Unmarshal(d, data); err == nil {
 		t.Fatalf("%s: restore accepted", name)
 	}
-	if !bytes.Equal(d.Snapshot(), before) {
+	if !bytes.Equal(snap.Marshal(d), before) {
 		t.Fatalf("%s: failed restore changed the detector", name)
 	}
 }
@@ -207,7 +206,7 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 	for name, data := range badBBVSnapshots(t) {
 		checkRestoreFails(t, "BBV "+name, bbv, data)
 	}
-	src := fedBBV(t, 23).Snapshot()
+	src := snap.Marshal(fedBBV(t, 23))
 	for cut := 0; cut < len(src); cut++ {
 		checkRestoreFails(t, fmt.Sprintf("BBV cut at %d", cut), bbv, src[:cut])
 	}
@@ -215,7 +214,7 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 	for name, data := range badWorkingSetSnapshots(t) {
 		checkRestoreFails(t, "working set "+name, ws, data)
 	}
-	src = fedWorkingSet(t, 29).Snapshot()
+	src = snap.Marshal(fedWorkingSet(t, 29))
 	for cut := 0; cut < len(src); cut++ {
 		checkRestoreFails(t, fmt.Sprintf("working set cut at %d", cut), ws, src[:cut])
 	}
@@ -225,9 +224,9 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 // panics, a failed restore leaves the detector's state byte-identical,
 // and a restored detector keeps observing.
 func fuzzRestore(t *testing.T, d detector, data []byte) {
-	before := d.Snapshot()
-	if err := d.Restore(data); err != nil {
-		if !bytes.Equal(d.Snapshot(), before) {
+	before := snap.Marshal(d)
+	if err := snap.Unmarshal(d, data); err != nil {
+		if !bytes.Equal(snap.Marshal(d), before) {
 			t.Fatalf("failed restore (%v) changed the detector", err)
 		}
 		return
@@ -239,8 +238,8 @@ func fuzzRestore(t *testing.T, d detector, data []byte) {
 }
 
 func FuzzBBVRestore(f *testing.F) {
-	f.Add(fedBBV(f, 23).Snapshot())
-	f.Add(fedBBV(f, 0).Snapshot())
+	f.Add(snap.Marshal(fedBBV(f, 23)))
+	f.Add(snap.Marshal(fedBBV(f, 0)))
 	for _, data := range badBBVSnapshots(f) {
 		f.Add(data)
 	}
@@ -250,8 +249,8 @@ func FuzzBBVRestore(f *testing.F) {
 }
 
 func FuzzWorkingSetRestore(f *testing.F) {
-	f.Add(fedWorkingSet(f, 29).Snapshot())
-	f.Add(fedWorkingSet(f, 0).Snapshot())
+	f.Add(snap.Marshal(fedWorkingSet(f, 29)))
+	f.Add(snap.Marshal(fedWorkingSet(f, 0)))
 	for _, data := range badWorkingSetSnapshots(f) {
 		f.Add(data)
 	}

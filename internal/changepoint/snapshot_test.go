@@ -18,14 +18,14 @@ func TestSnapshotForkEquality(t *testing.T) {
 		ref.Observe(stream[i])
 		forked.Observe(stream[i])
 	}
-	snapBytes := forked.Snapshot()
+	snapBytes := snap.Marshal(forked)
 
 	restored := MustNew(DefaultConfig())
-	if err := restored.Restore(snapBytes); err != nil {
+	if err := snap.Unmarshal(restored, snapBytes); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	// The restored detector re-snapshots to identical bytes.
-	if string(restored.Snapshot()) != string(snapBytes) {
+	if string(snap.Marshal(restored)) != string(snapBytes) {
 		t.Fatal("restored detector snapshots to different bytes")
 	}
 
@@ -49,12 +49,12 @@ func TestSnapshotWindowMismatch(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d.Observe(float64(i))
 	}
-	snapBytes := d.Snapshot()
+	snapBytes := snap.Marshal(d)
 
 	cfg := DefaultConfig()
 	cfg.Window = 64
 	other := MustNew(cfg)
-	if err := other.Restore(snapBytes); err == nil {
+	if err := snap.Unmarshal(other, snapBytes); err == nil {
 		t.Fatal("restore into a differently sized window accepted")
 	}
 	// The failed restore left the target untouched.
@@ -66,12 +66,12 @@ func TestSnapshotWindowMismatch(t *testing.T) {
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
 	d := MustNew(DefaultConfig())
-	if err := d.Restore([]byte{0, 1, 2}); err == nil {
+	if err := snap.Unmarshal(d, []byte{0, 1, 2}); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
 	e := snap.NewEncoder()
 	e.Header("other", 1)
-	if err := d.Restore(e.Bytes()); err == nil {
+	if err := snap.Unmarshal(d, e.Bytes()); err == nil {
 		t.Error("foreign component tag accepted")
 	}
 }
@@ -90,7 +90,7 @@ func fedDetector(n int) *Detector {
 // one cut by 8 bytes or followed by a stray byte, and hand-encoded ones
 // whose fields decode but cannot describe a run.
 func badSnapshots() map[string][]byte {
-	src := fedDetector(170).Snapshot()
+	src := snap.Marshal(fedDetector(170))
 	encode := func(lastChange int64, changes int, capa int, total int64, vals ...float64) []byte {
 		e := snap.NewEncoder()
 		e.Header(detectorTag, 1)
@@ -121,15 +121,15 @@ func badSnapshots() map[string][]byte {
 // the target's state byte-identical. Before, a truncated window was
 // emptied before the error surfaced.
 func TestRestoreFailureLeavesDetectorUntouched(t *testing.T) {
-	src := fedDetector(170).Snapshot()
+	src := snap.Marshal(fedDetector(170))
 	d := fedDetector(100)
-	before := d.Snapshot()
+	before := snap.Marshal(d)
 	check := func(name string, data []byte) {
 		t.Helper()
-		if err := d.Restore(data); err == nil {
+		if err := snap.Unmarshal(d, data); err == nil {
 			t.Fatalf("%s: restore accepted", name)
 		}
-		if !bytes.Equal(d.Snapshot(), before) {
+		if !bytes.Equal(snap.Marshal(d), before) {
 			t.Fatalf("%s: failed restore changed the detector (%d intervals)", name, d.Intervals())
 		}
 	}
@@ -145,17 +145,17 @@ func TestRestoreFailureLeavesDetectorUntouched(t *testing.T) {
 // detector's state byte-identical, and a restored detector keeps
 // observing without panicking.
 func FuzzDetectorRestore(f *testing.F) {
-	f.Add(fedDetector(170).Snapshot())
-	f.Add(fedDetector(20).Snapshot())
-	f.Add(MustNew(DefaultConfig()).Snapshot())
+	f.Add(snap.Marshal(fedDetector(170)))
+	f.Add(snap.Marshal(fedDetector(20)))
+	f.Add(snap.Marshal(MustNew(DefaultConfig())))
 	for _, data := range badSnapshots() {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fedDetector(100)
-		before := d.Snapshot()
-		if err := d.Restore(data); err != nil {
-			if !bytes.Equal(d.Snapshot(), before) {
+		before := snap.Marshal(d)
+		if err := snap.Unmarshal(d, data); err != nil {
+			if !bytes.Equal(snap.Marshal(d), before) {
 				t.Fatalf("failed restore (%v) changed the detector", err)
 			}
 			return

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"regionmon/internal/snap"
 )
 
 // centroidStream deterministically generates centroids with stable
@@ -41,13 +43,13 @@ func TestDetectorSnapshotForkEquality(t *testing.T) {
 			ref.Observe(stream[i])
 			forked.Observe(stream[i])
 		}
-		snapBytes := forked.Snapshot()
+		snapBytes := snap.Marshal(forked)
 
 		restored := MustNew(DefaultConfig())
-		if err := restored.Restore(snapBytes); err != nil {
+		if err := snap.Unmarshal(restored, snapBytes); err != nil {
 			t.Fatalf("fork at %d: Restore: %v", at, err)
 		}
-		if string(restored.Snapshot()) != string(snapBytes) {
+		if string(snap.Marshal(restored)) != string(snapBytes) {
 			t.Fatalf("fork at %d: restored detector snapshots to different bytes", at)
 		}
 
@@ -72,7 +74,7 @@ func TestDetectorSnapshotConfigMismatch(t *testing.T) {
 	d.Observe(100)
 	cfg := DefaultConfig()
 	cfg.HistorySize = 16
-	if err := MustNew(cfg).Restore(d.Snapshot()); err == nil {
+	if err := snap.Unmarshal(MustNew(cfg), snap.Marshal(d)); err == nil {
 		t.Fatal("expected history-capacity mismatch error")
 	}
 }
@@ -102,7 +104,7 @@ func TestPerfTrackerSnapshotForkEquality(t *testing.T) {
 			forked.Observe(value(i))
 		}
 		restored := mk()
-		if err := restored.Restore(forked.Snapshot()); err != nil {
+		if err := snap.Unmarshal(restored, snap.Marshal(forked)); err != nil {
 			t.Fatalf("fork at %d: Restore: %v", at, err)
 		}
 		for i := at; i < total; i++ {
@@ -123,15 +125,15 @@ func TestPerfTrackerSnapshotForkEquality(t *testing.T) {
 // fail with the target's snapshot bytes unchanged. Before, the trailing
 // byte was reported only after the target had taken the snapshot's
 // state.
-func checkRestoreFailures(t *testing.T, src []byte, snapshot func() []byte, restore func([]byte) error) {
+func checkRestoreFailures(t *testing.T, src []byte, target snap.Snapshotter) {
 	t.Helper()
-	before := snapshot()
+	before := snap.Marshal(target)
 	check := func(name string, data []byte) {
 		t.Helper()
-		if err := restore(data); err == nil {
+		if err := snap.Unmarshal(target, data); err == nil {
 			t.Fatalf("%s: restore accepted", name)
 		}
-		if !bytes.Equal(snapshot(), before) {
+		if !bytes.Equal(snap.Marshal(target), before) {
 			t.Fatalf("%s: failed restore changed the target", name)
 		}
 	}
@@ -150,7 +152,7 @@ func TestDetectorRestoreFailureLeavesDetectorUntouched(t *testing.T) {
 		return d
 	}
 	d := fed(20)
-	checkRestoreFailures(t, fed(70).Snapshot(), d.Snapshot, d.Restore)
+	checkRestoreFailures(t, snap.Marshal(fed(70)), d)
 }
 
 func TestPerfTrackerRestoreFailureLeavesTrackerUntouched(t *testing.T) {
@@ -165,7 +167,7 @@ func TestPerfTrackerRestoreFailureLeavesTrackerUntouched(t *testing.T) {
 		return p
 	}
 	p := fed(3)
-	checkRestoreFailures(t, fed(30).Snapshot(), p.Snapshot, p.Restore)
+	checkRestoreFailures(t, snap.Marshal(fed(30)), p)
 }
 
 // fuzzRestore seeds f with snapshots of a target fed 0, 13, 37 and 70
@@ -175,16 +177,13 @@ func TestPerfTrackerRestoreFailureLeavesTrackerUntouched(t *testing.T) {
 // leaves the target's snapshot bytes unchanged, and that a restored
 // target keeps observing without panicking. observe feeds target its
 // i-th interval.
-func fuzzRestore[T interface {
-	Snapshot() []byte
-	Restore([]byte) error
-}](f *testing.F, fresh func() T, observe func(target T, i int)) {
+func fuzzRestore[T snap.Snapshotter](f *testing.F, fresh func() T, observe func(target T, i int)) {
 	fed := func(n int) []byte {
 		target := fresh()
 		for i := 0; i < n; i++ {
 			observe(target, i)
 		}
-		return target.Snapshot()
+		return snap.Marshal(target)
 	}
 	for _, n := range []int{0, 13, 37, 70} {
 		f.Add(fed(n))
@@ -197,11 +196,11 @@ func fuzzRestore[T interface {
 	base := fed(20)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		target := fresh()
-		if err := target.Restore(base); err != nil {
+		if err := snap.Unmarshal(target, base); err != nil {
 			t.Fatal(err)
 		}
-		if err := target.Restore(data); err != nil {
-			if !bytes.Equal(target.Snapshot(), base) {
+		if err := snap.Unmarshal(target, data); err != nil {
+			if !bytes.Equal(snap.Marshal(target), base) {
 				t.Fatalf("failed restore (%v) changed the target", err)
 			}
 			return

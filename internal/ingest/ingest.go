@@ -159,7 +159,8 @@ type shard struct {
 const (
 	opBarrier = iota + 1
 	opSnapshot
-	opRestore
+	opStage
+	opCommit
 	opInfo
 	opStop
 )
@@ -170,8 +171,9 @@ const (
 type control struct {
 	op     int
 	stream int
-	data   []byte // opRestore: encoded stream state
+	data   []byte // opStage: encoded stream state
 	out    []byte // opSnapshot: encoded stream state
+	apply  bool   // opCommit: apply the staged state, or discard it
 	info   StreamInfo
 	err    error
 	wg     *sync.WaitGroup
@@ -452,7 +454,8 @@ type stream struct {
 	pipe      *pipeline.Pipeline
 	dig       *vhash.Digest
 	intervals int
-	err       error // first verdict-hashing error
+	err       error  // first verdict-hashing error
+	staged    func() // commit of the last opStage, until its opCommit
 }
 
 func newStream(id int, build BuildFunc) (*stream, error) {
@@ -586,8 +589,13 @@ func (sh *shard) exec(c *control, states []*stream) {
 	switch c.op {
 	case opSnapshot:
 		c.out, c.err = st.snapshot()
-	case opRestore:
-		c.err = st.restore(c.data)
+	case opStage:
+		st.staged, c.err = st.stage(c.data)
+	case opCommit:
+		if c.apply {
+			st.staged()
+		}
+		st.staged = nil
 	case opInfo:
 		c.info = StreamInfo{Stream: st.id, Shard: sh.id, Intervals: st.intervals, Digest: st.dig.Sum()}
 		c.err = st.err

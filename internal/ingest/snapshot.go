@@ -14,10 +14,10 @@ import (
 // its verdict-digest sum, and its pipeline's own nested snapshot; the
 // owner adds the producer-side accepted/dropped counters.
 //
-// Both operations ride the rings in-band (one control op per stream), so
+// Both operations ride the rings in-band (control ops per stream), so
 // the captured state is exactly "after every batch pushed before the
 // call" — the same cut Drain would establish — without stopping the
-// workers.
+// workers. Restore stages every stream before any stream commits.
 
 const (
 	fleetTag  = "ingest-fleet"
@@ -38,18 +38,16 @@ func (f *Fleet) Snapshot() ([]byte, error) {
 		e.U64(f.dropped[id])
 		e.Bytes64(c.out)
 	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out, nil
+	return e.Bytes(), nil
 }
 
 // Restore loads a fleet snapshot into this fleet. The stream count must
 // match; the shard count need not (stream state is topology-independent).
 // The fleet's streams must be built from the same configuration as the
-// snapshotted ones — nested pipeline restores validate shape and reject
-// mismatches. On error the fleet may be partially restored (earlier
-// streams loaded, later ones untouched); restore into a fresh fleet to
-// keep a clean failure mode.
+// snapshotted ones — nested pipeline stages validate shape and reject
+// mismatches. Every stream's worker stages its state before any stream
+// commits, so on error the fleet, its accepted and dropped counts
+// included, is untouched.
 func (f *Fleet) Restore(data []byte) error {
 	d := snap.NewDecoder(data)
 	d.Header(fleetTag, 1)
@@ -74,14 +72,25 @@ func (f *Fleet) Restore(data []byte) error {
 		return fmt.Errorf("ingest: restore: %w", err)
 	}
 	for id := range states {
-		c := f.roundTrip(&control{op: opRestore, stream: id, data: states[id].blob})
-		if c.err != nil {
+		if c := f.roundTrip(&control{op: opStage, stream: id, data: states[id].blob}); c.err != nil {
+			f.commitStaged(id, false)
 			return fmt.Errorf("ingest: restore stream %d: %w", id, c.err)
 		}
+	}
+	f.commitStaged(n, true)
+	for id := range states {
 		f.accepted[id] = states[id].accepted
 		f.dropped[id] = states[id].dropped
 	}
 	return nil
+}
+
+// commitStaged applies, or discards, the staged restores of streams
+// [0, n).
+func (f *Fleet) commitStaged(n int, apply bool) {
+	for id := 0; id < n; id++ {
+		f.roundTrip(&control{op: opCommit, stream: id, apply: apply})
+	}
 }
 
 // snapshot encodes one stream's worker-side state. Worker goroutine only.
@@ -98,29 +107,29 @@ func (st *stream) snapshot() ([]byte, error) {
 	e.Int(st.intervals)
 	e.U64(st.dig.Sum())
 	e.Bytes64(pb)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out, nil
+	return e.Bytes(), nil
 }
 
-// restore loads one stream's worker-side state. Worker goroutine only.
-func (st *stream) restore(data []byte) error {
+// stage decodes and checks one stream's worker-side state, its pipeline's
+// included, and returns the commit that applies it. Worker goroutine
+// only.
+func (st *stream) stage(data []byte) (func(), error) {
 	d := snap.NewDecoder(data)
 	d.Header(streamTag, 1)
 	intervals := d.Int()
 	sum := d.U64()
 	pb := d.Bytes64()
-	if err := d.Err(); err != nil {
-		return err
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("%d trailing bytes after stream state", d.Remaining())
+	commitPipe, err := st.pipe.Stage(pb)
+	if err != nil {
+		return nil, err
 	}
-	if err := st.pipe.Restore(pb); err != nil {
-		return err
-	}
-	st.intervals = intervals
-	st.dig = vhash.Resume(sum)
-	st.err = nil
-	return nil
+	return func() {
+		commitPipe()
+		st.intervals = intervals
+		st.dig = vhash.Resume(sum)
+		st.err = nil
+	}, nil
 }

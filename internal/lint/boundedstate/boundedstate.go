@@ -23,7 +23,7 @@
 //   - //lint:allow boundedstate on a function's doc comment: the walk
 //     neither checks nor traverses it (declared cold or bounded-by-design
 //     sub-paths, mirroring hotpath's convention);
-//   - Snapshot/Restore/AppendSnapshot/RestoreSnapshot are cold by
+//   - Snapshot/Restore/AppendSnapshot/StageSnapshot are cold by
 //     contract and never traversed — restore legitimately rebuilds state
 //     slices.
 package boundedstate
@@ -54,10 +54,10 @@ var rootNames = map[string]bool{
 // coldNames are checkpointing methods, cold by contract: restore
 // legitimately rebuilds state slices.
 var coldNames = map[string]bool{
-	"Snapshot":        true,
-	"Restore":         true,
-	"AppendSnapshot":  true,
-	"RestoreSnapshot": true,
+	"Snapshot":       true,
+	"Restore":        true,
+	"AppendSnapshot": true,
+	"StageSnapshot":  true,
 }
 
 // stateField describes a slice or map field in some detector's state

@@ -29,8 +29,8 @@ func (d *D) rebuild(x int) {
 	d.hist = append(d.hist, x)
 }
 
-// RestoreSnapshot legitimately rebuilds state: cold by contract.
-func (d *D) RestoreSnapshot(xs []int) {
+// StageSnapshot legitimately rebuilds state: cold by contract.
+func (d *D) StageSnapshot(xs []int) {
 	d.hist = append(d.hist[:0], xs...)
 	for i, x := range xs {
 		d.idx[i] = x

@@ -32,7 +32,7 @@
 //     declared cold sub-path (e.g. region formation, which runs only when
 //     the UCR trips the threshold): it is neither checked nor traversed;
 //   - checkpointing methods — Snapshot, Restore, AppendSnapshot,
-//     RestoreSnapshot — are cold by contract (they run at checkpoint
+//     StageSnapshot — are cold by contract (they run at checkpoint
 //     boundaries, never per interval) and the walk stops at them without
 //     an annotation.
 //
@@ -60,15 +60,15 @@ var rootNames = map[string]bool{
 }
 
 // coldNames are checkpointing methods that are cold by contract: a
-// Snapshot/Restore pair (and the nested AppendSnapshot/RestoreSnapshot of
-// the pipeline's Snapshotter interface) runs at checkpoint boundaries,
-// never per interval, so reaching one from a hot-path method does not put
-// its body on the hot path.
+// Snapshot/Restore pair (and the nested AppendSnapshot/StageSnapshot of
+// snap.Snapshotter) runs at checkpoint boundaries, never per interval,
+// so reaching one from a hot-path method does not put its body on the
+// hot path.
 var coldNames = map[string]bool{
-	"Snapshot":        true,
-	"Restore":         true,
-	"AppendSnapshot":  true,
-	"RestoreSnapshot": true,
+	"Snapshot":       true,
+	"Restore":        true,
+	"AppendSnapshot": true,
+	"StageSnapshot":  true,
 }
 
 // Analyzer is the hotpath check.

@@ -1,6 +1,6 @@
 // Package snapshotsafe turns the snapshot fork-equality tests into a
 // compile-time completeness check: every type that participates in the
-// checkpoint contract — it implements AppendSnapshot/RestoreSnapshot or
+// checkpoint contract — it implements AppendSnapshot/StageSnapshot or
 // Snapshot/Restore, or its declaration is marked //lint:snapshot — must
 // account for every struct field. A field is accounted for when it is
 // referenced on both the encode path and the decode path (the method body
@@ -11,7 +11,7 @@
 // vary between fork and original, while this check fires on every build.
 //
 // Also reported: asymmetric pairs (a type with AppendSnapshot but no
-// RestoreSnapshot, or Snapshot without Restore) — half a checkpoint
+// StageSnapshot, or Snapshot without Restore) — half a checkpoint
 // contract is a restore that silently loses state.
 //
 // Types marked //lint:snapshot without their own method pair (plain data
@@ -43,7 +43,7 @@ var Analyzer = &analysis.Analyzer{
 // pairNames lists each encode method with its decode partner, in the
 // order the checks run.
 var pairNames = [...]struct{ enc, dec string }{
-	{"AppendSnapshot", "RestoreSnapshot"},
+	{"AppendSnapshot", "StageSnapshot"},
 	{"Snapshot", "Restore"},
 }
 

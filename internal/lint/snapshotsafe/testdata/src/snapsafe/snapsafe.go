@@ -3,7 +3,7 @@
 // pairs, and //lint:snapshot types serialized by an owner.
 package snapsafe
 
-// Det has a complete AppendSnapshot/RestoreSnapshot pair with one field
+// Det has a complete AppendSnapshot/StageSnapshot pair with one field
 // deliberately dropped from each path.
 type Det struct {
 	n       int
@@ -25,10 +25,15 @@ func (d *Det) appendTotal(buf []byte) []byte {
 	return append(buf, byte(d.total))
 }
 
-func (d *Det) RestoreSnapshot(buf []byte) {
-	d.n = int(buf[0])
-	d.total = int(buf[1])
-	d.decOnly = int(buf[2])
+// StageSnapshot assigns the fields inside the commit it returns: fields
+// referenced in a function literal count as restored.
+func (d *Det) StageSnapshot(buf []byte) func() {
+	n, total := int(buf[0]), int(buf[1])
+	return func() {
+		d.n = n
+		d.total = total
+		d.decOnly = int(buf[2])
+	}
 }
 
 // Half has only one side of the contract.
@@ -36,7 +41,7 @@ type Half struct {
 	x int
 }
 
-func (h *Half) AppendSnapshot(buf []byte) []byte { // want "snapsafe.Half has AppendSnapshot but no RestoreSnapshot"
+func (h *Half) AppendSnapshot(buf []byte) []byte { // want "snapsafe.Half has AppendSnapshot but no StageSnapshot"
 	return append(buf, byte(h.x))
 }
 
@@ -61,7 +66,7 @@ func (o *Owner) AppendSnapshot(buf []byte) []byte {
 	return buf
 }
 
-func (o *Owner) RestoreSnapshot(buf []byte) {
+func (o *Owner) StageSnapshot(buf []byte) {
 	o.recs = append(o.recs[:0], Rec{a: int(buf[0])})
 }
 

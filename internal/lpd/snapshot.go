@@ -9,7 +9,7 @@ import (
 // Detector checkpointing. A snapshot captures exactly the mutable
 // observation state — the reference histogram, the Figure 12 state machine
 // position, the last similarity value and the interval counters — and none
-// of the configuration: Restore targets a detector constructed with the
+// of the configuration: a restore targets a detector constructed with the
 // same Config and region size, and a resumed detector then produces a
 // byte-identical verdict stream for the same subsequent inputs. The lastR
 // float is stored as exact IEEE bits because empty intervals re-report it
@@ -30,18 +30,12 @@ func (d *Detector) AppendSnapshot(e *snap.Encoder) {
 	e.Int(d.total)
 }
 
-// RestoreSnapshot decodes state written by AppendSnapshot into d. The
+// StageSnapshot decodes and checks state written by AppendSnapshot and
+// returns a commit that applies it; d is untouched until then. The
 // snapshot must come from a detector of the same region size; a mismatch
 // means the caller is restoring into a differently built region and is
-// rejected. On error d is left as it was.
-func (d *Detector) RestoreSnapshot(dec *snap.Decoder) error {
-	return d.restore(dec, dec.Err)
-}
-
-// restore decodes and checks a snapshot, committing it only once done
-// (the decoder's Err, or Finish for a standalone snapshot) reports
-// success.
-func (d *Detector) restore(dec *snap.Decoder, done func() error) error {
+// rejected.
+func (d *Detector) StageSnapshot(dec *snap.Decoder) (func(), error) {
 	dec.Header(snapshotTag, 1)
 	n := dec.Int()
 	hasRef := dec.Bool()
@@ -51,50 +45,34 @@ func (d *Detector) restore(dec *snap.Decoder, done func() error) error {
 	changes := dec.Int()
 	stable := dec.Int()
 	total := dec.Int()
-	if err := done(); err != nil {
-		return err
+	if err := dec.Err(); err != nil {
+		return nil, err
 	}
 	if n != d.n {
-		return fmt.Errorf("lpd: snapshot is for a %d-instruction region, detector has %d", n, d.n)
+		return nil, fmt.Errorf("lpd: snapshot is for a %d-instruction region, detector has %d", n, d.n)
 	}
 	if len(ref) != d.n {
-		return fmt.Errorf("lpd: snapshot reference has %d entries, want %d", len(ref), d.n)
+		return nil, fmt.Errorf("lpd: snapshot reference has %d entries, want %d", len(ref), d.n)
 	}
 	switch state {
 	case Unstable, LessUnstable, Stable:
 	default:
-		return fmt.Errorf("lpd: snapshot has invalid state %d", int(state))
+		return nil, fmt.Errorf("lpd: snapshot has invalid state %d", int(state))
 	}
-	copy(d.ref, ref)
-	d.hasRef = hasRef
-	if d.pref != nil && hasRef {
-		// Rebuild the Pearson moment cache from the restored reference;
-		// the conversion is deterministic, so the resumed detector's r
-		// values stay bit-identical to the uninterrupted run's.
-		d.pref.Set(d.ref)
-	}
-	d.state = state
-	d.lastR = lastR
-	d.changes = changes
-	d.stable = stable
-	d.total = total
-	return nil
-}
-
-// Snapshot returns the detector's state as a standalone versioned byte
-// snapshot.
-func (d *Detector) Snapshot() []byte {
-	e := snap.NewEncoder()
-	d.AppendSnapshot(e)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-// Restore replaces the detector's state from a Snapshot produced by a
-// detector with the same configuration and region size. Trailing bytes
-// are an error, and on any error d is left as it was.
-func (d *Detector) Restore(data []byte) error {
-	dec := snap.NewDecoder(data)
-	return d.restore(dec, dec.Finish)
+	return func() {
+		copy(d.ref, ref)
+		d.hasRef = hasRef
+		if d.pref != nil && hasRef {
+			// Rebuild the Pearson moment cache from the restored
+			// reference; the conversion is deterministic, so the resumed
+			// detector's r values stay bit-identical to the uninterrupted
+			// run's.
+			d.pref.Set(d.ref)
+		}
+		d.state = state
+		d.lastR = lastR
+		d.changes = changes
+		d.stable = stable
+		d.total = total
+	}, nil
 }

@@ -53,14 +53,14 @@ func TestSnapshotForkEquality(t *testing.T) {
 			ref.Observe(stream[i])
 			forked.Observe(stream[i])
 		}
-		snapBytes := forked.Snapshot()
+		snapBytes := snap.Marshal(forked)
 
 		restored := MustNew(n, DefaultConfig())
-		if err := restored.Restore(snapBytes); err != nil {
+		if err := snap.Unmarshal(restored, snapBytes); err != nil {
 			t.Fatalf("fork at %d: Restore: %v", at, err)
 		}
 		// The restored detector re-snapshots to identical bytes.
-		if string(restored.Snapshot()) != string(snapBytes) {
+		if string(snap.Marshal(restored)) != string(snapBytes) {
 			t.Fatalf("fork at %d: restored detector snapshots to different bytes", at)
 		}
 
@@ -84,7 +84,7 @@ func TestSnapshotForkEquality(t *testing.T) {
 func TestSnapshotSizeMismatch(t *testing.T) {
 	d := MustNew(8, DefaultConfig())
 	d.Observe(make([]int64, 8))
-	if err := MustNew(16, DefaultConfig()).Restore(d.Snapshot()); err == nil {
+	if err := snap.Unmarshal(MustNew(16, DefaultConfig()), snap.Marshal(d)); err == nil {
 		t.Fatal("expected region-size mismatch error")
 	}
 }
@@ -101,10 +101,10 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 	e.Int(0)
 	e.Int(0)
 	e.Int(0)
-	if err := d.Restore(e.Bytes()); err == nil {
+	if err := snap.Unmarshal(d, e.Bytes()); err == nil {
 		t.Fatal("expected invalid-state error")
 	}
-	if err := d.Restore([]byte{1, 2, 3}); err == nil {
+	if err := snap.Unmarshal(d, []byte{1, 2, 3}); err == nil {
 		t.Fatal("expected decode error on garbage")
 	}
 }
@@ -122,15 +122,15 @@ func TestRestoreFailureLeavesDetectorUntouched(t *testing.T) {
 		}
 		return d
 	}
-	src := fed(47).Snapshot()
+	src := snap.Marshal(fed(47))
 	d := fed(25)
-	before := d.Snapshot()
+	before := snap.Marshal(d)
 	check := func(name string, data []byte) {
 		t.Helper()
-		if err := d.Restore(data); err == nil {
+		if err := snap.Unmarshal(d, data); err == nil {
 			t.Fatalf("%s: restore accepted", name)
 		}
-		if !bytes.Equal(d.Snapshot(), before) {
+		if !bytes.Equal(snap.Marshal(d), before) {
 			t.Fatalf("%s: failed restore changed the detector", name)
 		}
 	}
@@ -154,21 +154,21 @@ func FuzzDetectorRestore(f *testing.F) {
 		return d
 	}
 	for _, k := range []int{0, 13, 47, 120} {
-		f.Add(fed(k).Snapshot())
+		f.Add(snap.Marshal(fed(k)))
 	}
-	src := fed(47).Snapshot()
+	src := snap.Marshal(fed(47))
 	for _, cut := range []int{len(src) / 3, len(src) / 2, len(src) - 1} {
 		f.Add(src[:cut])
 	}
 	f.Add(append(append([]byte(nil), src...), 0))
-	target := fed(25).Snapshot()
+	target := snap.Marshal(fed(25))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := MustNew(n, DefaultConfig())
-		if err := d.Restore(target); err != nil {
+		if err := snap.Unmarshal(d, target); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Restore(data); err != nil {
-			if !bytes.Equal(d.Snapshot(), target) {
+		if err := snap.Unmarshal(d, data); err != nil {
+			if !bytes.Equal(snap.Marshal(d), target) {
 				t.Fatalf("failed restore (%v) changed the detector", err)
 			}
 			return

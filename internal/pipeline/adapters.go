@@ -33,8 +33,8 @@ const (
 //lint:single-owner
 type GPD struct {
 	det  *gpd.Detector
-	name string //lint:config -- fixed at construction
-	last gpd.Verdict
+	name string      //lint:config -- fixed at construction
+	last gpd.Verdict //lint:config -- payload storage; the next interval overwrites it
 }
 
 // NewGPD wraps det under the default name.
@@ -51,9 +51,6 @@ func (g *GPD) Name() string { return g.name }
 
 // Detector exposes the wrapped centroid detector.
 func (g *GPD) Detector() *gpd.Detector { return g.det }
-
-// Last returns the most recent verdict (zero before the first interval).
-func (g *GPD) Last() gpd.Verdict { return g.last }
 
 // ObserveInterval implements PhaseDetector.
 func (g *GPD) ObserveInterval(ov *hpm.Overflow) Verdict {
@@ -100,10 +97,6 @@ func (r *RegionMonitor) Name() string { return r.name }
 
 // Monitor exposes the wrapped region monitor.
 func (r *RegionMonitor) Monitor() *region.Monitor { return r.mon }
-
-// Last returns the most recent report (shares storage with the payload;
-// valid until the next interval).
-func (r *RegionMonitor) Last() *region.Report { return &r.last }
 
 // WeightedStableFraction returns the whole-run sample-weighted share of
 // monitored samples that landed in locally stable regions — the
@@ -157,8 +150,7 @@ func (r *RegionMonitor) ObserveInterval(ov *hpm.Overflow) Verdict {
 // altDetector is the shared shape of the Section 4 related-work schemes.
 type altDetector interface {
 	Observe(ov *hpm.Overflow) altdetect.Verdict
-	AppendSnapshot(e *snap.Encoder)
-	RestoreSnapshot(d *snap.Decoder) error
+	snap.Snapshotter
 }
 
 // Alt adapts either Section 4 related-work scheme (basic-block vectors or
@@ -169,8 +161,8 @@ type altDetector interface {
 //lint:single-owner
 type Alt struct {
 	det  altDetector
-	name string //lint:config -- fixed at construction
-	last altdetect.Verdict
+	name string            //lint:config -- fixed at construction
+	last altdetect.Verdict //lint:config -- payload storage; the next interval overwrites it
 }
 
 // NewBBV wraps a basic-block-vector detector under the default name.
@@ -184,9 +176,6 @@ func NewWorkingSet(det *altdetect.WorkingSet) *Alt {
 
 // Name implements PhaseDetector.
 func (a *Alt) Name() string { return a.name }
-
-// Last returns the most recent verdict.
-func (a *Alt) Last() altdetect.Verdict { return a.last }
 
 // ObserveInterval implements PhaseDetector.
 func (a *Alt) ObserveInterval(ov *hpm.Overflow) Verdict {
@@ -209,7 +198,7 @@ type Perf struct {
 	tr     *gpd.PerfTracker
 	name   string                      //lint:config -- fixed at construction
 	metric func(*hpm.Overflow) float64 //lint:config -- fixed at construction
-	last   gpd.PerfVerdict
+	last   gpd.PerfVerdict             //lint:config -- payload storage; the next interval overwrites it
 }
 
 // NewCPI wraps tr over the interval CPI metric.
@@ -252,7 +241,7 @@ type ChangePoint struct {
 	det    *changepoint.Detector
 	name   string                      //lint:config -- fixed at construction
 	metric func(*hpm.Overflow) float64 //lint:config -- fixed at construction
-	last   changepoint.Verdict
+	last   changepoint.Verdict         //lint:config -- payload storage; the next interval overwrites it
 }
 
 // NewChangePoint wraps det over the interval CPI metric under the
@@ -272,9 +261,6 @@ func (c *ChangePoint) Name() string { return c.name }
 
 // Detector exposes the wrapped change-point detector.
 func (c *ChangePoint) Detector() *changepoint.Detector { return c.det }
-
-// Last returns the most recent verdict (zero before the first interval).
-func (c *ChangePoint) Last() changepoint.Verdict { return c.last }
 
 // ObserveInterval implements PhaseDetector.
 func (c *ChangePoint) ObserveInterval(ov *hpm.Overflow) Verdict {

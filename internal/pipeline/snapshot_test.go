@@ -2,11 +2,14 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"regionmon/internal/gpd"
 	"regionmon/internal/hpm"
 	"regionmon/internal/isa"
+	"regionmon/internal/snap"
 )
 
 // pipeStream fabricates a deterministic overflow for interval i that
@@ -35,7 +38,7 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 	const total, cut = 90, 37
 
 	// Reference: uninterrupted run over the full stream.
-	ref, _, _, _, _ := fullPipeline(t, prog)
+	ref, _, refRegions, _, _ := fullPipeline(t, prog)
 	var refV [][]Verdict
 	ref.AddObserver(func(rep *IntervalReport) { refV = append(refV, commonVerdicts(rep)) })
 	for i := 0; i < total; i++ {
@@ -61,7 +64,7 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 
 	// Fork: a fresh identically configured pipeline restored from the
 	// snapshot must replay the rest of the stream identically.
-	fork, _, _, _, _ := fullPipeline(t, prog)
+	fork, _, forkRegions, _, _ := fullPipeline(t, prog)
 	if err := fork.Restore(s1); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -99,6 +102,12 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 		t.Fatal("fork state diverged from uninterrupted reference")
 	}
 
+	// The region adapter's whole-run weighted accumulators steer no
+	// verdict, so only a direct comparison sees them lost.
+	if got, want := forkRegions.WeightedStableFraction(), refRegions.WeightedStableFraction(); got != want {
+		t.Errorf("fork WeightedStableFraction = %v; want %v", got, want)
+	}
+
 	// Aggregate stats must survive the round trip too.
 	for _, d := range fork.Detectors() {
 		if got, want := fork.Stats(d.Name()), ref.Stats(d.Name()); got != want {
@@ -129,4 +138,116 @@ func TestPipelineRestoreRejectsMismatch(t *testing.T) {
 	if err := pipe.Restore([]byte("not a snapshot")); err == nil {
 		t.Error("Restore accepted garbage")
 	}
+}
+
+// fedPipeline returns the full five-detector pipeline after the first n
+// intervals of pipeStream, with its region adapter.
+func fedPipeline(t testing.TB, n int) (*Pipeline, *RegionMonitor) {
+	t.Helper()
+	prog, l1, l2 := testProgram(t)
+	p, _, ra, _, _ := fullPipeline(t, prog)
+	for i := 0; i < n; i++ {
+		p.ProcessOverflow(pipeStream(i, l1, l2))
+	}
+	return p, ra
+}
+
+func mustSnapshot(t testing.TB, p *Pipeline) []byte {
+	t.Helper()
+	b, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkRestoreFailures requires restore to reject src with a trailing
+// byte and every truncation of src, and requires each failure to leave
+// snapshot's bytes unchanged.
+func checkRestoreFailures(t *testing.T, src []byte, snapshot func() []byte, restore func([]byte) error) {
+	t.Helper()
+	before := snapshot()
+	check := func(name string, data []byte) {
+		t.Helper()
+		if err := restore(data); err == nil {
+			t.Fatalf("%s: restore accepted", name)
+		}
+		if !bytes.Equal(snapshot(), before) {
+			t.Fatalf("%s: failed restore changed the target", name)
+		}
+	}
+	check("trailing byte", append(append([]byte(nil), src...), 0))
+	for cut := 0; cut < len(src); cut++ {
+		check(fmt.Sprintf("cut at %d of %d", cut, len(src)), src[:cut])
+	}
+}
+
+// TestRegionAdapterRestoreFailureLeavesAdapterUntouched: the region
+// adapter stages its monitor and its own accumulators together. Before,
+// it restored the monitor first, so a cut in the accumulators or a
+// trailing byte left the monitor overwritten.
+func TestRegionAdapterRestoreFailureLeavesAdapterUntouched(t *testing.T) {
+	_, src := fedPipeline(t, 57)
+	_, ra := fedPipeline(t, 23)
+	checkRestoreFailures(t, snap.Marshal(src),
+		func() []byte { return snap.Marshal(ra) },
+		func(data []byte) error { return snap.Unmarshal(ra, data) })
+}
+
+// TestPipelineRestoreFailureLeavesPipelineUntouched: a pipeline stages
+// every detector before any commits. Before, each detector committed as
+// it was decoded, so a cut in the last detector left the first four
+// overwritten.
+func TestPipelineRestoreFailureLeavesPipelineUntouched(t *testing.T) {
+	src, _ := fedPipeline(t, 57)
+	data := mustSnapshot(t, src)
+	p, _ := fedPipeline(t, 23)
+	before := mustSnapshot(t, p)
+	checkRestoreFailures(t, data, func() []byte { return mustSnapshot(t, p) }, p.Restore)
+
+	// The forged child: the outer frame, every name and counter, and the
+	// first four detectors are valid; the last detector's bytes are one
+	// short.
+	last := p.Detectors()[len(p.Detectors())-1].Name()
+	err := p.Restore(data[:len(data)-1])
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("restoring detector %q", last)) {
+		t.Fatalf("forged last detector: restore error %v, want it to name detector %q", err, last)
+	}
+	if !bytes.Equal(mustSnapshot(t, p), before) {
+		t.Fatal("forged last detector: failed restore changed the pipeline")
+	}
+}
+
+// FuzzPipelineRestore: Restore never panics, a failed restore leaves the
+// pipeline's snapshot bytes unchanged, and a restored pipeline keeps
+// processing intervals.
+func FuzzPipelineRestore(f *testing.F) {
+	for _, n := range []int{0, 23, 57, 90} {
+		p, _ := fedPipeline(f, n)
+		f.Add(mustSnapshot(f, p))
+	}
+	p, _ := fedPipeline(f, 57)
+	src := mustSnapshot(f, p)
+	for _, cut := range []int{len(src) / 3, len(src) / 2, len(src) - 1} {
+		f.Add(src[:cut])
+	}
+	f.Add(append(append([]byte(nil), src...), 0))
+	base, _ := fedPipeline(f, 23)
+	target := mustSnapshot(f, base)
+	prog, l1, l2 := testProgram(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, _, _, _, _ := fullPipeline(t, prog)
+		if err := p.Restore(target); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Restore(data); err != nil {
+			if !bytes.Equal(mustSnapshot(t, p), target) {
+				t.Fatalf("failed restore (%v) changed the pipeline", err)
+			}
+			return
+		}
+		for i := 23; i < 60; i++ {
+			p.ProcessOverflow(pipeStream(i, l1, l2))
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"regionmon/internal/hpm"
 	"regionmon/internal/isa"
+	"regionmon/internal/snap"
 )
 
 // TestNewRegionSurvivesQuietFormationInterval is the regression test for
@@ -248,20 +249,32 @@ func TestMonitorSnapshotForkEquality(t *testing.T) {
 			}
 		}
 
-		s1, s2 := forked.Snapshot(), forked.Snapshot()
+		s1, s2 := snap.Marshal(forked), snap.Marshal(forked)
 		if string(s1) != string(s2) {
 			t.Fatalf("fork at %d: monitor snapshot is not deterministic", at)
 		}
 
 		restored := newMonitor(t, prog, mut)
-		if err := restored.Restore(s1); err != nil {
+		if err := snap.Unmarshal(restored, s1); err != nil {
 			t.Fatalf("fork at %d: Restore: %v", at, err)
 		}
-		if string(restored.Snapshot()) != string(s1) {
+		if string(snap.Marshal(restored)) != string(s1) {
 			t.Fatalf("fork at %d: restored monitor snapshots to different bytes", at)
 		}
 		if restored.UCRMedian() != ref.UCRMedian() || restored.UCRDropped() != ref.UCRDropped() {
 			t.Fatalf("fork at %d: restored UCR history differs", at)
+		}
+		// FormedAt steers no verdict after the formation interval, so only
+		// a direct comparison sees it lost.
+		got, want := restored.Regions(), ref.Regions()
+		if len(got) != len(want) {
+			t.Fatalf("fork at %d: restored %d regions, reference has %d", at, len(got), len(want))
+		}
+		for i, r := range got {
+			if r.ID != want[i].ID || r.FormedAt != want[i].FormedAt {
+				t.Fatalf("fork at %d: restored region %d formed at %d, reference region %d at %d",
+					at, r.ID, r.FormedAt, want[i].ID, want[i].FormedAt)
+			}
 		}
 
 		for i := at; i < total; i++ {
@@ -284,11 +297,11 @@ func TestMonitorRestoreRejectsMismatch(t *testing.T) {
 	prog, l1, _ := testProgram(t)
 	m := newMonitor(t, prog, func(c *Config) { c.UCRHistoryCap = 8 })
 	m.ProcessOverflow(overflow(0, 64, spanPCs(l1, 8)...))
-	snapBytes := m.Snapshot()
+	snapBytes := snap.Marshal(m)
 
 	// Different history capacity → reject.
 	other := newMonitor(t, prog, func(c *Config) { c.UCRHistoryCap = 16 })
-	if err := other.Restore(snapBytes); err == nil {
+	if err := snap.Unmarshal(other, snapBytes); err == nil {
 		t.Error("expected history-capacity mismatch error")
 	}
 	// The failed restore left the monitor usable and empty.
@@ -296,7 +309,7 @@ func TestMonitorRestoreRejectsMismatch(t *testing.T) {
 		t.Error("failed restore mutated the monitor")
 	}
 
-	if err := m.Restore([]byte("not a snapshot")); err == nil {
+	if err := snap.Unmarshal(m, []byte("not a snapshot")); err == nil {
 		t.Error("expected decode error on garbage")
 	}
 }

@@ -4,7 +4,7 @@ package region
 // stabs the epoch snapshot once per distinct PC; the oracle does the same
 // job the slow, obvious way — every sample tested against every monitored
 // region with Region.Contains — and the tests below compare the two on
-// every interval of a stream. distribute runs on a Snapshot/Restore fork
+// every interval of a stream. distribute runs on a snapshot/restore fork
 // of the monitor, so the monitor itself advances only through
 // ProcessOverflow, and each comparison starts from the region set,
 // histograms and counters the stream has built up so far.
@@ -17,6 +17,7 @@ import (
 	"regionmon/internal/hpm"
 	"regionmon/internal/isa"
 	"regionmon/internal/sim"
+	"regionmon/internal/snap"
 	"regionmon/internal/workload"
 )
 
@@ -78,7 +79,7 @@ func checkDistribute(t *testing.T, m *Monitor, ov *hpm.Overflow) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fork.Restore(m.Snapshot()); err != nil {
+	if err := snap.Unmarshal(fork, snap.Marshal(m)); err != nil {
 		t.Fatalf("interval %d: fork: %v", ov.Seq, err)
 	}
 	want := oracleDistribute(m.Regions(), ov)

@@ -149,8 +149,10 @@ type Region struct {
 	// formed.
 	FormedAt int
 
-	curr         []int64
-	intervalHits int
+	// curr and intervalHits accumulate one interval; ProcessOverflow
+	// zeroes both before it returns, so a snapshot has nothing to store.
+	curr         []int64 //lint:config -- zero between intervals; restore allocates it zeroed
+	intervalHits int     //lint:config -- zero between intervals
 	totalSamples int64
 	idleFor      int
 }
@@ -291,21 +293,15 @@ func NewMonitor(prog *isa.Program, cfg Config) (*Monitor, error) {
 		index:     interval.NewEpoch(),
 		loopCount: make(map[*isa.Loop]int),
 	}
-	m.ucr = m.newUCRSeries()
-	return m, nil
-}
-
-// newUCRSeries builds the UCR-fraction history configured by
-// Config.UCRHistoryCap (also used to stage a fresh series during Restore).
-func (m *Monitor) newUCRSeries() *stats.Series {
-	switch m.cfg.UCRHistoryCap {
+	switch cfg.UCRHistoryCap {
 	case RetainAllHistory:
-		return stats.NewUnboundedSeries()
+		m.ucr = stats.NewUnboundedSeries()
 	case 0:
-		return stats.NewSeries(DefaultUCRHistoryCap)
+		m.ucr = stats.NewSeries(DefaultUCRHistoryCap)
 	default:
-		return stats.NewSeries(m.cfg.UCRHistoryCap)
+		m.ucr = stats.NewSeries(cfg.UCRHistoryCap)
 	}
+	return m, nil
 }
 
 // Regions returns the monitored regions in ID order.

@@ -3,6 +3,7 @@ package region
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"regionmon/internal/hpm"
@@ -32,28 +33,42 @@ func fedMonitor(t testing.TB, n int) (*Monitor, []*hpm.Overflow) {
 	return m, stream
 }
 
-// badMonitorSnapshots returns snapshots Restore must reject: a real
+// badSnapshot is a forged snapshot and a fragment of the error restoring
+// it must give.
+type badSnapshot struct {
+	name, err string
+	data      []byte
+}
+
+// badMonitorSnapshots returns snapshots a restore must reject: a real
 // mid-stream snapshot followed by a stray byte, one whose header,
 // counters and UCR history are valid but whose region count is 1<<62,
-// and one whose first region ends one byte into an instruction.
-func badMonitorSnapshots(t testing.TB) map[string][]byte {
+// one whose first region ends one byte into an instruction, and one whose
+// first region spans 1<<40 instructions, which would otherwise size that
+// region's detector. Each carries the current header, so only its own
+// defect can reject it.
+func badMonitorSnapshots(t testing.TB) []badSnapshot {
 	t.Helper()
 	m, _ := fedMonitor(t, 57)
-	src := m.Snapshot()
+	src := snap.Marshal(m)
 	e := snap.NewEncoder()
-	e.Header(monitorTag, 1)
+	e.Header(monitorTag, 2)
 	e.Int(m.seq)
 	e.Int(m.nextID)
 	m.ucr.AppendSnapshot(e)
 	e.Int(1 << 62)
 	r := m.Regions()[0]
+	end := r.End
 	r.End++
-	partial := m.Snapshot()
-	r.End--
-	return map[string][]byte{
-		"trailing byte":       append(append([]byte(nil), src...), 0),
-		"region count 1<<62":  e.Bytes(),
-		"partial instruction": partial,
+	partial := snap.Marshal(m)
+	r.End = r.Start + 1<<42
+	long := snap.Marshal(m)
+	r.End = end
+	return []badSnapshot{
+		{"trailing byte", "trailing bytes", append(append([]byte(nil), src...), 0)},
+		{"region count 1<<62", "length 4611686018427387904 exceeds remaining input", e.Bytes()},
+		{"partial instruction", "not a whole number of instructions", partial},
+		{"span of 1<<40 instructions", "longer than the remaining input", long},
 	}
 }
 
@@ -66,23 +81,27 @@ func badMonitorSnapshots(t testing.TB) map[string][]byte {
 // its histogram.
 func TestMonitorRestoreFailureLeavesMonitorUntouched(t *testing.T) {
 	src, _ := fedMonitor(t, 57)
-	data := src.Snapshot()
+	data := snap.Marshal(src)
 	m, _ := fedMonitor(t, 30)
-	before := m.Snapshot()
-	check := func(name string, data []byte) {
+	before := snap.Marshal(m)
+	check := func(name, wantErr string, data []byte) {
 		t.Helper()
-		if err := m.Restore(data); err == nil {
+		err := snap.Unmarshal(m, data)
+		if err == nil {
 			t.Fatalf("%s: restore accepted", name)
 		}
-		if !bytes.Equal(m.Snapshot(), before) {
+		if !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("%s: restore error %q, want it to mention %q", name, err, wantErr)
+		}
+		if !bytes.Equal(snap.Marshal(m), before) {
 			t.Fatalf("%s: failed restore changed the monitor", name)
 		}
 	}
-	for name, data := range badMonitorSnapshots(t) {
-		check(name, data)
+	for _, bad := range badMonitorSnapshots(t) {
+		check(bad.name, bad.err, bad.data)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		check(fmt.Sprintf("cut at %d of %d", cut, len(data)), data[:cut])
+		check(fmt.Sprintf("cut at %d of %d", cut, len(data)), "", data[:cut])
 	}
 }
 
@@ -93,20 +112,20 @@ func TestMonitorRestoreFailureLeavesMonitorUntouched(t *testing.T) {
 func FuzzMonitorRestore(f *testing.F) {
 	for _, n := range []int{0, 12, 57, 140} {
 		m, _ := fedMonitor(f, n)
-		f.Add(m.Snapshot())
+		f.Add(snap.Marshal(m))
 	}
 	m, _ := fedMonitor(f, 57)
-	src := m.Snapshot()
+	src := snap.Marshal(m)
 	for _, cut := range []int{len(src) / 3, len(src) / 2, len(src) - 8} {
 		f.Add(src[:cut])
 	}
-	for _, data := range badMonitorSnapshots(f) {
-		f.Add(data)
+	for _, bad := range badMonitorSnapshots(f) {
+		f.Add(bad.data)
 	}
 	// Each input is restored into a copy of one mid-stream monitor, built
 	// once here so that an execution costs a few restores, not a replay.
 	base, stream := fedMonitor(f, 30)
-	target := base.Snapshot()
+	target := snap.Marshal(base)
 	var every []isa.Addr
 	for pc := base.prog.Start(); pc < base.prog.End(); pc += isa.InstrBytes {
 		every = append(every, pc)
@@ -114,11 +133,11 @@ func FuzzMonitorRestore(f *testing.F) {
 	sweep := overflow(30, len(every), every...)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newMonitor(t, base.prog, snapConfig)
-		if err := m.Restore(target); err != nil {
+		if err := snap.Unmarshal(m, target); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Restore(data); err != nil {
-			if !bytes.Equal(m.Snapshot(), target) {
+		if err := snap.Unmarshal(m, data); err != nil {
+			if !bytes.Equal(snap.Marshal(m), target) {
 				t.Fatalf("failed restore (%v) changed the monitor", err)
 			}
 			return

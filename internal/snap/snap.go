@@ -1,8 +1,7 @@
 // Package snap is the byte-level substrate of the repo's detector
 // checkpointing: a small, dependency-free binary encoder/decoder pair with
-// versioned component headers. Every Snapshot()/Restore() pair in the
-// detector stack (lpd, gpd, region, pipeline, the System facade) encodes
-// through it.
+// versioned component headers, and the one restore protocol every
+// checkpointing component follows (Snapshotter).
 //
 // The format is deliberately boring: fixed-width little-endian scalars,
 // length-prefixed sequences, and a (tag, version) header per component.
@@ -15,7 +14,16 @@
 //     bit-for-bit);
 //   - versioned evolvability — each component writes its own tag and
 //     version byte, so a later revision can change one component's layout
-//     without invalidating snapshots of the others.
+//     without invalidating snapshots of the others. A decoder accepts only
+//     the exact version it was written for: a layout change bumps the
+//     version, and an older snapshot is refused rather than misparsed.
+//
+// Restore is stage then commit. StageSnapshot decodes and checks a
+// component's whole snapshot without changing the component and returns
+// a commit that applies it and cannot fail; a composite stages every
+// child before it returns its own commit. So a restore either applies
+// the whole snapshot, trailing-byte check included, or returns an error
+// with the target untouched.
 //
 // Decoding uses a sticky-error style: after any failed read every further
 // read returns the zero value, and the first error is reported by Err or
@@ -28,6 +36,38 @@ import (
 	"fmt"
 	"math"
 )
+
+// Snapshotter is a component that checkpoints. AppendSnapshot encodes
+// its mutable state. StageSnapshot decodes and checks state written by
+// AppendSnapshot of an identically configured component without changing
+// anything, and returns a commit that applies it; on error the component
+// is untouched and commit is nil.
+type Snapshotter interface {
+	AppendSnapshot(e *Encoder)
+	StageSnapshot(d *Decoder) (commit func(), err error)
+}
+
+// Marshal returns s's state as a standalone snapshot.
+func Marshal(s Snapshotter) []byte {
+	e := NewEncoder()
+	s.AppendSnapshot(e)
+	return e.Bytes()
+}
+
+// Unmarshal replaces s's state from a Marshal snapshot: it stages, checks
+// that no bytes trail, and only then commits. On error s is untouched.
+func Unmarshal(s Snapshotter, data []byte) error {
+	d := NewDecoder(data)
+	commit, err := s.StageSnapshot(d)
+	if err == nil {
+		err = d.Finish()
+	}
+	if err != nil {
+		return err
+	}
+	commit()
+	return nil
+}
 
 // Encoder appends a deterministic binary encoding to an internal buffer.
 // The zero value is ready to use.
@@ -136,7 +176,8 @@ func (d *Decoder) Err() error { return d.err }
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
 // Finish returns the sticky error, or an error if undecoded bytes remain —
-// a decoded-cleanly-to-the-end check for top-level Restore implementations.
+// the decoded-cleanly-to-the-end check a standalone snapshot must pass
+// before it commits.
 func (d *Decoder) Finish() error {
 	if d.err != nil {
 		return d.err
@@ -169,23 +210,19 @@ func (d *Decoder) take(n int) []byte {
 }
 
 // Header reads a component header written by Encoder.Header, failing on a
-// tag mismatch or a version newer than maxVersion. It returns the decoded
-// version so multi-version Restore implementations can branch.
-func (d *Decoder) Header(tag string, maxVersion uint8) uint8 {
+// tag or version mismatch.
+func (d *Decoder) Header(tag string, version uint8) {
 	got := d.String()
 	if d.err != nil {
-		return 0
+		return
 	}
 	if got != tag {
 		d.fail("component tag %q, want %q", got, tag)
-		return 0
+		return
 	}
-	v := d.U8()
-	if d.err == nil && v > maxVersion {
-		d.fail("component %q version %d newer than supported %d", tag, v, maxVersion)
-		return 0
+	if v := d.U8(); d.err == nil && v != version {
+		d.fail("component %q version %d, want %d", tag, v, version)
 	}
-	return v
 }
 
 // U8 reads one byte.

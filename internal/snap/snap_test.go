@@ -24,9 +24,7 @@ func TestRoundTrip(t *testing.T) {
 	e.Ints([]int{1, 2, 3, 4})
 
 	d := NewDecoder(e.Bytes())
-	if v := d.Header("demo", 3); v != 3 {
-		t.Fatalf("Header version = %d, want 3", v)
-	}
+	d.Header("demo", 3)
 	if got := d.U8(); got != 200 {
 		t.Errorf("U8 = %d", got)
 	}
@@ -111,6 +109,48 @@ func TestHeaderMismatch(t *testing.T) {
 	d2.Header("lpd", 1)
 	if d2.Err() == nil || !strings.Contains(d2.Err().Error(), "version") {
 		t.Fatalf("expected version error, got %v", d2.Err())
+	}
+}
+
+// TestHeaderRejectsOlderVersion: a decoder reads exactly the layout it
+// was written for, so a snapshot of an older layout is refused rather
+// than misparsed.
+func TestHeaderRejectsOlderVersion(t *testing.T) {
+	e := NewEncoder()
+	e.Header("regmon", 1)
+	d := NewDecoder(e.Bytes())
+	d.Header("regmon", 2)
+	if d.Err() == nil || !strings.Contains(d.Err().Error(), "version") {
+		t.Fatalf("expected version error for an older snapshot, got %v", d.Err())
+	}
+}
+
+// counter is a one-field Snapshotter for the Unmarshal tests.
+type counter struct{ n int }
+
+func (c *counter) AppendSnapshot(e *Encoder) { e.Int(c.n) }
+
+func (c *counter) StageSnapshot(d *Decoder) (func(), error) {
+	n := d.Int()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return func() { c.n = n }, nil
+}
+
+// TestUnmarshalCommitsOnlyWholeSnapshots: Unmarshal applies a snapshot
+// only when it decodes cleanly to its last byte.
+func TestUnmarshalCommitsOnlyWholeSnapshots(t *testing.T) {
+	data := Marshal(&counter{n: 7})
+	c := &counter{n: 1}
+	if err := Unmarshal(c, append(append([]byte(nil), data...), 0)); err == nil || c.n != 1 {
+		t.Fatalf("trailing byte: err=%v n=%d, want an error and n=1", err, c.n)
+	}
+	if err := Unmarshal(c, data[:len(data)-1]); err == nil || c.n != 1 {
+		t.Fatalf("truncated: err=%v n=%d, want an error and n=1", err, c.n)
+	}
+	if err := Unmarshal(c, data); err != nil || c.n != 7 {
+		t.Fatalf("whole snapshot: err=%v n=%d, want nil and n=7", err, c.n)
 	}
 }
 

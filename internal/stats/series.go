@@ -172,13 +172,12 @@ func (s *Series) AppendSnapshot(e *snap.Encoder) {
 	}
 }
 
-// RestoreSnapshot decodes state written by AppendSnapshot into s,
-// replacing its contents. The snapshot must match the series' mode and
-// (in bounded mode) capacity: a snapshot is a resume point for an
-// identically configured monitor, not a migration format. The whole
-// snapshot is decoded and checked before s changes, so on error s is
-// left as it was.
-func (s *Series) RestoreSnapshot(d *snap.Decoder) error {
+// StageSnapshot decodes and checks state written by AppendSnapshot and
+// returns a commit that replaces s's contents with it; s is untouched
+// until then. The snapshot must match the series' mode and (in bounded
+// mode) capacity: a snapshot is a resume point for an identically
+// configured monitor, not a migration format.
+func (s *Series) StageSnapshot(d *snap.Decoder) (func(), error) {
 	d.Header(seriesTag, 1)
 	unbounded := d.Bool()
 	capa := d.Int()
@@ -186,33 +185,34 @@ func (s *Series) RestoreSnapshot(d *snap.Decoder) error {
 	sum := d.F64()
 	vals := d.F64s()
 	if err := d.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	n := len(vals)
 	if unbounded != s.unbounded {
-		return fmt.Errorf("stats: series snapshot mode mismatch (snapshot unbounded=%v, series unbounded=%v)", unbounded, s.unbounded)
+		return nil, fmt.Errorf("stats: series snapshot mode mismatch (snapshot unbounded=%v, series unbounded=%v)", unbounded, s.unbounded)
 	}
 	if !s.unbounded {
 		if capa != len(s.buf) {
-			return fmt.Errorf("stats: series snapshot capacity %d, series capacity %d", capa, len(s.buf))
+			return nil, fmt.Errorf("stats: series snapshot capacity %d, series capacity %d", capa, len(s.buf))
 		}
 		if n > capa {
-			return fmt.Errorf("stats: series snapshot holds %d values, exceeds capacity %d", n, capa)
+			return nil, fmt.Errorf("stats: series snapshot holds %d values, exceeds capacity %d", n, capa)
 		}
 	}
 	if total < int64(n) {
-		return fmt.Errorf("stats: series snapshot total %d is below its %d values", total, n)
+		return nil, fmt.Errorf("stats: series snapshot total %d is below its %d values", total, n)
 	}
-	if s.unbounded {
-		s.buf = vals
-	} else {
-		copy(s.buf, vals)
-		s.n = n
-		s.head = n % len(s.buf)
-	}
-	s.total = total
-	s.sum = sum
-	return nil
+	return func() {
+		if s.unbounded {
+			s.buf = vals
+		} else {
+			copy(s.buf, vals)
+			s.n = n
+			s.head = n % len(s.buf)
+		}
+		s.total = total
+		s.sum = sum
+	}, nil
 }
 
 const windowTag = "window"
@@ -234,30 +234,29 @@ func (w *Window) AppendSnapshot(e *snap.Encoder) {
 	}
 }
 
-// RestoreSnapshot decodes state written by AppendSnapshot into w,
-// replacing its contents. The snapshot capacity must match the window's.
-// As with Series, a snapshot that fails to decode or check leaves w as
-// it was.
-func (w *Window) RestoreSnapshot(d *snap.Decoder) error {
+// StageSnapshot is Series.StageSnapshot for the window. The snapshot
+// capacity must match the window's.
+func (w *Window) StageSnapshot(d *snap.Decoder) (func(), error) {
 	d.Header(windowTag, 1)
 	capa := d.Int()
 	sum := d.F64()
 	sum2 := d.F64()
 	vals := d.F64s()
 	if err := d.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	n := len(vals)
 	if capa != len(w.buf) {
-		return fmt.Errorf("stats: window snapshot capacity %d, window capacity %d", capa, len(w.buf))
+		return nil, fmt.Errorf("stats: window snapshot capacity %d, window capacity %d", capa, len(w.buf))
 	}
 	if n > capa {
-		return fmt.Errorf("stats: window snapshot holds %d values, exceeds capacity %d", n, capa)
+		return nil, fmt.Errorf("stats: window snapshot holds %d values, exceeds capacity %d", n, capa)
 	}
-	copy(w.buf, vals)
-	w.n = n
-	w.head = n % len(w.buf)
-	w.sum = sum
-	w.sum2 = sum2
-	return nil
+	return func() {
+		copy(w.buf, vals)
+		w.n = n
+		w.head = n % len(w.buf)
+		w.sum = sum
+		w.sum2 = sum2
+	}, nil
 }

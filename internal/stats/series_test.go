@@ -148,8 +148,8 @@ func TestSeriesSnapshotAtWrapBoundary(t *testing.T) {
 		s.AppendSnapshot(e)
 
 		r := NewSeries(capacity)
-		if err := r.RestoreSnapshot(snap.NewDecoder(e.Bytes())); err != nil {
-			t.Fatalf("appends=%d: RestoreSnapshot: %v", appends, err)
+		if err := snap.Unmarshal(r, e.Bytes()); err != nil {
+			t.Fatalf("appends=%d: Unmarshal: %v", appends, err)
 		}
 		e2 := snap.NewEncoder()
 		r.AppendSnapshot(e2)
@@ -206,8 +206,8 @@ func TestSeriesSnapshotRoundTrip(t *testing.T) {
 	s.AppendSnapshot(e)
 
 	r := NewSeries(4)
-	if err := r.RestoreSnapshot(snap.NewDecoder(e.Bytes())); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+	if err := snap.Unmarshal(r, e.Bytes()); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
 	}
 	if r.Total() != s.Total() || r.Dropped() != s.Dropped() || r.Len() != s.Len() {
 		t.Fatalf("accounting mismatch: got (%d,%d,%d) want (%d,%d,%d)",
@@ -233,10 +233,10 @@ func TestSeriesSnapshotMismatch(t *testing.T) {
 	e := snap.NewEncoder()
 	s.AppendSnapshot(e)
 
-	if err := NewSeries(8).RestoreSnapshot(snap.NewDecoder(e.Bytes())); err == nil {
+	if err := snap.Unmarshal(NewSeries(8), e.Bytes()); err == nil {
 		t.Error("expected capacity mismatch error")
 	}
-	if err := NewUnboundedSeries().RestoreSnapshot(snap.NewDecoder(e.Bytes())); err == nil {
+	if err := snap.Unmarshal(NewUnboundedSeries(), e.Bytes()); err == nil {
 		t.Error("expected mode mismatch error")
 	}
 }
@@ -251,8 +251,8 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	w.AppendSnapshot(e)
 
 	r := NewWindow(8)
-	if err := r.RestoreSnapshot(snap.NewDecoder(e.Bytes())); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+	if err := snap.Unmarshal(r, e.Bytes()); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
 	}
 	if r.Len() != w.Len() || r.Mean() != w.Mean() || r.StdDev() != w.StdDev() {
 		t.Fatalf("restored window differs: Len %d/%d Mean %v/%v StdDev %v/%v",
@@ -267,21 +267,9 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 			r.Mean(), w.Mean(), r.StdDev(), w.StdDev())
 	}
 
-	if err := NewWindow(4).RestoreSnapshot(snap.NewDecoder(e.Bytes())); err == nil {
+	if err := snap.Unmarshal(NewWindow(4), e.Bytes()); err == nil {
 		t.Error("expected capacity mismatch error")
 	}
-}
-
-// snapshotter is the encode/decode pair Series and Window share.
-type snapshotter interface {
-	AppendSnapshot(*snap.Encoder)
-	RestoreSnapshot(*snap.Decoder) error
-}
-
-func snapshotBytes(s snapshotter) []byte {
-	e := snap.NewEncoder()
-	s.AppendSnapshot(e)
-	return e.Bytes()
 }
 
 // TestRestoreTruncatedLeavesTargetUntouched: a snapshot cut at any
@@ -303,19 +291,19 @@ func TestRestoreTruncatedLeavesTargetUntouched(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name        string
-		src, target snapshotter
+		src, target snap.Snapshotter
 	}{
 		{"series", series(NewSeries(8), 11, 0), series(NewSeries(8), 3, -9)},
 		{"unbounded series", series(NewUnboundedSeries(), 5, 0), series(NewUnboundedSeries(), 3, -9)},
 		{"window", window(11, 0), window(3, -9)},
 	} {
-		data := snapshotBytes(c.src)
-		before := snapshotBytes(c.target)
+		data := snap.Marshal(c.src)
+		before := snap.Marshal(c.target)
 		for cut := 0; cut < len(data); cut++ {
-			if err := c.target.RestoreSnapshot(snap.NewDecoder(data[:cut])); err == nil {
+			if err := snap.Unmarshal(c.target, data[:cut]); err == nil {
 				t.Fatalf("%s cut at %d of %d: restore accepted", c.name, cut, len(data))
 			}
-			if string(snapshotBytes(c.target)) != string(before) {
+			if string(snap.Marshal(c.target)) != string(before) {
 				t.Fatalf("%s cut at %d of %d: failed restore changed the target", c.name, cut, len(data))
 			}
 		}
@@ -334,7 +322,7 @@ func TestSeriesSnapshotRejectsTotalBelowValues(t *testing.T) {
 	e.F64s([]float64{1, 2, 3})
 	s := NewSeries(4)
 	s.Append(7)
-	if err := s.RestoreSnapshot(snap.NewDecoder(e.Bytes())); err == nil {
+	if err := snap.Unmarshal(s, e.Bytes()); err == nil {
 		t.Fatal("snapshot with total 2 below its 3 values accepted")
 	}
 	if s.Len() != 1 || s.Total() != 1 || s.At(0) != 7 {

@@ -33,6 +33,7 @@ import (
 	"regionmon/internal/pipeline"
 	"regionmon/internal/region"
 	"regionmon/internal/sim"
+	"regionmon/internal/snap"
 	"regionmon/internal/workload"
 )
 
@@ -260,7 +261,7 @@ type (
 	// Snapshotter is implemented by detectors that support the
 	// checkpoint/resume protocol (every built-in adapter does); a
 	// Pipeline or System snapshots only if all its detectors do.
-	Snapshotter = pipeline.Snapshotter
+	Snapshotter = snap.Snapshotter
 )
 
 // Default detector names within a pipeline.

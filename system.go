@@ -133,7 +133,8 @@ func (s *System) Snapshot() ([]byte, error) { return s.pipe.Snapshot() }
 
 // Restore replaces the System's detector state from a Snapshot taken of
 // an identically configured System (same program, same configuration,
-// same extra detectors registered in the same order).
+// same extra detectors registered in the same order). Every detector is
+// staged before any commits, so on error nothing changes.
 func (s *System) Restore(data []byte) error { return s.pipe.Restore(data) }
 
 // Run executes the schedule to completion and returns the run summary.
