@@ -54,7 +54,10 @@ bench:
 # pipeline and the fleet. The contract each target checks: a corrupt
 # snapshot returns an error, leaves the target's state byte-identical and
 # never panics. A failing input is written under the package's
-# testdata/fuzz/ and replays as a seed in `make test`.
+# testdata/fuzz/ and replays as a seed in `make test`. The pipeline and
+# fleet legs cap minimizing each new input at 5 s: every candidate costs a
+# whole restore, and at the default 60 s cap the leg spends its time
+# minimizing instead of exploring.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s ./internal/changepoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzBBVRestore$$' -fuzztime 10s ./internal/altdetect/
@@ -63,8 +66,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s ./internal/lpd/
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s ./internal/gpd/
 	$(GO) test -run '^$$' -fuzz '^FuzzPerfTrackerRestore$$' -fuzztime 10s ./internal/gpd/
-	$(GO) test -run '^$$' -fuzz '^FuzzPipelineRestore$$' -fuzztime 10s ./internal/pipeline/
-	$(GO) test -run '^$$' -fuzz '^FuzzFleetRestore$$' -fuzztime 10s ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzPipelineRestore$$' -fuzztime 10s -fuzzminimizetime 5s ./internal/pipeline/
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetRestore$$' -fuzztime 10s -fuzzminimizetime 5s ./internal/ingest/
 
 # The benchmark module's own tests (perfbench/ is a separate Go module,
 # so the root `go test ./...` skips it): tiny runs of both workloads, the

@@ -528,15 +528,7 @@ func (r *RTO) gpdControl(v *gpd.Verdict, ov *hpm.Overflow) {
 func (r *RTO) hotLoops(ov *hpm.Overflow) []sim.Span {
 	counts := make(map[*isa.Loop]int)
 	for i := range ov.Samples {
-		pc := ov.Samples[i].PC
-		if pc == 0 {
-			continue
-		}
-		p := r.prog.ProcAt(pc)
-		if p == nil {
-			continue
-		}
-		if l := p.InnermostLoopAt(pc); l != nil {
+		if l := r.prog.LoopAt(ov.Samples[i].PC); l != nil {
 			counts[l]++
 		}
 	}

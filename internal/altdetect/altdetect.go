@@ -42,48 +42,9 @@ type Verdict struct {
 	Blocks int
 }
 
-// blockIndexer maps sampled PCs to dense basic-block indices for one
-// program. It holds every block's [start, end) in address order, so a
-// block's dense index is its position and one binary search resolves a
-// PC.
-type blockIndexer []blockSpan
-
-type blockSpan struct{ start, end isa.Addr }
-
-func newBlockIndexer(prog *isa.Program) blockIndexer {
-	var bi blockIndexer
-	for _, p := range prog.Procs {
-		for _, b := range p.Blocks {
-			bi = append(bi, blockSpan{b.Start, b.End()})
-		}
-	}
-	return bi
-}
-
-// lookup returns the dense index for pc, or -1 when pc is outside the
-// program text (e.g. idle samples at PC 0). Procedures are ascending and
-// disjoint and blocks within one are contiguous, so block ends ascend
-// strictly: the first block ending past pc is the only candidate, as in
-// isa.Program.BlockAt.
-func (bi blockIndexer) lookup(pc isa.Addr) int {
-	lo, hi := 0, len(bi)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if bi[m].end > pc {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	if lo < len(bi) && bi[lo].start <= pc {
-		return lo
-	}
-	return -1
-}
-
 // BBV is the basic-block-vector phase detector.
 type BBV struct {
-	bi        blockIndexer //lint:config -- fixed block index over the program
+	prog      *isa.Program //lint:config -- fixed at construction; its code map numbers the blocks
 	threshold float64      //lint:config -- fixed at construction
 	prev      []float64
 	curr      []int64 //lint:config -- per-interval scratch, zeroed after each Observe
@@ -104,12 +65,11 @@ func NewBBV(prog *isa.Program, threshold float64) (*BBV, error) {
 	if threshold <= 0 || threshold >= 1 {
 		return nil, fmt.Errorf("altdetect: BBV threshold %v outside (0, 1)", threshold)
 	}
-	bi := newBlockIndexer(prog)
 	return &BBV{
-		bi:        bi,
+		prog:      prog,
 		threshold: threshold,
-		prev:      make([]float64, len(bi)),
-		curr:      make([]int64, len(bi)),
+		prev:      make([]float64, prog.NumBlocks()),
+		curr:      make([]int64, prog.NumBlocks()),
 	}, nil
 }
 
@@ -121,7 +81,7 @@ func (d *BBV) Observe(ov *hpm.Overflow) Verdict {
 	var total int64
 	blocks := 0
 	for i := range ov.Samples {
-		bi := d.bi.lookup(ov.Samples[i].PC)
+		bi := d.prog.BlockOrdinal(ov.Samples[i].PC)
 		if bi < 0 {
 			continue
 		}
@@ -181,7 +141,7 @@ func (d *BBV) StableFraction() float64 {
 // testing and clearing a member cost O(1) and clearing a set costs
 // O(members).
 type WorkingSet struct {
-	bi        blockIndexer //lint:config -- fixed block index over the program
+	prog      *isa.Program //lint:config -- fixed at construction; its code map numbers the blocks
 	threshold float64      //lint:config -- fixed at construction
 	// prevIn and prev are the previous interval's working set: prevIn[b]
 	// reports membership, prev lists the members in first-sampled order.
@@ -207,10 +167,9 @@ func NewWorkingSet(prog *isa.Program, threshold float64) (*WorkingSet, error) {
 	if threshold <= 0 || threshold >= 1 {
 		return nil, fmt.Errorf("altdetect: working-set threshold %v outside (0, 1)", threshold)
 	}
-	bi := newBlockIndexer(prog)
-	n := len(bi)
+	n := prog.NumBlocks()
 	return &WorkingSet{
-		bi:        bi,
+		prog:      prog,
 		threshold: threshold,
 		prevIn:    make([]bool, n),
 		prev:      make([]int, 0, n),
@@ -226,7 +185,7 @@ func (d *WorkingSet) Observe(ov *hpm.Overflow) Verdict {
 	}
 	d.curr = d.curr[:0]
 	for i := range ov.Samples {
-		if b := d.bi.lookup(ov.Samples[i].PC); b >= 0 && !d.currIn[b] {
+		if b := d.prog.BlockOrdinal(ov.Samples[i].PC); b >= 0 && !d.currIn[b] {
 			d.currIn[b] = true
 			d.curr = append(d.curr, b)
 		}

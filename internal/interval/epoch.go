@@ -26,24 +26,30 @@ import "slices"
 // nesting depth, so in practice the snapshot is ~2n segments of small
 // constant width.
 type Epoch struct {
+	// ranges holds the live ranges, in id order after every rebuild.
 	ranges []Range
 	byID   map[int]int //lint:bounded -- id -> index in ranges: one key per live range; Remove re-points an existing key and deletes its own
 	dirty  bool
+	// unordered records that an Insert below the largest id or a
+	// swapping Remove broke the id order of ranges.
+	unordered bool
 
-	// Flat snapshot: segment i spans [bounds[i], bounds[i+1]) and is
-	// covered by the ranges ranked segRanks[segOff[i]:segOff[i+1]]
-	// (ascending); sorted[rank] is the range of that rank.
+	// Flat snapshot: the boundaries cut the line into len(bounds)+1
+	// segments. Segment i holds the points with exactly i boundaries at
+	// or below them — [bounds[i-1], bounds[i]), unbounded below for i = 0
+	// and above for i = len(bounds) — and is covered by the ranges ranked
+	// segRanks[segOff[i]:segOff[i+1]], ascending. The two unbounded
+	// segments are always empty.
 	bounds   []uint64
 	segOff   []int
 	segRanks []int
 
-	sorted []Range // ranges ordered by id
-	cursor []int   // rebuild scratch: per-segment fill position
+	spans []int // rebuild scratch: each range's first and last segment
 }
 
 // NewEpoch returns an empty Epoch.
 func NewEpoch() *Epoch {
-	return &Epoch{byID: make(map[int]int)}
+	return &Epoch{byID: make(map[int]int), segOff: []int{0, 0}}
 }
 
 // Insert implements Index.
@@ -53,6 +59,9 @@ func (e *Epoch) Insert(id int, start, end uint64) bool {
 	}
 	if _, dup := e.byID[id]; dup {
 		return false
+	}
+	if n := len(e.ranges); n > 0 && id < e.ranges[n-1].ID {
+		e.unordered = true
 	}
 	e.byID[id] = len(e.ranges)
 	e.ranges = append(e.ranges, Range{ID: id, Start: start, End: end})
@@ -71,6 +80,7 @@ func (e *Epoch) Remove(id int) bool {
 	if i != last {
 		e.ranges[i] = e.ranges[last]
 		e.byID[e.ranges[i].ID] = i
+		e.unordered = true
 	}
 	e.ranges = e.ranges[:last]
 	delete(e.byID, id)
@@ -84,7 +94,7 @@ func (e *Epoch) Len() int { return len(e.ranges) }
 // Stab implements Index, mapping Lookup's ranks back to ids.
 func (e *Epoch) Stab(point uint64, visit func(id int)) {
 	for _, k := range e.Lookup(point) {
-		visit(e.sorted[k].ID)
+		visit(e.ranges[k].ID)
 	}
 }
 
@@ -92,12 +102,9 @@ func (e *Epoch) Stab(point uint64, visit func(id int)) {
 // as a sub-slice of the epoch's flat snapshot — valid until the next
 // Insert or Remove, and not to be mutated. A rank is the range's position
 // in id order among the live ranges: rank 0 is the smallest live id. It
-// is the closure-free form of Stab the batched distribution hot path
-// uses: one binary search, one slice.
+// is the closure-free form of Stab: one binary search, one slice.
 func (e *Epoch) Lookup(point uint64) []int {
-	if e.dirty {
-		e.rebuild()
-	}
+	e.Sync()
 	b := e.bounds
 	n := len(b)
 	if n == 0 || point < b[0] || point >= b[n-1] {
@@ -114,8 +121,29 @@ func (e *Epoch) Lookup(point uint64) []int {
 			hi = mid
 		}
 	}
-	return e.segRanks[e.segOff[lo]:e.segOff[lo+1]]
+	return e.Ranks(lo + 1)
 }
+
+// Sync rebuilds the snapshot if an Insert or Remove is pending. Bounds
+// and Ranks read the snapshot as of the last Sync (Lookup and Stab sync
+// themselves).
+func (e *Epoch) Sync() {
+	if e.dirty {
+		e.rebuild()
+	}
+}
+
+// Bounds returns the snapshot's segment boundaries, ascending: a point
+// lies in segment i when exactly i boundaries are at or below it. A
+// caller that resolves its points to segments once, with one merge pass
+// over the boundaries, then reads their ranks with Ranks and no search.
+// The slice is valid until the next Insert or Remove and is not to be
+// mutated.
+func (e *Epoch) Bounds() []uint64 { return e.bounds }
+
+// Ranks returns the ranks of the ranges covering segment i, 0 <= i <=
+// len(Bounds()), ascending, under the same validity as Lookup's result.
+func (e *Epoch) Ranks(i int) []int { return e.segRanks[e.segOff[i]:e.segOff[i+1]] }
 
 // rebuild recomputes the flat snapshot from the live range set. It runs
 // only after the range set changed — region formation and pruning, the
@@ -125,54 +153,58 @@ func (e *Epoch) Lookup(point uint64) []int {
 //lint:allow hotpath boundedstate -- epoch rebuild is a declared cold sub-path, output capped by the region set
 func (e *Epoch) rebuild() {
 	e.dirty = false
-	e.bounds = e.bounds[:0]
-	e.segOff = e.segOff[:0]
-	e.segRanks = e.segRanks[:0]
-	sorted := append(e.sorted[:0], e.ranges...)
-	slices.SortFunc(sorted, func(a, b Range) int { return a.ID - b.ID })
-	e.sorted = sorted
-	if len(sorted) == 0 {
-		return
+	if e.unordered {
+		// Ranks are positions in id order: restore that order, and the
+		// id -> index map with it.
+		slices.SortFunc(e.ranges, func(a, b Range) int { return a.ID - b.ID })
+		for i, r := range e.ranges {
+			e.byID[r.ID] = i
+		}
+		e.unordered = false
 	}
 
 	// Boundaries: every Start and End, sorted and deduplicated. Segments
 	// between consecutive boundaries are covered by a fixed rank set (a
 	// gap between ranges is simply a segment with an empty set).
-	for _, r := range sorted {
+	e.bounds = e.bounds[:0]
+	for _, r := range e.ranges {
 		e.bounds = append(e.bounds, r.Start, r.End)
 	}
 	slices.Sort(e.bounds)
 	e.bounds = slices.Compact(e.bounds)
 
 	// CSR fill in two passes: count ranges per segment, prefix-sum into
-	// offsets, then place ranks. Iterating ranges in id order makes each
+	// offsets, then place ranks. A range [Start, End) covers segments
+	// first+1 through last, where first and last index its two bounds;
+	// both are found once. Iterating ranges in id order makes each
 	// segment's rank list ascending, giving the snapshot a deterministic
 	// shape independent of insertion and removal history.
-	segs := len(e.bounds) - 1
-	e.segOff = slices.Grow(e.segOff, segs+1)[:segs+1]
-	for i := range e.segOff {
-		e.segOff[i] = 0
-	}
-	for _, r := range sorted {
+	segs := len(e.bounds) + 1
+	e.segOff = slices.Grow(e.segOff[:0], segs+1)[:segs+1]
+	clear(e.segOff)
+	spans := slices.Grow(e.spans[:0], 2*len(e.ranges))
+	for _, r := range e.ranges {
 		first, _ := slices.BinarySearch(e.bounds, r.Start)
 		last, _ := slices.BinarySearch(e.bounds, r.End)
-		for s := first; s < last; s++ {
+		spans = append(spans, first+1, last+1)
+		for s := first + 1; s <= last; s++ {
 			e.segOff[s+1]++
 		}
 	}
+	e.spans = spans
 	for i := 1; i <= segs; i++ {
 		e.segOff[i] += e.segOff[i-1]
 	}
-	e.segRanks = slices.Grow(e.segRanks, e.segOff[segs])[:e.segOff[segs]]
-	cursor := slices.Grow(e.cursor[:0], segs)[:segs]
-	copy(cursor, e.segOff[:segs])
-	for k, r := range sorted {
-		first, _ := slices.BinarySearch(e.bounds, r.Start)
-		last, _ := slices.BinarySearch(e.bounds, r.End)
-		for s := first; s < last; s++ {
-			e.segRanks[cursor[s]] = k
-			cursor[s]++
+	e.segRanks = slices.Grow(e.segRanks[:0], e.segOff[segs])[:e.segOff[segs]]
+	// segOff[s] is segment s's fill cursor until the pass below advances
+	// it to segment s+1's start; shifting the offsets back afterwards
+	// restores them, so no separate cursor array is needed.
+	for k := range e.ranges {
+		for s := spans[2*k]; s < spans[2*k+1]; s++ {
+			e.segRanks[e.segOff[s]] = k
+			e.segOff[s]++
 		}
 	}
-	e.cursor = cursor
+	copy(e.segOff[1:], e.segOff[:segs])
+	e.segOff[0] = 0
 }

@@ -45,6 +45,39 @@ func TestEpochLookupMatchesStab(t *testing.T) {
 // compared after each wave. Heavy region turnover is exactly the shape
 // that stresses the epoch's lazy rebuild: every wave invalidates the
 // snapshot and the next stab batch must rebuild it correctly.
+// TestEpochSegmentsMatchLookup: after Sync, the segment of a point —
+// the number of boundaries at or below it — carries exactly Lookup's
+// ranks, for points below, between, on and past every boundary, through
+// inserts out of id order and swapping removes; the two unbounded
+// segments are empty, and an empty epoch has one empty segment.
+func TestEpochSegmentsMatchLookup(t *testing.T) {
+	e := NewEpoch()
+	e.Sync()
+	if len(e.Bounds()) != 0 || len(e.Ranks(0)) != 0 {
+		t.Fatalf("empty epoch: bounds %v, segment 0 ranks %v", e.Bounds(), e.Ranks(0))
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	for step := 0; step < 200; step++ {
+		if id := rng.IntN(40); rng.IntN(3) == 0 {
+			e.Remove(id)
+		} else {
+			start := uint64(rng.IntN(1000))
+			e.Insert(id, start, start+1+uint64(rng.IntN(200)))
+		}
+		e.Sync()
+		b := e.Bounds()
+		if len(b) > 0 && (len(e.Ranks(0)) != 0 || len(e.Ranks(len(b))) != 0) {
+			t.Fatalf("step %d: an unbounded segment has ranks", step)
+		}
+		for p := uint64(0); p < 1250; p += 7 {
+			seg, _ := slices.BinarySearch(b, p+1)
+			if got, want := e.Ranks(seg), e.Lookup(p); !equalInts(got, want) {
+				t.Fatalf("step %d: point %d in segment %d has ranks %v; Lookup %v", step, p, seg, got, want)
+			}
+		}
+	}
+}
+
 func TestIndexChurnAgreement(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xE9, 0xC0DE))
 	list, tree, epoch := NewList(), NewTree(), NewEpoch()

@@ -49,8 +49,9 @@ func (p *Procedure) BlockAt(addr Addr) *Block {
 // order over a flat text segment.
 //
 // A validated Program is immutable and safe to share: NewProgram runs the
-// loop analysis eagerly for every procedure, so all reads (ProcAt,
-// KindAt, Loops, InnermostLoopAt, ...) are side-effect free afterwards.
+// loop analysis eagerly for every procedure and builds the code map (see
+// codemap.go), so all reads (Slot, ProcAt, KindAt, LoopAt, Loops, ...)
+// are side-effect free afterwards.
 // Many concurrent runs — e.g. the experiments package's parallel sweep
 // workers — may therefore monitor the same *Program without copying it.
 type Program struct {
@@ -58,6 +59,7 @@ type Program struct {
 	Procs []*Procedure
 
 	byName map[string]*Procedure
+	code   codeMap
 }
 
 // NewProgram assembles a validated Program from procedures. It checks
@@ -81,6 +83,10 @@ func NewProgram(procs []*Procedure) (*Program, error) {
 		byName[p.Name] = p
 		if p.Start()%InstrBytes != 0 {
 			return nil, fmt.Errorf("isa: procedure %q starts at misaligned address %v", p.Name, p.Start())
+		}
+		if p.Start() == 0 {
+			// Samples taken while no instruction executes read PC 0.
+			return nil, fmt.Errorf("isa: procedure %q starts at address 0, which samples reserve for idle time", p.Name)
 		}
 		if pi > 0 && p.Start() < prevEnd {
 			return nil, fmt.Errorf("isa: procedure %q overlaps its predecessor (start %v < %v)", p.Name, p.Start(), prevEnd)
@@ -127,29 +133,15 @@ func NewProgram(procs []*Procedure) (*Program, error) {
 	for _, p := range procs {
 		p.Loops()
 	}
-	return &Program{Procs: procs, byName: byName}, nil
+	code, err := buildCodeMap(procs)
+	if err != nil {
+		return nil, err
+	}
+	return &Program{Procs: procs, byName: byName, code: code}, nil
 }
 
 // Proc returns the procedure named name, or nil.
 func (pr *Program) Proc(name string) *Procedure { return pr.byName[name] }
-
-// ProcAt returns the procedure containing addr, or nil.
-func (pr *Program) ProcAt(addr Addr) *Procedure {
-	i := sort.Search(len(pr.Procs), func(i int) bool { return pr.Procs[i].End() > addr })
-	if i < len(pr.Procs) && pr.Procs[i].Contains(addr) {
-		return pr.Procs[i]
-	}
-	return nil
-}
-
-// BlockAt returns the block containing addr, or nil.
-func (pr *Program) BlockAt(addr Addr) *Block {
-	p := pr.ProcAt(addr)
-	if p == nil {
-		return nil
-	}
-	return p.BlockAt(addr)
-}
 
 // KindAt returns the instruction kind at addr. ok is false when addr is
 // outside the program text or misaligned.

@@ -32,6 +32,9 @@ func (a *Annotation) Validate(prog *isa.Program) error {
 	if a.Start >= a.End {
 		return fmt.Errorf("region: annotation %q has empty span %v-%v", a.Name, a.Start, a.End)
 	}
+	if a.Start%isa.InstrBytes != 0 {
+		return fmt.Errorf("region: annotation %q span %v-%v starts inside an instruction", a.Name, a.Start, a.End)
+	}
 	if (a.End-a.Start)%isa.InstrBytes != 0 {
 		return fmt.Errorf("region: annotation %q span %v-%v is not a whole number of instructions", a.Name, a.Start, a.End)
 	}
@@ -44,34 +47,32 @@ func (a *Annotation) Validate(prog *isa.Program) error {
 // Contains reports whether addr falls inside the annotation.
 func (a *Annotation) Contains(addr isa.Addr) bool { return addr >= a.Start && addr < a.End }
 
-// candidate is one formation candidate of any origin.
+// candidate is one annotation or procedure formation candidate.
 type candidate struct {
 	start, end isa.Addr
-	loop       *isa.Loop // nil for annotation/procedure candidates
 	samples    int
-	origin     string // "loop", "annotation", "procedure"
 }
 
 // extendedCandidates collects annotation- and procedure-based candidates
 // from the interval's unmonitored runs. Loop candidates are gathered by
 // the caller; this adds the two extension classes when enabled.
-func (m *Monitor) extendedCandidates(ucr []pcRun) []candidate {
+func (m *Monitor) extendedCandidates(ucr ucrSet) []candidate {
 	var out []candidate
 
 	if len(m.cfg.Annotations) > 0 {
 		counts := make([]int, len(m.cfg.Annotations))
-		for _, u := range ucr {
+		m.eachUCR(ucr, func(pc isa.Addr, n int) {
 			for i := range m.cfg.Annotations {
-				if m.cfg.Annotations[i].Contains(u.pc) {
-					counts[i] += u.n
+				if m.cfg.Annotations[i].Contains(pc) {
+					counts[i] += n
 				}
 			}
-		}
+		})
 		for i := range m.cfg.Annotations {
 			if counts[i] >= m.cfg.MinRegionSamples {
 				a := &m.cfg.Annotations[i]
 				out = append(out, candidate{
-					start: a.Start, end: a.End, samples: counts[i], origin: "annotation",
+					start: a.Start, end: a.End, samples: counts[i],
 				})
 			}
 		}
@@ -79,17 +80,13 @@ func (m *Monitor) extendedCandidates(ucr []pcRun) []candidate {
 
 	if m.cfg.InterProcedural {
 		procCounts := make(map[*isa.Procedure]int)
-		for _, u := range ucr {
-			p := m.prog.ProcAt(u.pc)
-			if p == nil {
-				continue
-			}
+		m.eachUCR(ucr, func(pc isa.Addr, n int) {
 			// Only samples the loop finder cannot place feed procedure
 			// regions; loop-covered samples stay with their loops.
-			if p.InnermostLoopAt(u.pc) == nil {
-				procCounts[p] += u.n
+			if p := m.prog.ProcAt(pc); p != nil && m.prog.LoopAt(pc) == nil {
+				procCounts[p] += n
 			}
-		}
+		})
 		maxInstrs := m.cfg.MaxProcRegionInstrs
 		if maxInstrs == 0 {
 			maxInstrs = DefaultMaxProcRegionInstrs
@@ -99,7 +96,7 @@ func (m *Monitor) extendedCandidates(ucr []pcRun) []candidate {
 				continue
 			}
 			out = append(out, candidate{
-				start: p.Start(), end: p.End(), samples: n, origin: "procedure",
+				start: p.Start(), end: p.End(), samples: n,
 			})
 		}
 	}

@@ -118,10 +118,11 @@ func TestLoopSamplesDoNotFeedProcedureRegions(t *testing.T) {
 func TestAnnotationValidation(t *testing.T) {
 	prog, hot, _ := dispatcherProgram(t)
 	bad := []Annotation{
-		{Start: hot.End(), End: hot.Start()},                        // inverted
-		{Start: 0x100, End: 0x200},                                  // outside text
-		{Start: hot.Start(), End: hot.Start()},                      // empty
-		{Start: hot.Start(), End: hot.Start() + isa.InstrBytes + 2}, // partial instruction
+		{Start: hot.End(), End: hot.Start()},                              // inverted
+		{Start: 0x100, End: 0x200},                                        // outside text
+		{Start: hot.Start(), End: hot.Start()},                            // empty
+		{Start: hot.Start(), End: hot.Start() + isa.InstrBytes + 2},       // partial instruction
+		{Start: hot.Start() + 2, End: hot.Start() + 2 + 4*isa.InstrBytes}, // starts inside an instruction
 	}
 	for i, a := range bad {
 		cfg := DefaultConfig()

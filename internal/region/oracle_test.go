@@ -1,10 +1,10 @@
 package region
 
-// The distribution oracle. distribute count-compresses the buffer and
-// stabs the epoch snapshot once per distinct PC; the oracle does the same
-// job the slow, obvious way — every sample tested against every monitored
-// region with Region.Contains — and the tests below compare the two on
-// every interval of a stream. distribute runs on a snapshot/restore fork
+// The distribution oracle. distribute counts the buffer per instruction
+// slot and reads each distinct slot's epoch segment; the oracle does the
+// same job the slow, obvious way — every sample tested against every
+// monitored region with Region.Contains — and the tests below compare the
+// two on every interval of a stream. distribute runs on a snapshot/restore fork
 // of the monitor, so the monitor itself advances only through
 // ProcessOverflow, and each comparison starts from the region set,
 // histograms and counters the stream has built up so far.
@@ -27,7 +27,7 @@ type oracleOutcome struct {
 	hists                [][]int64 // per region, in ID order
 	hits                 []int
 	totals               []int64
-	ucrPCs               []isa.Addr // sorted
+	ucrPCs               []isa.Addr // instruction addresses, sorted
 }
 
 // oracleDistribute distributes ov over regions (in ID order) by testing
@@ -62,7 +62,7 @@ func oracleDistribute(regions []*Region, ov *hpm.Overflow) oracleOutcome {
 			out.idle++
 		default:
 			out.ucr++
-			out.ucrPCs = append(out.ucrPCs, s.PC)
+			out.ucrPCs = append(out.ucrPCs, s.PC&^(isa.InstrBytes-1))
 		}
 	}
 	slices.Sort(out.ucrPCs)
@@ -72,7 +72,10 @@ func oracleDistribute(regions []*Region, ov *hpm.Overflow) oracleOutcome {
 // checkDistribute runs distribute over ov on a fork of m and fails the
 // test unless the fork ends up where the oracle says: the same monitored,
 // UCR and idle counts, every region's histogram and counters, and the
-// same multiset of UCR PCs. m itself is not touched.
+// same multiset of UCR PCs. UCR PCs compare by instruction address:
+// distribute hands formation a slot's address for every PC inside that
+// instruction, and every span formation builds from them is
+// instruction-aligned. m itself is not touched.
 func checkDistribute(t *testing.T, m *Monitor, ov *hpm.Overflow) {
 	t.Helper()
 	fork, err := NewMonitor(m.prog, m.cfg)
@@ -85,11 +88,11 @@ func checkDistribute(t *testing.T, m *Monitor, ov *hpm.Overflow) {
 	want := oracleDistribute(m.Regions(), ov)
 	var rep Report
 	var got []isa.Addr
-	for _, u := range fork.distribute(ov, &rep) {
-		for i := 0; i < u.n; i++ {
-			got = append(got, u.pc)
+	fork.eachUCR(fork.distribute(ov, &rep), func(pc isa.Addr, n int) {
+		for i := 0; i < n; i++ {
+			got = append(got, pc&^(isa.InstrBytes-1))
 		}
-	}
+	})
 	slices.Sort(got)
 	if rep.MonitoredSamples != want.monitored || rep.UCRSamples != want.ucr || rep.IdleSamples != want.idle {
 		t.Fatalf("interval %d: monitored/UCR/idle samples %d/%d/%d, oracle %d/%d/%d", ov.Seq,
@@ -119,7 +122,7 @@ func checkDistribute(t *testing.T, m *Monitor, ov *hpm.Overflow) {
 func TestDistributeOracle(t *testing.T) {
 	for _, n := range []int{4, 64, 512} {
 		t.Run(fmt.Sprintf("regions=%d", n), func(t *testing.T) {
-			prog, spans := benchProgram(t, n)
+			prog, spans := benchProgram(t, n, "dense")
 			m := newMonitor(t, prog, nil)
 			for _, s := range spans {
 				if _, err := m.AddRegion(s.Start, s.End); err != nil {
@@ -147,6 +150,40 @@ func TestDistributeOracle(t *testing.T) {
 			}
 		})
 	}
+
+	// "malformed": a gapped program whose regions include a manual one
+	// outside the text and one spanning the wide gap between two
+	// procedures, fed buffers of malformed PCs (idle, below the text,
+	// between procedures, past the end, misaligned), alone, mixed into
+	// loop samples, and empty.
+	t.Run("malformed", func(t *testing.T) {
+		prog, spans := gappedProgram(t)
+		m := newMonitor(t, prog, func(c *Config) { c.MinRegionSamples = 4 })
+		gap := prog.Procs[2].Start() - 0x100
+		for _, span := range [][2]isa.Addr{{0x100, 0x200}, {prog.Procs[1].End() - 8, gap}, {prog.End(), prog.End() + 0x40}} {
+			if _, err := m.AddRegion(span[0], span[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bad := malformedPCs(prog)
+		bad = append(bad, 0x100, 0x1fc, gap-isa.InstrBytes, gap-1)
+		mixed := append(spanPCs(spans[0], 12), bad...)
+		mixed = append(mixed, spanPCs(spans[2], 20)...)
+		for seq, ov := range []*hpm.Overflow{
+			overflow(0, len(bad), bad...),
+			overflow(1, 96, mixed...),
+			{Seq: 2},
+			overflow(3, 300, mixed...),
+			overflow(4, 7, bad...),
+		} {
+			ov.Seq = seq
+			checkDistribute(t, m, ov)
+			m.ProcessOverflow(ov)
+		}
+		if n := len(m.Regions()); n != 5 {
+			t.Fatalf("%d regions; want the 3 manual ones and 2 formed loops", n)
+		}
+	})
 
 	t.Run("formation", func(t *testing.T) {
 		prog, l1, l2 := testProgram(t)

@@ -3,8 +3,9 @@
 // detection. On every sample-buffer overflow it
 //
 //  1. distributes the buffered PC samples across the monitored regions
-//     (counting the buffer's distinct PCs in one hashed pass and stabbing
-//     a flat epoch index of the region set once per distinct PC),
+//     (counting the buffer's samples per instruction slot of the
+//     program's code map in one pass, then reading each distinct slot's
+//     segment of a flat epoch index of the region set),
 //     incrementing per-instruction histograms; a sample falling in several
 //     overlapping regions (nested loops) increments all of them;
 //  2. attributes samples outside every monitored region to the
@@ -266,12 +267,19 @@ type Monitor struct {
 	nextID int
 	seq    int
 
-	ucr       *stats.Series
-	loopCount map[*isa.Loop]int //lint:config -- scratch for formation
+	ucr *stats.Series
 
 	// Per-interval scratch, reused across ProcessOverflow calls so the
-	// monitoring hot path stays allocation-free in steady state.
-	pcs            pcTable         //lint:config -- count-compression scratch
+	// monitoring hot path stays allocation-free in steady state. The
+	// per-slot arrays are indexed by the program's instruction slots (see
+	// isa.Program.Slot): counts are zero between intervals, and segOf
+	// holds each slot's epoch segment, refilled whenever segStale says
+	// the region set changed.
+	counts         []uint32        //lint:config -- per-slot sample counts, zero between intervals
+	segOf          []int32         //lint:config -- per-slot epoch segment, derived from the region set
+	segStale       bool            //lint:config -- the region set changed since segOf was filled
+	seen           []int32         //lint:config -- count scratch: first-seen slots, then off-map sample indices
+	loopTally      []int           //lint:config -- formation scratch, per program loop ordinal
 	verdictScratch []RegionVerdict //lint:config -- backing array for Report.Verdicts
 	medScratch     []float64       //lint:config -- UCRMedian sort scratch
 }
@@ -288,10 +296,11 @@ func NewMonitor(prog *isa.Program, cfg Config) (*Monitor, error) {
 		return nil, err
 	}
 	m := &Monitor{
-		prog:      prog,
-		cfg:       cfg,
-		index:     interval.NewEpoch(),
-		loopCount: make(map[*isa.Loop]int),
+		prog:   prog,
+		cfg:    cfg,
+		index:  interval.NewEpoch(),
+		counts: make([]uint32, prog.NumSlots()),
+		segOf:  make([]int32, prog.NumSlots()),
 	}
 	switch cfg.UCRHistoryCap {
 	case RetainAllHistory:
@@ -350,8 +359,13 @@ func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
 	if start >= end {
 		return nil, fmt.Errorf("region: empty span %v-%v", start, end)
 	}
-	// A partial trailing instruction would let a sample at the last
-	// address index one past the histogram.
+	// A misaligned start would split an instruction: a PC and its slot
+	// address could then land in different regions or bins. A partial
+	// trailing instruction would let a sample at the last address index
+	// one past the histogram.
+	if start%isa.InstrBytes != 0 {
+		return nil, fmt.Errorf("region: span %v-%v starts inside an instruction", start, end)
+	}
 	if (end-start)%isa.InstrBytes != 0 {
 		return nil, fmt.Errorf("region: span %v-%v is not a whole number of instructions", start, end)
 	}
@@ -368,17 +382,11 @@ func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	var loop *isa.Loop
-	if p := m.prog.ProcAt(start); p != nil {
-		if l := p.InnermostLoopAt(start); l != nil && l.Start() == start && l.End() == end {
-			loop = l
-		}
-	}
 	r := &Region{
 		ID:       m.nextID,
 		Start:    start,
 		End:      end,
-		Loop:     loop,
+		Loop:     m.loopSpanning(start, end),
 		Detector: det,
 		FormedAt: m.seq,
 		curr:     make([]int64, n),
@@ -386,7 +394,17 @@ func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
 	m.nextID++
 	m.regions = append(m.regions, r)
 	m.index.Insert(r.ID, uint64(start), uint64(end))
+	m.segStale = true
 	return r, nil
+}
+
+// loopSpanning returns the innermost loop at start when its span is
+// exactly [start, end), or nil.
+func (m *Monitor) loopSpanning(start, end isa.Addr) *isa.Loop {
+	if l := m.prog.LoopAt(start); l != nil && l.Start() == start && l.End() == end {
+		return l
+	}
+	return nil
 }
 
 // ProcessOverflow runs one interval of region monitoring over the
@@ -397,7 +415,7 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	rep := Report{Seq: ov.Seq, TotalSamples: len(ov.Samples)}
 	m.seq = ov.Seq
 
-	// Phase 1: distribute samples. UCR runs are collected for formation.
+	// Phase 1: distribute samples. The UCR samples are kept for formation.
 	ucr := m.distribute(ov, &rep)
 	if rep.TotalSamples > 0 {
 		rep.UCRFraction = float64(rep.UCRSamples) / float64(rep.TotalSamples)
@@ -413,6 +431,9 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	if codeSamples > 0 && float64(codeUCR)/float64(codeSamples) > m.cfg.UCRThreshold {
 		rep.FormationTriggered = true
 		rep.NewRegions = m.formRegions(ucr)
+	}
+	for _, s := range ucr.slots {
+		m.counts[s] = 0
 	}
 
 	// Phase 3: local phase detection per region, then reset interval
@@ -452,6 +473,7 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 		r.intervalHits = 0
 		if m.cfg.PruneAfter > 0 && r.idleFor >= m.cfg.PruneAfter {
 			m.index.Remove(r.ID)
+			m.segStale = true
 			rep.Pruned = append(rep.Pruned, r)
 			continue
 		}
@@ -463,45 +485,140 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	return rep
 }
 
+// ucrSet is one buffer's non-idle unmonitored samples as distribute
+// leaves them for formation: the distinct slots in slots, whose counts
+// stay in the monitor's per-slot counts until ProcessOverflow clears
+// them, and in off the indices into samples of the samples on no code
+// page, one sample each.
+type ucrSet struct {
+	slots, off []int32
+	samples    []hpm.Sample
+}
+
+// eachUCR calls f with every run of u: each slot's address and count,
+// then each off-map sample's PC with count 1.
+func (m *Monitor) eachUCR(u ucrSet, f func(pc isa.Addr, n int)) {
+	for _, s := range u.slots {
+		f(m.prog.SlotAddr(int(s)), int(m.counts[s]))
+	}
+	for _, i := range u.off {
+		f(u.samples[i].PC, 1)
+	}
+}
+
 // distribute spreads the buffer over the monitored regions and returns
-// the interval's non-idle UCR runs, backed by the PC table. The table
-// count-compresses the buffer into (distinct PC, count) runs, each run
-// stabs the epoch snapshot once, and histograms advance by the run count.
-// Loopy buffers hold far fewer distinct PCs than samples, so this removes
-// most of the stabbing work. The UCR runs are compacted into the front of
-// the table's run slice, in first-seen order, which no consumer depends
-// on: formation only adds their counts.
-func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) []pcRun {
-	runs := m.pcs.count(ov.Samples)
-	ucr := runs[:0]
-	for _, run := range runs {
-		ranks := m.index.Lookup(uint64(run.pc))
-		if len(ranks) > 0 {
-			rep.MonitoredSamples += run.n
+// its non-idle UCR samples. It counts the samples per instruction slot of
+// the program's code map, then adds each distinct slot's count to the
+// regions of its epoch segment, which segOf holds, so a loopy buffer
+// costs one directory read per sample and one segment read per distinct
+// slot. Every consumer only adds counts (histogram bins, hit and UCR
+// counters, loop and procedure tallies), so slot order cannot change a
+// result; region bounds are instruction-aligned, so a PC and its slot's
+// address share their regions and histogram bins. Samples on no code
+// page — idle PC 0, or anything outside the text — stab the epoch one at
+// a time.
+func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) ucrSet {
+	if m.segStale {
+		m.index.Sync()
+		m.prog.SlotSegments(m.index.Bounds(), m.segOf)
+		m.segStale = false
+	}
+	samples := ov.Samples
+	prog, counts := m.prog, m.counts
+	seen, n, back := m.countSlots(samples)
+
+	// Distinct slots: the monitored ones clear their count; the UCR ones
+	// compact into the front of seen and keep it for formation.
+	u := 0
+	for _, s := range seen[:n] {
+		c := int(counts[s])
+		ranks := m.index.Ranks(int(m.segOf[s]))
+		if len(ranks) == 0 {
+			rep.UCRSamples += c
+			seen[u] = s
+			u++
+			continue
+		}
+		counts[s] = 0
+		rep.MonitoredSamples += c
+		pc := prog.SlotAddr(int(s))
+		for _, k := range ranks {
+			r := m.regions[k]
+			r.curr[int(pc-r.Start)/isa.InstrBytes] += int64(c)
+			r.intervalHits += c
+			r.totalSamples += int64(c)
+		}
+	}
+
+	// Off-map samples: the non-idle UCR ones compact into the back of
+	// seen, walked from the end so no entry is overwritten unread.
+	o := len(seen)
+	for j := len(seen) - 1; j >= back; j-- {
+		i := seen[j]
+		pc := samples[i].PC
+		if ranks := m.index.Lookup(uint64(pc)); len(ranks) > 0 {
+			rep.MonitoredSamples++
 			for _, k := range ranks {
 				r := m.regions[k]
-				r.curr[int(run.pc-r.Start)/isa.InstrBytes] += int64(run.n)
-				r.intervalHits += run.n
-				r.totalSamples += int64(run.n)
+				r.curr[int(pc-r.Start)/isa.InstrBytes]++
+				r.intervalHits++
+				r.totalSamples++
 			}
 			continue
 		}
-		rep.UCRSamples += run.n
-		if run.pc == 0 {
-			rep.IdleSamples += run.n
+		rep.UCRSamples++
+		if pc == 0 {
+			rep.IdleSamples++
 			continue
 		}
-		ucr = append(ucr, run)
+		o--
+		seen[o] = i
 	}
-	return ucr
+	return ucrSet{slots: seen[:u], off: seen[o:], samples: samples}
+}
+
+// countSlots counts samples per instruction slot into counts. The
+// distinct slots fill seen[:n] in first-seen order, and the indices of
+// the samples on no code page fill seen[back:], last sample first. Each
+// step writes the next front entry unconditionally and moves past it
+// only on a slot's first touch, which it detects without a branch:
+// (c-1)>>31 is 1 exactly when the old count c is 0. seen is sized to the
+// buffer and valid until the next call.
+func (m *Monitor) countSlots(samples []hpm.Sample) (seen []int32, n, back int) {
+	if len(samples) > len(m.seen) {
+		m.growSeen(len(samples))
+	}
+	prog, counts := m.prog, m.counts
+	seen = m.seen[:len(samples)]
+	back = len(seen)
+	for i := range samples {
+		s := prog.Slot(samples[i].PC)
+		if s < 0 {
+			back--
+			seen[back] = int32(i)
+			continue
+		}
+		c := counts[s]
+		seen[n] = int32(s)
+		n += int((c - 1) >> 31)
+		counts[s] = c + 1
+	}
+	return seen, n, back
+}
+
+// growSeen sizes the count scratch for buffers of up to samples samples.
+//
+//lint:allow hotpath -- growth fires only when a buffer outgrows every earlier one, never in steady state
+func (m *Monitor) growSeen(samples int) {
+	m.seen = make([]int32, samples)
 }
 
 // formRegions builds loop regions around unmonitored hot samples: each
-// distinct UCR PC is mapped to its innermost enclosing natural loop, which
-// gathers the PC's sample count; loops gathering at least
-// MinRegionSamples become regions. Samples with no enclosing loop
-// (straight-line code, loops crossing procedure boundaries) form nothing —
-// the paper's persistent-UCR limitation. The triggering interval's samples
+// distinct UCR slot's innermost enclosing natural loop, read from the
+// code map, gathers the slot's sample count in a tally by loop ordinal;
+// loops gathering at least MinRegionSamples become regions. Samples with
+// no enclosing loop (straight-line code, loops crossing procedure
+// boundaries) form nothing — the paper's persistent-UCR limitation. The triggering interval's samples
 // are replayed into the new regions so detection starts immediately.
 //
 // Formation only runs when the UCR fraction trips the threshold — a rare
@@ -509,15 +626,13 @@ func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) []pcRun {
 // their detectors, histogram storage).
 //
 //lint:allow hotpath boundedstate -- region formation is a declared cold sub-path, capped by cfg.MaxRegions
-func (m *Monitor) formRegions(ucr []pcRun) []*Region {
-	clear(m.loopCount)
-	for _, u := range ucr {
-		p := m.prog.ProcAt(u.pc)
-		if p == nil {
-			continue
-		}
-		if l := p.InnermostLoopAt(u.pc); l != nil {
-			m.loopCount[l] += u.n
+func (m *Monitor) formRegions(ucr ucrSet) []*Region {
+	if m.loopTally == nil {
+		m.loopTally = make([]int, m.prog.NumLoops())
+	}
+	for _, s := range ucr.slots {
+		if l := m.prog.SlotLoop(int(s)); l >= 0 {
+			m.loopTally[l] += int(m.counts[s])
 		}
 	}
 	// Deterministic formation order: hottest loop first, address as tie
@@ -526,12 +641,13 @@ func (m *Monitor) formRegions(ucr []pcRun) []*Region {
 		loop *isa.Loop
 		n    int
 	}
-	cands := make([]cand, 0, len(m.loopCount))
-	for l, n := range m.loopCount {
+	var cands []cand
+	for l, n := range m.loopTally {
 		if n >= m.cfg.MinRegionSamples {
-			cands = append(cands, cand{l, n})
+			cands = append(cands, cand{m.prog.Loop(l), n})
 		}
 	}
+	clear(m.loopTally)
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].n != cands[j].n {
 			return cands[i].n > cands[j].n
@@ -560,14 +676,14 @@ func (m *Monitor) formRegions(ucr []pcRun) []*Region {
 		return nil
 	}
 	// Replay the triggering interval's UCR samples into the new regions.
-	for _, u := range ucr {
+	m.eachUCR(ucr, func(pc isa.Addr, n int) {
 		for _, r := range formed {
-			if r.Contains(u.pc) {
-				r.curr[int(u.pc-r.Start)/isa.InstrBytes] += int64(u.n)
-				r.intervalHits += u.n
-				r.totalSamples += int64(u.n)
+			if r.Contains(pc) {
+				r.curr[int(pc-r.Start)/isa.InstrBytes] += int64(n)
+				r.intervalHits += n
+				r.totalSamples += int64(n)
 			}
 		}
-	}
+	})
 	return formed
 }

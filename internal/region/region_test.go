@@ -296,6 +296,13 @@ func TestAddRegionValidation(t *testing.T) {
 	if _, err := m.AddRegion(l1.Start, l1.Start+isa.InstrBytes+2); err == nil {
 		t.Error("span of one and a half instructions accepted")
 	}
+	// A span starting inside an instruction, of whole instructions: the
+	// sample at the instruction's own address would miss the region
+	// while one two bytes on hit it, so a PC and its slot's address
+	// could disagree.
+	if _, err := m.AddRegion(l1.Start+2, l1.End+2); err == nil {
+		t.Error("span starting inside an instruction accepted")
+	}
 	m.ProcessOverflow(overflow(0, 64, l1.Start+isa.InstrBytes))
 }
 

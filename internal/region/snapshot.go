@@ -85,6 +85,9 @@ func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
 		if start >= end {
 			return nil, fmt.Errorf("region: snapshot region %d has empty span %v-%v", id, start, end)
 		}
+		if start%isa.InstrBytes != 0 {
+			return nil, fmt.Errorf("region: snapshot region %d span %v-%v starts inside an instruction", id, start, end)
+		}
 		// A partial trailing instruction would let a sample at the last
 		// address index one past the histogram.
 		if (end-start)%isa.InstrBytes != 0 {
@@ -114,17 +117,11 @@ func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
 			return nil, err
 		}
 		commitDet() // det is new and not yet reachable from m
-		var loop *isa.Loop
-		if p := m.prog.ProcAt(start); p != nil {
-			if l := p.InnermostLoopAt(start); l != nil && l.Start() == start && l.End() == end {
-				loop = l
-			}
-		}
 		regions = append(regions, &Region{
 			ID:           id,
 			Start:        start,
 			End:          end,
-			Loop:         loop,
+			Loop:         m.loopSpanning(start, end),
 			Detector:     det,
 			FormedAt:     formedAt,
 			curr:         make([]int64, n),
@@ -144,5 +141,6 @@ func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
 		for _, r := range regions {
 			m.index.Insert(r.ID, uint64(r.Start), uint64(r.End))
 		}
+		m.segStale = true
 	}, nil
 }

@@ -43,9 +43,10 @@ type badSnapshot struct {
 // badMonitorSnapshots returns snapshots a restore must reject: a real
 // mid-stream snapshot followed by a stray byte, one whose header,
 // counters and UCR history are valid but whose region count is 1<<62,
-// one whose first region ends one byte into an instruction, and one whose
+// one whose first region ends one byte into an instruction, one whose
 // first region spans 1<<40 instructions, which would otherwise size that
-// region's detector. Each carries the current header, so only its own
+// region's detector, and one whose first region starts two bytes into an
+// instruction. Each carries the current header, so only its own
 // defect can reject it.
 func badMonitorSnapshots(t testing.TB) []badSnapshot {
 	t.Helper()
@@ -58,17 +59,20 @@ func badMonitorSnapshots(t testing.TB) []badSnapshot {
 	m.ucr.AppendSnapshot(e)
 	e.Int(1 << 62)
 	r := m.Regions()[0]
-	end := r.End
+	start, end := r.Start, r.End
 	r.End++
 	partial := snap.Marshal(m)
 	r.End = r.Start + 1<<42
 	long := snap.Marshal(m)
-	r.End = end
+	r.Start, r.End = start+2, end+2
+	misaligned := snap.Marshal(m)
+	r.Start, r.End = start, end
 	return []badSnapshot{
 		{"trailing byte", "trailing bytes", append(append([]byte(nil), src...), 0)},
 		{"region count 1<<62", "length 4611686018427387904 exceeds remaining input", e.Bytes()},
 		{"partial instruction", "not a whole number of instructions", partial},
 		{"span of 1<<40 instructions", "longer than the remaining input", long},
+		{"start inside an instruction", "starts inside an instruction", misaligned},
 	}
 }
 
