@@ -48,6 +48,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkPearson' -benchtime 1x -benchmem ./internal/lpd/ ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectorObserve|BenchmarkBBVObserve|BenchmarkWorkingSetObserve' -benchtime 1x -benchmem ./internal/changepoint/ ./internal/altdetect/
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessOverflow' -benchtime 1x -benchmem ./internal/region/
+	$(GO) test -run '^$$' -bench 'BenchmarkDigestReport|BenchmarkEpochFormation' -benchtime 1x -benchmem ./internal/vhash/ ./internal/interval/
 
 # Fuzz every restore path that has a fuzz target for 10 s each (manual,
 # about 100 s; not part of `make check`): the seven detector leaves, the

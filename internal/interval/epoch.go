@@ -14,12 +14,16 @@ import "slices"
 // a contiguous slice read — no per-visit closure, no node traversal.
 //
 // The trade is rebuild cost on mutation: Insert and Remove only record the
-// change and mark the snapshot dirty; the next query rebuilds it. Region
-// monitoring mutates its index on formation and pruning — rare, declared-
-// cold events (a handful per run) — while stabbing happens for every
-// distinct PC of every interval, so paying O(n log n) per epoch to make the
-// per-query constant minimal is exactly the right side of the trade
-// (the Section 3.2.3 cost model with the rebuild amortized to zero).
+// change; the next query rebuilds the snapshot. Region monitoring mutates
+// its index on formation and pruning, while stabbing happens for every
+// distinct PC of every interval — yet formation is not rare: it runs on
+// 79 of spec-replay's 610 intervals (13%), adding a few regions to about
+// 33 each time. So a rebuild after in-order Inserts alone, formation's
+// case, merges just the new ranges' sorted bounds into the existing ones
+// and remaps each live range's segments through that merge, O(n + m log
+// m) for m new ranges instead of O(n log n); only a Remove or an
+// out-of-order Insert (pruning, restore) makes it start over from an
+// empty snapshot.
 //
 // Worst-case snapshot size is O(n²) ids when every range overlaps every
 // other; monitored regions are loop bodies whose overlap depth is the loop
@@ -29,10 +33,11 @@ type Epoch struct {
 	// ranges holds the live ranges, in id order after every rebuild.
 	ranges []Range
 	byID   map[int]int //lint:bounded -- id -> index in ranges: one key per live range; Remove re-points an existing key and deletes its own
-	dirty  bool
-	// unordered records that an Insert below the largest id or a
-	// swapping Remove broke the id order of ranges.
-	unordered bool
+	// synced counts the leading ranges the snapshot covers; the ranges
+	// after them were inserted in id order since the last rebuild, which
+	// merges them in. It is -1 once a Remove or an out-of-order Insert
+	// has made the snapshot no base to merge into.
+	synced int
 
 	// Flat snapshot: the boundaries cut the line into len(bounds)+1
 	// segments. Segment i holds the points with exactly i boundaries at
@@ -44,7 +49,11 @@ type Epoch struct {
 	segOff   []int
 	segRanks []int
 
-	spans []int // rebuild scratch: each range's first and last segment
+	// Rebuild scratch: spans[2k] and spans[2k+1] index rank k's Start
+	// and End in bounds, kept between rebuilds so a merge only remaps
+	// them; fresh holds the merged-in ranges' bounds.
+	spans []int
+	fresh []uint64
 }
 
 // NewEpoch returns an empty Epoch.
@@ -61,11 +70,10 @@ func (e *Epoch) Insert(id int, start, end uint64) bool {
 		return false
 	}
 	if n := len(e.ranges); n > 0 && id < e.ranges[n-1].ID {
-		e.unordered = true
+		e.synced = -1
 	}
 	e.byID[id] = len(e.ranges)
 	e.ranges = append(e.ranges, Range{ID: id, Start: start, End: end})
-	e.dirty = true
 	return true
 }
 
@@ -80,11 +88,10 @@ func (e *Epoch) Remove(id int) bool {
 	if i != last {
 		e.ranges[i] = e.ranges[last]
 		e.byID[e.ranges[i].ID] = i
-		e.unordered = true
 	}
 	e.ranges = e.ranges[:last]
 	delete(e.byID, id)
-	e.dirty = true
+	e.synced = -1
 	return true
 }
 
@@ -128,7 +135,7 @@ func (e *Epoch) Lookup(point uint64) []int {
 // and Ranks read the snapshot as of the last Sync (Lookup and Stab sync
 // themselves).
 func (e *Epoch) Sync() {
-	if e.dirty {
+	if e.synced != len(e.ranges) {
 		e.rebuild()
 	}
 }
@@ -145,53 +152,65 @@ func (e *Epoch) Bounds() []uint64 { return e.bounds }
 // len(Bounds()), ascending, under the same validity as Lookup's result.
 func (e *Epoch) Ranks(i int) []int { return e.segRanks[e.segOff[i]:e.segOff[i+1]] }
 
-// rebuild recomputes the flat snapshot from the live range set. It runs
-// only after the range set changed — region formation and pruning, the
-// monitor's declared-cold events — never in steady state, so it is free
-// to allocate (the scratch it grows is reused across epochs).
+// rebuild brings the flat snapshot up to date with the live range set,
+// merging in the ranges inserted since the last rebuild or, after a
+// Remove or an out-of-order Insert, every range into an empty snapshot.
+// It runs only after the range set changed — region formation and
+// pruning, the monitor's declared-cold events — never in steady state;
+// its scratch is reused, so once grown it allocates nothing.
 //
-//lint:allow hotpath boundedstate -- epoch rebuild is a declared cold sub-path, output capped by the region set
+//lint:allow hotpath boundedstate -- epoch rebuild runs only on formation (13% of spec-replay's intervals) and pruning, output capped by the region set
 func (e *Epoch) rebuild() {
-	e.dirty = false
-	if e.unordered {
+	if e.synced < 0 {
 		// Ranks are positions in id order: restore that order, and the
-		// id -> index map with it.
+		// id -> index map with it, and start from no ranges.
 		slices.SortFunc(e.ranges, func(a, b Range) int { return a.ID - b.ID })
 		for i, r := range e.ranges {
 			e.byID[r.ID] = i
 		}
-		e.unordered = false
+		e.synced, e.bounds, e.spans = 0, e.bounds[:0], e.spans[:0]
 	}
+	added := e.ranges[e.synced:]
+	e.synced = len(e.ranges)
 
-	// Boundaries: every Start and End, sorted and deduplicated. Segments
-	// between consecutive boundaries are covered by a fixed rank set (a
-	// gap between ranges is simply a segment with an empty set).
-	e.bounds = e.bounds[:0]
-	for _, r := range e.ranges {
-		e.bounds = append(e.bounds, r.Start, r.End)
+	// Boundaries: every Start and End, sorted and deduplicated. The added
+	// ranges' are sorted on their own and merged into the rest; each live
+	// range's bound indices move with the merge. Segments between
+	// consecutive boundaries are covered by a fixed rank set (a gap
+	// between ranges is simply a segment with an empty set). segOff is
+	// rebuilt below, so until then it holds the merge's index map.
+	fresh := e.fresh[:0]
+	for _, r := range added {
+		fresh = append(fresh, r.Start, r.End)
 	}
-	slices.Sort(e.bounds)
-	e.bounds = slices.Compact(e.bounds)
+	slices.Sort(fresh)
+	e.fresh = slices.Compact(fresh)
+	moved := e.segOff[:len(e.bounds)]
+	e.bounds = mergeBounds(e.bounds, e.fresh, moved)
+	for k, b := range e.spans {
+		e.spans[k] = moved[b]
+	}
+	for _, r := range added {
+		first, _ := slices.BinarySearch(e.bounds, r.Start)
+		last, _ := slices.BinarySearch(e.bounds, r.End)
+		e.spans = append(e.spans, first, last)
+	}
 
 	// CSR fill in two passes: count ranges per segment, prefix-sum into
 	// offsets, then place ranks. A range [Start, End) covers segments
-	// first+1 through last, where first and last index its two bounds;
-	// both are found once. Iterating ranges in id order makes each
-	// segment's rank list ascending, giving the snapshot a deterministic
-	// shape independent of insertion and removal history.
+	// first+1 through last, where first and last index its two bounds.
+	// Iterating ranges in id order makes each segment's rank list
+	// ascending, giving the snapshot a deterministic shape independent of
+	// insertion and removal history.
 	segs := len(e.bounds) + 1
 	e.segOff = slices.Grow(e.segOff[:0], segs+1)[:segs+1]
 	clear(e.segOff)
-	spans := slices.Grow(e.spans[:0], 2*len(e.ranges))
-	for _, r := range e.ranges {
-		first, _ := slices.BinarySearch(e.bounds, r.Start)
-		last, _ := slices.BinarySearch(e.bounds, r.End)
-		spans = append(spans, first+1, last+1)
-		for s := first + 1; s <= last; s++ {
+	spans := e.spans
+	for k := 0; k < len(spans); k += 2 {
+		for s := spans[k] + 1; s <= spans[k+1]; s++ {
 			e.segOff[s+1]++
 		}
 	}
-	e.spans = spans
 	for i := 1; i <= segs; i++ {
 		e.segOff[i] += e.segOff[i-1]
 	}
@@ -200,11 +219,47 @@ func (e *Epoch) rebuild() {
 	// it to segment s+1's start; shifting the offsets back afterwards
 	// restores them, so no separate cursor array is needed.
 	for k := range e.ranges {
-		for s := spans[2*k]; s < spans[2*k+1]; s++ {
+		for s := spans[2*k] + 1; s <= spans[2*k+1]; s++ {
 			e.segRanks[e.segOff[s]] = k
 			e.segOff[s]++
 		}
 	}
 	copy(e.segOff[1:], e.segOff[:segs])
 	e.segOff[0] = 0
+}
+
+// mergeBounds merges fresh into b, both ascending and duplicate-free, in
+// place from the back, keeping a value present in both once, and returns
+// the merged slice; moved[i] receives the merged index of b[i].
+func mergeBounds(b, fresh []uint64, moved []int) []uint64 {
+	old, n := len(b), len(b)+len(fresh)
+	for i, j := 0, 0; i < old && j < len(fresh); {
+		switch {
+		case b[i] < fresh[j]:
+			i++
+		case b[i] > fresh[j]:
+			j++
+		default:
+			i, j, n = i+1, j+1, n-1
+		}
+	}
+	b = slices.Grow(b, n-old)[:n]
+	i, j := old-1, len(fresh)-1
+	for w := n - 1; j >= 0; w-- {
+		if i >= 0 && b[i] >= fresh[j] {
+			if b[i] == fresh[j] {
+				j--
+			}
+			b[w], moved[i] = b[i], w
+			i--
+		} else {
+			b[w] = fresh[j]
+			j--
+		}
+	}
+	// Everything fresh is placed, so the rest of b stays where it is.
+	for ; i >= 0; i-- {
+		moved[i] = i
+	}
+	return b
 }

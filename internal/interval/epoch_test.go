@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -38,31 +39,48 @@ func TestEpochLookupMatchesStab(t *testing.T) {
 	}
 }
 
-// TestIndexChurnAgreement is the three-way churn differential: one
-// deterministic sequence of formation-like insert bursts and prune-like
-// removal waves (including full drains) driven through List, Tree and
-// Epoch simultaneously, with every mutation result and a stab grid
-// compared after each wave. Heavy region turnover is exactly the shape
-// that stresses the epoch's lazy rebuild: every wave invalidates the
-// snapshot and the next stab batch must rebuild it correctly.
+// liveRanks maps a stab's ids to ranks: positions in ascending id order
+// among the live ids.
+func liveRanks(stabbed, live []int) []int {
+	ids := slices.Clone(live)
+	slices.Sort(ids)
+	out := make([]int, 0, len(stabbed))
+	for _, id := range stabbed {
+		k, _ := slices.BinarySearch(ids, id)
+		out = append(out, k)
+	}
+	return out
+}
+
 // TestEpochSegmentsMatchLookup: after Sync, the segment of a point —
-// the number of boundaries at or below it — carries exactly Lookup's
-// ranks, for points below, between, on and past every boundary, through
-// inserts out of id order and swapping removes; the two unbounded
-// segments are empty, and an empty epoch has one empty segment.
+// the number of boundaries at or below it — carries exactly the ranks of
+// the ranges a List stab finds there, and so does Lookup, for points
+// below, between, on and past every boundary, through inserts in and
+// out of id order and swapping removes; the two unbounded segments are
+// empty, and an empty epoch has one empty segment.
 func TestEpochSegmentsMatchLookup(t *testing.T) {
-	e := NewEpoch()
+	e, list := NewEpoch(), NewList()
 	e.Sync()
 	if len(e.Bounds()) != 0 || len(e.Ranks(0)) != 0 {
 		t.Fatalf("empty epoch: bounds %v, segment 0 ranks %v", e.Bounds(), e.Ranks(0))
 	}
 	rng := rand.New(rand.NewPCG(3, 5))
+	var live []int
 	for step := 0; step < 200; step++ {
 		if id := rng.IntN(40); rng.IntN(3) == 0 {
-			e.Remove(id)
+			if e.Remove(id) != list.Remove(id) {
+				t.Fatalf("step %d: Remove(%d) disagrees with the list", step, id)
+			}
 		} else {
 			start := uint64(rng.IntN(1000))
-			e.Insert(id, start, start+1+uint64(rng.IntN(200)))
+			end := start + 1 + uint64(rng.IntN(200))
+			if e.Insert(id, start, end) != list.Insert(id, start, end) {
+				t.Fatalf("step %d: Insert(%d) disagrees with the list", step, id)
+			}
+		}
+		live = live[:0]
+		for _, r := range list.ranges {
+			live = append(live, r.ID)
 		}
 		e.Sync()
 		b := e.Bounds()
@@ -70,14 +88,28 @@ func TestEpochSegmentsMatchLookup(t *testing.T) {
 			t.Fatalf("step %d: an unbounded segment has ranks", step)
 		}
 		for p := uint64(0); p < 1250; p += 7 {
+			want := liveRanks(collect(list, p), live)
 			seg, _ := slices.BinarySearch(b, p+1)
-			if got, want := e.Ranks(seg), e.Lookup(p); !equalInts(got, want) {
-				t.Fatalf("step %d: point %d in segment %d has ranks %v; Lookup %v", step, p, seg, got, want)
+			if got := e.Ranks(seg); !equalInts(got, want) {
+				t.Fatalf("step %d: point %d in segment %d has ranks %v; the list stabs ranks %v", step, p, seg, got, want)
+			}
+			if got := e.Lookup(p); !equalInts(got, want) {
+				t.Fatalf("step %d: Lookup(%d) = %v; the list stabs ranks %v", step, p, got, want)
 			}
 		}
 	}
 }
 
+// TestIndexChurnAgreement is the three-way churn differential: one
+// deterministic sequence of formation-like insert bursts and prune-like
+// removal waves (including full drains) driven through List, Tree and
+// Epoch simultaneously, with every mutation result and a stab grid
+// compared after each burst and each wave. Heavy region turnover is
+// exactly the shape that stresses the epoch's lazy rebuild: every wave
+// invalidates the snapshot and the next stab batch must rebuild it. Each
+// wave's formation stretch is one to four bursts with no removal between
+// — the epoch's merge rebuild — and bursts repeat live spans and reuse
+// live ranges' bounds, so merged bounds coincide with existing ones.
 func TestIndexChurnAgreement(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xE9, 0xC0DE))
 	list, tree, epoch := NewList(), NewTree(), NewEpoch()
@@ -89,8 +121,16 @@ func TestIndexChurnAgreement(t *testing.T) {
 	var live []int
 	check := func(wave int) {
 		t.Helper()
-		ids := slices.Clone(live)
-		slices.Sort(ids)
+		// Merged or rebuilt from scratch, the snapshot has one shape.
+		scratch := NewEpoch()
+		for _, r := range list.ranges {
+			scratch.Insert(r.ID, r.Start, r.End)
+		}
+		epoch.Sync()
+		scratch.Sync()
+		if !slices.Equal(epoch.Bounds(), scratch.Bounds()) {
+			t.Fatalf("wave %d: epoch bounds %v; built from scratch %v", wave, epoch.Bounds(), scratch.Bounds())
+		}
 		for p := uint64(0); p < 4600; p += 37 {
 			want := collect(list, p)
 			for _, x := range indexes[1:] {
@@ -98,29 +138,44 @@ func TestIndexChurnAgreement(t *testing.T) {
 					t.Fatalf("wave %d: %s.Stab(%d) = %v; list says %v", wave, x.name, p, got, want)
 				}
 			}
-			if got := rankIDs(epoch.Lookup(p), ids); !equalInts(got, want) {
-				t.Fatalf("wave %d: epoch.Lookup(%d) maps to ids %v; list says %v", wave, p, got, want)
+			if got, want := epoch.Lookup(p), liveRanks(want, live); !equalInts(got, want) {
+				t.Fatalf("wave %d: epoch.Lookup(%d) = ranks %v; list says ranks %v", wave, p, got, want)
 			}
 		}
 	}
 
 	nextID := 0
 	for wave := 0; wave < 60; wave++ {
-		// Formation burst: a handful of new (possibly nested or identical)
-		// ranges, as when the UCR threshold trips.
-		for i, n := 0, 1+rng.IntN(24); i < n; i++ {
-			start := uint64(rng.IntN(4000))
-			end := start + 1 + uint64(rng.IntN(500))
-			want := list.Insert(nextID, start, end)
-			for _, x := range indexes[1:] {
-				if got := x.ix.Insert(nextID, start, end); got != want {
-					t.Fatalf("wave %d: %s.Insert(%d) = %v; list says %v", wave, x.name, nextID, got, want)
+		// Formation stretch: bursts of a handful of new (possibly nested
+		// or identical) ranges, as when the UCR threshold trips.
+		for bursts := 1 + rng.IntN(4); bursts > 0; bursts-- {
+			for i, n := 0, 1+rng.IntN(24); i < n; i++ {
+				start := uint64(rng.IntN(4000))
+				end := start + 1 + uint64(rng.IntN(500))
+				if len(list.ranges) > 0 {
+					r := list.ranges[rng.IntN(len(list.ranges))]
+					switch rng.IntN(4) {
+					case 0: // the same span as a live range
+						start, end = r.Start, r.End
+					case 1: // starts where a live range ends
+						start, end = r.End, r.End+1+uint64(rng.IntN(500))
+					case 2: // ends where a live range starts
+						if r.Start > 0 {
+							start, end = uint64(rng.IntN(int(r.Start))), r.Start
+						}
+					}
 				}
+				want := list.Insert(nextID, start, end)
+				for _, x := range indexes[1:] {
+					if got := x.ix.Insert(nextID, start, end); got != want {
+						t.Fatalf("wave %d: %s.Insert(%d) = %v; list says %v", wave, x.name, nextID, got, want)
+					}
+				}
+				live = append(live, nextID)
+				nextID++
 			}
-			live = append(live, nextID)
-			nextID++
+			check(wave)
 		}
-		check(wave)
 
 		// Prune wave: remove a random subset; every 7th wave drains the
 		// whole set (a region cap + idle-prune worst case).
@@ -178,4 +233,75 @@ func TestEpochLookupSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state Lookup allocates %.2f allocs/run; want 0", avg)
 	}
 	_ = sink
+}
+
+// formationRound returns two closures over e: one inserts add's spans in
+// id order from id first and syncs, the other removes them and syncs.
+func formationRound(e *Epoch, first int, add [][2]uint64) (insert, remove func()) {
+	insert = func() {
+		for k, r := range add {
+			e.Insert(first+k, r[0], r[1])
+		}
+		e.Sync()
+	}
+	remove = func() {
+		for k := len(add) - 1; k >= 0; k-- {
+			e.Remove(first + k)
+		}
+		e.Sync()
+	}
+	return insert, remove
+}
+
+// TestEpochRebuildSteadyStateAllocs: once its scratch has grown, a
+// rebuild allocates nothing, whether it merges in-order inserts or starts
+// over after removes.
+func TestEpochRebuildSteadyStateAllocs(t *testing.T) {
+	e := NewEpoch()
+	for i := 0; i < 64; i++ {
+		e.Insert(i, uint64(1000*i), uint64(1000*i+300+7*i))
+	}
+	insert, remove := formationRound(e, 64, [][2]uint64{{500, 2500}, {64_000, 64_300}, {7000, 7100}, {0, 90_000}})
+	insert()
+	remove()
+	if avg := testing.AllocsPerRun(100, func() { insert(); remove() }); avg != 0 {
+		t.Errorf("formation rebuild allocates %.2f allocs/run; want 0", avg)
+	}
+}
+
+// BenchmarkEpochFormation times formation's index update: four in-order
+// Inserts and the Sync that brings a snapshot of 32 or 256 live ranges up
+// to date. Between iterations, with the timer stopped, the four are
+// removed and the snapshot rebuilt, so every iteration starts from the
+// same synced range set.
+func BenchmarkEpochFormation(b *testing.B) {
+	for _, live := range []int{32, 256} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(11, uint64(live)))
+			span := func() [2]uint64 {
+				start := rng.Uint64N(1<<20) &^ 3
+				return [2]uint64{start, start + 4 + rng.Uint64N(1024)&^3}
+			}
+			e := NewEpoch()
+			for id := 0; id < live; id++ {
+				r := span()
+				e.Insert(id, r[0], r[1])
+			}
+			add := make([][2]uint64, 4)
+			for i := range add {
+				add[i] = span()
+			}
+			insert, remove := formationRound(e, live, add)
+			insert() // grow the scratch
+			remove()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				insert()
+				b.StopTimer()
+				remove()
+				b.StartTimer()
+			}
+		})
+	}
 }

@@ -10,6 +10,12 @@
 // the digest state is a single uint64, so it checkpoints alongside the
 // detector stack (Sum/Resume) and a restored stream's digest continues
 // exactly where the killed one stopped.
+//
+// Report folds a whole interval in a register: it reads the state once,
+// passes it by value through one unrolled eight-byte fold per integer or
+// float, and stores it back once at the end. Byte for byte it hashes what
+// a byte-at-a-time FNV-1a over the fields' little-endian encoding would,
+// and a report it rejects leaves the digest untouched.
 package vhash
 
 import (
@@ -53,120 +59,97 @@ func (d *Digest) Sum() uint64 {
 	return d.h
 }
 
-func (d *Digest) byte(b byte) {
-	if !d.seeded {
-		d.h, d.seeded = offset64, true
-	}
-	d.h = (d.h ^ uint64(b)) * prime64
-}
-
-// Bool folds one bool into the digest.
-func (d *Digest) Bool(v bool) {
-	if v {
-		d.byte(1)
-	} else {
-		d.byte(0)
-	}
-}
-
-// F64 folds a float64 into the digest, bit-exact.
-func (d *Digest) F64(v float64) { d.U64(math.Float64bits(v)) }
-
-// Int folds an int into the digest (as its int64 bits).
-func (d *Digest) Int(v int) { d.U64(uint64(int64(v))) }
-
 // U64 folds a uint64 into the digest, little-endian byte order.
-func (d *Digest) U64(v uint64) {
-	for i := 0; i < 64; i += 8 {
-		d.byte(byte(v >> i))
-	}
+func (d *Digest) U64(v uint64) { d.h, d.seeded = uint64(state(d.Sum()).u64(v)), true }
+
+// state is an FNV-1a state held by value, so a fold chain stays in a
+// register instead of storing and reloading the digest for every byte.
+type state uint64
+
+func (h state) byte(b byte) state { return (h ^ state(b)) * prime64 }
+
+// u64 folds v's eight bytes, least significant first.
+func (h state) u64(v uint64) state {
+	h = (h ^ state(byte(v))) * prime64
+	h = (h ^ state(byte(v>>8))) * prime64
+	h = (h ^ state(byte(v>>16))) * prime64
+	h = (h ^ state(byte(v>>24))) * prime64
+	h = (h ^ state(byte(v>>32))) * prime64
+	h = (h ^ state(byte(v>>40))) * prime64
+	h = (h ^ state(byte(v>>48))) * prime64
+	return (h ^ state(v>>56)) * prime64
 }
 
-// Str folds a length-prefixed string into the digest.
-func (d *Digest) Str(s string) {
-	d.Int(len(s))
-	for i := 0; i < len(s); i++ {
-		d.byte(s[i])
+// int folds an int as its int64 bits.
+func (h state) int(v int) state { return h.u64(uint64(int64(v))) }
+
+// f64 folds a float64 bit-exact.
+func (h state) f64(v float64) state { return h.u64(math.Float64bits(v)) }
+
+// bool folds a bool as one byte, 1 or 0.
+func (h state) bool(v bool) state {
+	if v {
+		return h.byte(1)
 	}
+	return h.byte(0)
+}
+
+// str folds a length-prefixed string.
+func (h state) str(s string) state {
+	h = h.int(len(s))
+	for i := 0; i < len(s); i++ {
+		h = h.byte(s[i])
+	}
+	return h
 }
 
 // Report folds every field of every verdict in one merged interval
 // report — including the typed payloads, floats bit-exact — into the
-// digest. An unknown payload type is an error: a consumer that silently
-// skipped a detector's output would prove nothing about it.
+// digest. An unknown payload type is an error and leaves the digest as
+// it was: a consumer that silently skipped a detector's output would
+// prove nothing about it.
 func (d *Digest) Report(rep *pipeline.IntervalReport) error {
-	d.Int(rep.Seq)
-	d.U64(rep.Cycle)
-	d.Int(len(rep.Verdicts))
+	h := state(d.Sum()).int(rep.Seq).u64(rep.Cycle).int(len(rep.Verdicts))
 	for i := range rep.Verdicts {
 		v := &rep.Verdicts[i]
-		d.Str(v.Detector)
-		d.Bool(v.Stable)
-		d.Bool(v.PhaseChange)
+		h = h.str(v.Detector).bool(v.Stable).bool(v.PhaseChange)
 		switch p := v.Payload.(type) {
 		case *gpd.Verdict:
-			d.Int(int(p.State))
-			d.Int(int(p.Prev))
-			d.Bool(p.PhaseChange)
-			d.Bool(p.Drastic)
-			d.F64(p.Centroid)
-			d.F64(p.Delta)
-			d.F64(p.BandLow)
-			d.F64(p.BandHigh)
+			h = h.int(int(p.State)).int(int(p.Prev)).bool(p.PhaseChange).bool(p.Drastic)
+			h = h.f64(p.Centroid).f64(p.Delta).f64(p.BandLow).f64(p.BandHigh)
 		case *region.Report:
-			d.regionReport(p)
+			h = h.regionReport(p)
 		case *altdetect.Verdict:
-			d.F64(p.Similarity)
-			d.Bool(p.Changed)
-			d.Int(p.Blocks)
+			h = h.f64(p.Similarity).bool(p.Changed).int(p.Blocks)
 		case *gpd.PerfVerdict:
-			d.F64(p.Value)
-			d.F64(p.Mean)
-			d.F64(p.SD)
-			d.F64(p.Delta)
-			d.Bool(p.Changed)
+			h = h.f64(p.Value).f64(p.Mean).f64(p.SD).f64(p.Delta).bool(p.Changed)
 		case *changepoint.Verdict:
-			d.F64(p.Value)
-			d.Bool(p.Evaluated)
-			d.Bool(p.Changed)
-			d.U64(uint64(p.ChangeAt))
-			d.F64(p.Stat)
-			d.F64(p.PValue)
+			h = h.f64(p.Value).bool(p.Evaluated).bool(p.Changed).u64(uint64(p.ChangeAt))
+			h = h.f64(p.Stat).f64(p.PValue)
 		default:
 			return fmt.Errorf("vhash: unknown verdict payload %T from detector %q", v.Payload, v.Detector)
 		}
 	}
+	d.h, d.seeded = uint64(h), true
 	return nil
 }
 
-func (d *Digest) regionReport(r *region.Report) {
-	d.Int(r.Seq)
-	d.Int(r.TotalSamples)
-	d.Int(r.MonitoredSamples)
-	d.Int(r.UCRSamples)
-	d.Int(r.IdleSamples)
-	d.F64(r.UCRFraction)
-	d.Bool(r.FormationTriggered)
-	d.Int(len(r.NewRegions))
+func (h state) regionReport(r *region.Report) state {
+	h = h.int(r.Seq).int(r.TotalSamples).int(r.MonitoredSamples).int(r.UCRSamples).int(r.IdleSamples)
+	h = h.f64(r.UCRFraction).bool(r.FormationTriggered)
+	h = h.int(len(r.NewRegions))
 	for _, reg := range r.NewRegions {
-		d.Int(reg.ID)
-		d.U64(uint64(reg.Start))
-		d.U64(uint64(reg.End))
+		h = h.int(reg.ID).u64(uint64(reg.Start)).u64(uint64(reg.End))
 	}
-	d.Int(len(r.Pruned))
+	h = h.int(len(r.Pruned))
 	for _, reg := range r.Pruned {
-		d.Int(reg.ID)
+		h = h.int(reg.ID)
 	}
-	d.Int(len(r.Verdicts))
+	h = h.int(len(r.Verdicts))
 	for i := range r.Verdicts {
 		rv := &r.Verdicts[i]
-		d.Int(rv.Region.ID)
-		d.Int(int(rv.Verdict.State))
-		d.Int(int(rv.Verdict.Prev))
-		d.F64(rv.Verdict.R)
-		d.Bool(rv.Verdict.PhaseChange)
-		d.Bool(rv.Verdict.Empty)
-		d.Bool(rv.Verdict.RefUpdated)
-		d.Int(rv.Samples)
+		h = h.int(rv.Region.ID).int(int(rv.Verdict.State)).int(int(rv.Verdict.Prev)).f64(rv.Verdict.R)
+		h = h.bool(rv.Verdict.PhaseChange).bool(rv.Verdict.Empty).bool(rv.Verdict.RefUpdated).int(rv.Samples)
 	}
+	return h
 }
