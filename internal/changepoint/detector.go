@@ -80,11 +80,12 @@ type Verdict struct {
 //lint:single-owner
 type Detector struct {
 	cfg  Config //lint:config -- fixed at construction
-	hist *stats.Series
+	hist *stats.Window
 	eng  *Engine       //lint:config -- stateless between Detect calls (scratch only)
 	vals []float64     //lint:config -- window scratch, capacity fixed at construction
 	cps  []ChangePoint //lint:config -- detection scratch, capacity fixed at construction
 
+	count      int64 // observations ever fed; hist holds the last min(count, Window)
 	lastChange int64
 	changes    int
 }
@@ -100,7 +101,7 @@ func New(cfg Config) (*Detector, error) {
 	}
 	return &Detector{
 		cfg:        cfg,
-		hist:       stats.NewSeries(cfg.Window),
+		hist:       stats.NewWindow(cfg.Window),
 		eng:        eng,
 		vals:       make([]float64, 0, cfg.Window),
 		cps:        make([]ChangePoint, 0, cfg.Window/cfg.Engine.MinSegment+1),
@@ -119,10 +120,11 @@ func MustNew(cfg Config) *Detector {
 
 // Observe feeds one interval's metric value and returns the verdict.
 func (d *Detector) Observe(value float64) Verdict {
-	d.hist.Append(value)
-	total := d.hist.Total()
+	d.hist.Add(value)
+	d.count++
+	total := d.count
 	v := Verdict{Value: value, ChangeAt: d.lastChange}
-	if d.hist.Len() < d.cfg.Window || total%int64(d.cfg.EvalEvery) != 0 {
+	if !d.hist.Full() || total%int64(d.cfg.EvalEvery) != 0 {
 		return v
 	}
 	d.vals = d.hist.Values(d.vals[:0])
@@ -160,4 +162,4 @@ func (d *Detector) Changes() int { return d.changes }
 func (d *Detector) LastChange() int64 { return d.lastChange }
 
 // Intervals returns the number of observations.
-func (d *Detector) Intervals() int64 { return d.hist.Total() }
+func (d *Detector) Intervals() int64 { return d.count }

@@ -3,6 +3,7 @@ package changepoint
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"regionmon/internal/snap"
@@ -86,33 +87,46 @@ func fedDetector(n int) *Detector {
 	return d
 }
 
+// badSnapshot is a forged detector snapshot and a fragment of the error
+// restoring it must give.
+type badSnapshot struct {
+	data []byte
+	err  string
+}
+
 // badSnapshots returns detector snapshots Restore must reject: a real
-// one cut by 8 bytes or followed by a stray byte, and hand-encoded ones
-// whose fields decode but cannot describe a run.
-func badSnapshots() map[string][]byte {
+// one cut by 8 bytes, followed by a stray byte or relabelled version 1,
+// and hand-encoded ones whose fields decode but cannot describe a run.
+func badSnapshots() map[string]badSnapshot {
 	src := snap.Marshal(fedDetector(170))
-	encode := func(lastChange int64, changes int, capa int, total int64, vals ...float64) []byte {
+	v1 := append([]byte(nil), src...)
+	v1[8+len(detectorTag)] = 1 // the version byte after the length-prefixed tag
+	encode := func(count, lastChange int64, changes int, capa int, vals ...float64) []byte {
 		e := snap.NewEncoder()
-		e.Header(detectorTag, 1)
+		e.Header(detectorTag, 2)
+		e.I64(count)
 		e.I64(lastChange)
 		e.Int(changes)
-		e.Header("series", 1)
-		e.Bool(false)
+		e.Header("window", 1)
 		e.Int(capa)
-		e.I64(total)
+		e.F64(0)
 		e.F64(0)
 		e.F64s(vals)
 		return e.Bytes()
 	}
 	w := DefaultConfig().Window
-	return map[string][]byte{
-		"cut by 8 bytes":        src[:len(src)-8],
-		"trailing byte":         append(append([]byte(nil), src...), 0),
-		"negative changes":      encode(-1, -3, w, 5, 1, 2, 3, 4, 5),
-		"total below values":    encode(-1, 0, w, 2, 1, 2, 3),
-		"last change too late":  encode(5, 1, w, 5, 1, 2, 3, 4, 5),
-		"last change below -1":  encode(-2, 0, w, 5, 1, 2, 3, 4, 5),
-		"window capacity wrong": encode(-1, 0, w+1, 5, 1, 2, 3, 4, 5),
+	return map[string]badSnapshot{
+		"cut by 8 bytes":           {src[:len(src)-8], ""},
+		"trailing byte":            {append(append([]byte(nil), src...), 0), "trailing bytes"},
+		"version 1":                {v1, "version 1, want 2"},
+		"negative changes":         {encode(5, -1, -3, w, 1, 2, 3, 4, 5), "negative change count"},
+		"negative count":           {encode(-1, -1, 0, w), "negative observation count"},
+		"window past count":        {encode(2, -1, 0, w, 1, 2, 3), "holds 3 values, want 2"},
+		"window short of count":    {encode(5, -1, 0, w, 1, 2, 3), "holds 3 values, want 5"},
+		"window short of capacity": {encode(int64(w)+52, -1, 0, w, make([]float64, w-1)...), "want 48"},
+		"last change at count":     {encode(5, 5, 1, w, 1, 2, 3, 4, 5), "last change 5 outside"},
+		"last change below -1":     {encode(5, -2, 0, w, 1, 2, 3, 4, 5), "last change -2 outside"},
+		"window capacity wrong":    {encode(5, -1, 0, w+1, 1, 2, 3, 4, 5), "capacity 49"},
 	}
 }
 
@@ -124,20 +138,24 @@ func TestRestoreFailureLeavesDetectorUntouched(t *testing.T) {
 	src := snap.Marshal(fedDetector(170))
 	d := fedDetector(100)
 	before := snap.Marshal(d)
-	check := func(name string, data []byte) {
+	check := func(name, wantErr string, data []byte) {
 		t.Helper()
-		if err := snap.Unmarshal(d, data); err == nil {
+		err := snap.Unmarshal(d, data)
+		if err == nil {
 			t.Fatalf("%s: restore accepted", name)
+		}
+		if !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("%s: restore error %q, want it to mention %q", name, err, wantErr)
 		}
 		if !bytes.Equal(snap.Marshal(d), before) {
 			t.Fatalf("%s: failed restore changed the detector (%d intervals)", name, d.Intervals())
 		}
 	}
 	for cut := 0; cut < len(src); cut++ {
-		check(fmt.Sprintf("cut at %d of %d", cut, len(src)), src[:cut])
+		check(fmt.Sprintf("cut at %d of %d", cut, len(src)), "", src[:cut])
 	}
-	for name, data := range badSnapshots() {
-		check(name, data)
+	for name, bad := range badSnapshots() {
+		check(name, bad.err, bad.data)
 	}
 }
 
@@ -148,8 +166,8 @@ func FuzzDetectorRestore(f *testing.F) {
 	f.Add(snap.Marshal(fedDetector(170)))
 	f.Add(snap.Marshal(fedDetector(20)))
 	f.Add(snap.Marshal(MustNew(DefaultConfig())))
-	for _, data := range badSnapshots() {
-		f.Add(data)
+	for _, bad := range badSnapshots() {
+		f.Add(bad.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fedDetector(100)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"regionmon/internal/gpd"
+	"regionmon/internal/hpm"
 	"regionmon/internal/pipeline"
 	"regionmon/internal/region"
 	"regionmon/internal/stats"
@@ -41,8 +42,9 @@ type SweepCell struct {
 	// UCRMedian is the median per-interval unmonitored-sample fraction
 	// (Figure 6).
 	UCRMedian float64
-	// UCRHistory is the per-interval UCR series (Figure 7).
-	UCRHistory []float64
+	// UCRSeries is every interval's unmonitored-sample fraction, in
+	// order (Figure 7).
+	UCRSeries []float64
 	// Regions summarizes every region the monitor formed, hottest first.
 	Regions []RegionSummary
 }
@@ -100,18 +102,21 @@ func runSweepCell(opts Options, name string, period uint64) (SweepCell, error) {
 	if err != nil {
 		return SweepCell{}, err
 	}
-	// Figure 7 plots the complete per-interval UCR series, so the sweep
-	// opts out of the monitor's bounded-history default.
-	rcfg := region.DefaultConfig()
-	rcfg.UCRHistoryCap = region.RetainAllHistory
-	rmon, err := region.NewMonitor(bench.Prog, rcfg)
+	rmon, err := region.NewMonitor(bench.Prog, region.DefaultConfig())
 	if err != nil {
 		return SweepCell{}, err
 	}
 	pipe := pipeline.New()
 	pipe.MustRegister(pipeline.NewGPD(gdet))
 	pipe.MustRegister(pipeline.NewRegionMonitor(rmon))
-	if _, err := opts.runStream(bench, period, pipe.Handler()); err != nil {
+	// Figure 7 plots the whole per-interval UCR series, so the cell
+	// collects it from each interval's region report.
+	var ucr []float64
+	handler := func(ov *hpm.Overflow) {
+		rep := pipe.ProcessOverflow(ov)
+		ucr = append(ucr, rep.Verdicts[1].Payload.(*region.Report).UCRFraction)
+	}
+	if _, err := opts.runStream(bench, period, handler); err != nil {
 		return SweepCell{}, err
 	}
 	cell := SweepCell{
@@ -120,8 +125,8 @@ func runSweepCell(opts Options, name string, period uint64) (SweepCell, error) {
 		Intervals:     pipe.Intervals(),
 		GPDChanges:    gdet.PhaseChanges(),
 		GPDStableFrac: gdet.StableFraction(),
-		UCRMedian:     rmon.UCRMedian(),
-		UCRHistory:    rmon.UCRHistory(),
+		UCRMedian:     stats.Median(ucr),
+		UCRSeries:     ucr,
 	}
 	for _, r := range rmon.Regions() {
 		cell.Regions = append(cell.Regions, RegionSummary{
@@ -233,20 +238,16 @@ func (s *SweepResult) Fig7Table() *Table {
 		t.Notes = append(t.Notes, "gap/crafty not in sweep: run with the full suite")
 		return t
 	}
-	n := len(gapC.UCRHistory)
-	if len(craftyC.UCRHistory) < n {
-		n = len(craftyC.UCRHistory)
-	}
+	n := min(len(gapC.UCRSeries), len(craftyC.UCRSeries))
 	step := 1
 	if n > 40 {
 		step = n / 40
 	}
 	for i := 0; i < n; i += step {
-		t.Rows = append(t.Rows, []string{itoa(i), pct(gapC.UCRHistory[i]), pct(craftyC.UCRHistory[i])})
+		t.Rows = append(t.Rows, []string{itoa(i), pct(gapC.UCRSeries[i]), pct(craftyC.UCRSeries[i])})
 	}
 	// Whole-run medians as the summary row.
-	t.Rows = append(t.Rows, []string{"median",
-		pct(stats.Median(gapC.UCRHistory)), pct(stats.Median(craftyC.UCRHistory))})
+	t.Rows = append(t.Rows, []string{"median", pct(gapC.UCRMedian), pct(craftyC.UCRMedian)})
 	return t
 }
 

@@ -61,7 +61,8 @@ func NewEpoch() *Epoch {
 	return &Epoch{byID: make(map[int]int), segOff: []int{0, 0}}
 }
 
-// Insert implements Index.
+// Insert adds the range [start, end) under id, with List.Insert's
+// contract.
 func (e *Epoch) Insert(id int, start, end uint64) bool {
 	if start >= end {
 		return false
@@ -77,8 +78,8 @@ func (e *Epoch) Insert(id int, start, end uint64) bool {
 	return true
 }
 
-// Remove implements Index (swap-delete, O(1); the snapshot is rebuilt on
-// the next query).
+// Remove deletes the range registered under id, reporting whether it was
+// present (swap-delete, O(1); the snapshot is rebuilt on the next query).
 func (e *Epoch) Remove(id int) bool {
 	i, ok := e.byID[id]
 	if !ok {
@@ -95,21 +96,14 @@ func (e *Epoch) Remove(id int) bool {
 	return true
 }
 
-// Len implements Index.
+// Len returns the number of live ranges.
 func (e *Epoch) Len() int { return len(e.ranges) }
-
-// Stab implements Index, mapping Lookup's ranks back to ids.
-func (e *Epoch) Stab(point uint64, visit func(id int)) {
-	for _, k := range e.Lookup(point) {
-		visit(e.ranges[k].ID)
-	}
-}
 
 // Lookup returns the ranks of every range containing point, ascending,
 // as a sub-slice of the epoch's flat snapshot — valid until the next
 // Insert or Remove, and not to be mutated. A rank is the range's position
 // in id order among the live ranges: rank 0 is the smallest live id. It
-// is the closure-free form of Stab: one binary search, one slice.
+// is one binary search and one slice read, with no per-visit closure.
 func (e *Epoch) Lookup(point uint64) []int {
 	e.Sync()
 	b := e.bounds
@@ -132,8 +126,7 @@ func (e *Epoch) Lookup(point uint64) []int {
 }
 
 // Sync rebuilds the snapshot if an Insert or Remove is pending. Bounds
-// and Ranks read the snapshot as of the last Sync (Lookup and Stab sync
-// themselves).
+// and Ranks read the snapshot as of the last Sync (Lookup syncs itself).
 func (e *Epoch) Sync() {
 	if e.synced != len(e.ranges) {
 		e.rebuild()

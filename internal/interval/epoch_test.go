@@ -7,7 +7,9 @@ import (
 	"testing"
 )
 
-func TestEpochBasics(t *testing.T) { testIndexBasics(t, func() Index { return NewEpoch() }) }
+func TestEpochBasics(t *testing.T) {
+	testIndexBasics(t, func() index { return epochIndex{NewEpoch()} })
+}
 
 // rankIDs maps Lookup's ranks to ids, given the live ids in id order.
 func rankIDs(ranks, ids []int) []int {
@@ -19,17 +21,18 @@ func rankIDs(ranks, ids []int) []int {
 }
 
 func TestEpochLookupMatchesStab(t *testing.T) {
-	e := NewEpoch()
-	e.Insert(9, 100, 400)
-	e.Insert(4, 50, 80)
-	e.Insert(12, 200, 300)
-	e.Insert(17, 250, 600)
+	e, list := NewEpoch(), NewList()
+	for _, r := range []Range{{9, 100, 400}, {4, 50, 80}, {12, 200, 300}, {17, 250, 600}} {
+		e.Insert(r.ID, r.Start, r.End)
+		list.Insert(r.ID, r.Start, r.End)
+	}
 	e.Remove(4)
+	list.Remove(4)
 	ids := []int{9, 12, 17}
 	for _, p := range []uint64{0, 60, 99, 100, 150, 200, 250, 299, 300, 399, 400, 599, 600} {
 		got := rankIDs(e.Lookup(p), ids)
-		if want := collect(e, p); !equalInts(got, want) {
-			t.Errorf("Lookup(%d) maps to ids %v; Stab collected %v", p, got, want)
+		if want := collect(list, p); !equalInts(got, want) {
+			t.Errorf("Lookup(%d) maps to ids %v; the list stabs %v", p, got, want)
 		}
 	}
 	// Lookup returns ranks — positions in id order among the live
@@ -100,11 +103,11 @@ func TestEpochSegmentsMatchLookup(t *testing.T) {
 	}
 }
 
-// TestIndexChurnAgreement is the three-way churn differential: one
-// deterministic sequence of formation-like insert bursts and prune-like
-// removal waves (including full drains) driven through List, Tree and
-// Epoch simultaneously, with every mutation result and a stab grid
-// compared after each burst and each wave. Heavy region turnover is
+// TestIndexChurnAgreement is the churn differential: one deterministic
+// sequence of formation-like insert bursts and prune-like removal waves
+// (including full drains) driven through List and Epoch simultaneously,
+// with every mutation result and a stab grid compared after each burst
+// and each wave. Heavy region turnover is
 // exactly the shape that stresses the epoch's lazy rebuild: every wave
 // invalidates the snapshot and the next stab batch must rebuild it. Each
 // wave's formation stretch is one to four bursts with no removal between
@@ -112,11 +115,7 @@ func TestEpochSegmentsMatchLookup(t *testing.T) {
 // live ranges' bounds, so merged bounds coincide with existing ones.
 func TestIndexChurnAgreement(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xE9, 0xC0DE))
-	list, tree, epoch := NewList(), NewTree(), NewEpoch()
-	indexes := []struct {
-		name string
-		ix   Index
-	}{{"list", list}, {"tree", tree}, {"epoch", epoch}}
+	list, epoch := NewList(), NewEpoch()
 
 	var live []int
 	check := func(wave int) {
@@ -133,10 +132,8 @@ func TestIndexChurnAgreement(t *testing.T) {
 		}
 		for p := uint64(0); p < 4600; p += 37 {
 			want := collect(list, p)
-			for _, x := range indexes[1:] {
-				if got := collect(x.ix, p); !equalInts(got, want) {
-					t.Fatalf("wave %d: %s.Stab(%d) = %v; list says %v", wave, x.name, p, got, want)
-				}
+			if got := collect(epochIndex{epoch}, p); !equalInts(got, want) {
+				t.Fatalf("wave %d: epoch stab(%d) = %v; list says %v", wave, p, got, want)
 			}
 			if got, want := epoch.Lookup(p), liveRanks(want, live); !equalInts(got, want) {
 				t.Fatalf("wave %d: epoch.Lookup(%d) = ranks %v; list says ranks %v", wave, p, got, want)
@@ -166,10 +163,8 @@ func TestIndexChurnAgreement(t *testing.T) {
 					}
 				}
 				want := list.Insert(nextID, start, end)
-				for _, x := range indexes[1:] {
-					if got := x.ix.Insert(nextID, start, end); got != want {
-						t.Fatalf("wave %d: %s.Insert(%d) = %v; list says %v", wave, x.name, nextID, got, want)
-					}
+				if got := epoch.Insert(nextID, start, end); got != want {
+					t.Fatalf("wave %d: epoch.Insert(%d) = %v; list says %v", wave, nextID, got, want)
 				}
 				live = append(live, nextID)
 				nextID++
@@ -192,22 +187,17 @@ func TestIndexChurnAgreement(t *testing.T) {
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
 			want := list.Remove(id)
-			for _, x := range indexes[1:] {
-				if got := x.ix.Remove(id); got != want {
-					t.Fatalf("wave %d: %s.Remove(%d) = %v; list says %v", wave, x.name, id, got, want)
-				}
+			if got := epoch.Remove(id); got != want {
+				t.Fatalf("wave %d: epoch.Remove(%d) = %v; list says %v", wave, id, got, want)
 			}
 		}
-		// Absent-id removal: all three must agree it is a no-op.
+		// Absent-id removal: both must agree it is a no-op.
 		absent := nextID + 1000
-		want := list.Remove(absent)
-		for _, x := range indexes[1:] {
-			if got := x.ix.Remove(absent); got != want {
-				t.Fatalf("wave %d: %s.Remove(absent %d) = %v; list says %v", wave, x.name, absent, got, want)
-			}
+		if got, want := epoch.Remove(absent), list.Remove(absent); got != want {
+			t.Fatalf("wave %d: epoch.Remove(absent %d) = %v; list says %v", wave, absent, got, want)
 		}
-		if list.Len() != tree.Len() || list.Len() != epoch.Len() {
-			t.Fatalf("wave %d: Len diverged: list %d tree %d epoch %d", wave, list.Len(), tree.Len(), epoch.Len())
+		if list.Len() != epoch.Len() {
+			t.Fatalf("wave %d: Len diverged: list %d epoch %d", wave, list.Len(), epoch.Len())
 		}
 		check(wave)
 	}

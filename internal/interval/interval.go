@@ -1,13 +1,15 @@
 // Package interval provides the sample-to-region distribution structures
 // behind region monitoring. List and Tree are the two the paper compares
-// in Section 3.2.3: a simple linear list (O(n) per sample) and an
-// augmented red-black interval tree in the style of CLRS chapter 14
-// (O(log n + k) per sample, where k is the number of regions stabbed —
+// in Section 3.2.3 (Figure 16): a simple linear list (O(n) per sample)
+// and an augmented red-black interval tree in the style of CLRS chapter
+// 14 (O(log n + k) per sample, where k is the number of regions stabbed —
 // regions may overlap, e.g. nested loops, and a sample falling in several
-// regions increments all of them). Epoch goes past the paper: an immutable
-// flat segmentation of the current region set, rebuilt only when the set
-// changes, answering stabs with one binary search and a contiguous slice
-// read (see Epoch).
+// regions increments all of them). Epoch goes past the paper and is the
+// one the region monitor uses: an immutable flat segmentation of the
+// current region set, rebuilt only when the set changes, answering a
+// lookup with one binary search and a contiguous slice read (see Epoch).
+// List, the simplest, is the reference the tests check the other two
+// against.
 //
 // Region monitoring distributes every program-counter sample in the buffer
 // across the monitored regions on each buffer overflow; with hundreds of
@@ -15,24 +17,6 @@
 // monitoring cost, which is why the paper proposes the tree and this
 // reproduction adds the count-compressed batch path over Epoch.
 package interval
-
-// Index is a dynamic set of half-open address ranges [Start, End) with
-// integer identifiers, supporting stabbing queries. Implementations are
-// List, Tree and Epoch.
-type Index interface {
-	// Insert adds the range [start, end) under id. It reports false when
-	// id is already present or the range is empty/inverted (nothing is
-	// inserted in either case).
-	Insert(id int, start, end uint64) bool
-	// Remove deletes the range registered under id, reporting whether it
-	// was present.
-	Remove(id int) bool
-	// Stab calls visit for every range containing point. Order of visits
-	// is unspecified. visit must not mutate the index.
-	Stab(point uint64, visit func(id int))
-	// Len returns the number of ranges in the index.
-	Len() int
-}
 
 // Range is an exported (id, [start,end)) triple, used for bulk loads and
 // for test comparison between implementations.
@@ -54,7 +38,9 @@ func NewList() *List {
 	return &List{byID: make(map[int]int)}
 }
 
-// Insert implements Index.
+// Insert adds the range [start, end) under id. It reports false when id
+// is already present or the range is empty or inverted (nothing is
+// inserted in either case).
 func (l *List) Insert(id int, start, end uint64) bool {
 	if start >= end {
 		return false
@@ -67,7 +53,8 @@ func (l *List) Insert(id int, start, end uint64) bool {
 	return true
 }
 
-// Remove implements Index (swap-delete, O(1)).
+// Remove deletes the range registered under id, reporting whether it was
+// present (swap-delete, O(1)).
 func (l *List) Remove(id int) bool {
 	i, ok := l.byID[id]
 	if !ok {
@@ -83,7 +70,8 @@ func (l *List) Remove(id int) bool {
 	return true
 }
 
-// Stab implements Index by scanning every range.
+// Stab calls visit for every range containing point, scanning every
+// range. visit must not mutate the list.
 func (l *List) Stab(point uint64, visit func(id int)) {
 	for i := range l.ranges {
 		r := &l.ranges[i]
@@ -93,5 +81,5 @@ func (l *List) Stab(point uint64, visit func(id int)) {
 	}
 }
 
-// Len implements Index.
+// Len returns the number of ranges in the list.
 func (l *List) Len() int { return len(l.ranges) }

@@ -3,12 +3,13 @@ package interval
 // Tree is an interval tree: a red-black tree keyed by (Start, End, ID) in
 // which every node is augmented with the maximum End in its subtree
 // (CLRS chapter 14, the structure the paper's Section 3.2.3 cites via
-// reference [18]). Stabbing queries cost O(log n + k); insert and remove
-// cost O(log n).
+// reference [18]). Stabbing queries cost O(log n + k) and an insert
+// O(log n). It serves Figure 16's list-versus-tree comparison, which
+// inserts a region set once and then stabs it, so it has no delete.
 type Tree struct {
 	root *node
-	nil_ *node // sentinel leaf
-	byID map[int]*node
+	nil_ *node            // sentinel leaf
+	ids  map[int]struct{} // the ids present, for Insert's duplicate check
 }
 
 type color bool
@@ -32,11 +33,11 @@ type node struct {
 func NewTree() *Tree {
 	s := &node{c: black}
 	s.left, s.right, s.parent = s, s, s
-	return &Tree{root: s, nil_: s, byID: make(map[int]*node)}
+	return &Tree{root: s, nil_: s, ids: make(map[int]struct{})}
 }
 
-// Len implements Index.
-func (t *Tree) Len() int { return len(t.byID) }
+// Len returns the number of ranges in the tree.
+func (t *Tree) Len() int { return len(t.ids) }
 
 // less orders nodes by (start, end, id), giving the tree a deterministic
 // shape independent of insertion order ties.
@@ -50,16 +51,17 @@ func less(a, b *node) bool {
 	return a.id < b.id
 }
 
-// Insert implements Index.
+// Insert adds the range [start, end) under id, with List.Insert's
+// contract.
 func (t *Tree) Insert(id int, start, end uint64) bool {
 	if start >= end {
 		return false
 	}
-	if _, dup := t.byID[id]; dup {
+	if _, dup := t.ids[id]; dup {
 		return false
 	}
 	z := &node{id: id, start: start, end: end, max: end, left: t.nil_, right: t.nil_, parent: t.nil_}
-	t.byID[id] = z
+	t.ids[id] = struct{}{}
 
 	// Ordinary BST insert, updating max on the way down.
 	y := t.nil_
@@ -143,14 +145,6 @@ func (t *Tree) fixMax(n *node) {
 	n.max = m
 }
 
-// fixMaxUpward recomputes max from n to the root.
-func (t *Tree) fixMaxUpward(n *node) {
-	for n != t.nil_ {
-		t.fixMax(n)
-		n = n.parent
-	}
-}
-
 func (t *Tree) rotateLeft(x *node) {
 	y := x.right
 	x.right = y.left
@@ -193,132 +187,10 @@ func (t *Tree) rotateRight(x *node) {
 	t.fixMax(y)
 }
 
-func (t *Tree) transplant(u, v *node) {
-	switch {
-	case u.parent == t.nil_:
-		t.root = v
-	case u == u.parent.left:
-		u.parent.left = v
-	default:
-		u.parent.right = v
-	}
-	v.parent = u.parent
-}
-
-func (t *Tree) minimum(x *node) *node {
-	for x.left != t.nil_ {
-		x = x.left
-	}
-	return x
-}
-
-// Remove implements Index.
-func (t *Tree) Remove(id int) bool {
-	z, ok := t.byID[id]
-	if !ok {
-		return false
-	}
-	delete(t.byID, id)
-
-	y := z
-	yOrigColor := y.c
-	var x *node
-	switch {
-	case z.left == t.nil_:
-		x = z.right
-		t.transplant(z, z.right)
-		t.fixMaxUpward(x.parent)
-	case z.right == t.nil_:
-		x = z.left
-		t.transplant(z, z.left)
-		t.fixMaxUpward(x.parent)
-	default:
-		y = t.minimum(z.right)
-		yOrigColor = y.c
-		x = y.right
-		var maxFrom *node
-		if y.parent == z {
-			x.parent = y // needed by deleteFixup even when x is the sentinel
-			maxFrom = y
-		} else {
-			maxFrom = y.parent
-			t.transplant(y, y.right)
-			y.right = z.right
-			y.right.parent = y
-		}
-		t.transplant(z, y)
-		y.left = z.left
-		y.left.parent = y
-		y.c = z.c
-		t.fixMaxUpward(maxFrom)
-	}
-	if yOrigColor == black {
-		t.deleteFixup(x)
-	}
-	// The sentinel's parent may have been scribbled on; restore invariants.
-	t.nil_.parent = t.nil_
-	t.nil_.max = 0
-	return true
-}
-
-func (t *Tree) deleteFixup(x *node) {
-	for x != t.root && x.c == black {
-		if x == x.parent.left {
-			w := x.parent.right
-			if w.c == red {
-				w.c = black
-				x.parent.c = red
-				t.rotateLeft(x.parent)
-				w = x.parent.right
-			}
-			if w.left.c == black && w.right.c == black {
-				w.c = red
-				x = x.parent
-			} else {
-				if w.right.c == black {
-					w.left.c = black
-					w.c = red
-					t.rotateRight(w)
-					w = x.parent.right
-				}
-				w.c = x.parent.c
-				x.parent.c = black
-				w.right.c = black
-				t.rotateLeft(x.parent)
-				x = t.root
-			}
-		} else {
-			w := x.parent.left
-			if w.c == red {
-				w.c = black
-				x.parent.c = red
-				t.rotateRight(x.parent)
-				w = x.parent.left
-			}
-			if w.right.c == black && w.left.c == black {
-				w.c = red
-				x = x.parent
-			} else {
-				if w.left.c == black {
-					w.right.c = black
-					w.c = red
-					t.rotateLeft(w)
-					w = x.parent.left
-				}
-				w.c = x.parent.c
-				x.parent.c = black
-				w.left.c = black
-				t.rotateRight(x.parent)
-				x = t.root
-			}
-		}
-	}
-	x.c = black
-}
-
-// Stab implements Index. The walk prunes subtrees whose max end is at or
-// below the point (nothing there can contain it) and right subtrees whose
-// start keys already exceed the point.
+// Stab calls visit for every range containing point, in key order. The
+// walk prunes subtrees whose max end is at or below the point (nothing
+// there can contain it) and right subtrees whose start keys already
+// exceed the point. visit must not mutate the tree.
 func (t *Tree) Stab(point uint64, visit func(id int)) {
 	t.stab(t.root, point, visit)
 }

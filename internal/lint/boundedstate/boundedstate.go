@@ -18,7 +18,7 @@
 // Escapes:
 //
 //   - //lint:bounded on a field: growth is bounded by construction
-//     (ring buffers like stats.Series.buf, scratch reused via [:0],
+//     (ring buffers like stats.Window.buf, scratch reused via [:0],
 //     epoch-rebuild outputs whose size is capped by the region set);
 //   - //lint:allow boundedstate on a function's doc comment: the walk
 //     neither checks nor traverses it (declared cold or bounded-by-design
@@ -170,7 +170,7 @@ func checkBody(pass *analysis.Pass, state map[*types.Var]stateField, fd analysis
 			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && len(n.Args) > 0 {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 					if v, sf, ok := lookupField(state, info, n.Args[0]); ok {
-						pass.Reportf(n.Pos(), "append grows detector state field %s.%s (state of %s, reachable from %s); bound it like stats.Series or mark the field //lint:bounded", sf.owner, v.Name(), sf.detector, via)
+						pass.Reportf(n.Pos(), "append grows detector state field %s.%s (state of %s, reachable from %s); bound it like stats.Window or mark the field //lint:bounded", sf.owner, v.Name(), sf.detector, via)
 					}
 				}
 			}

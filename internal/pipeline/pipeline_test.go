@@ -315,8 +315,7 @@ func TestObserveBatchEmpty(t *testing.T) {
 // TestHotPathAllocs gates the per-interval allocation budget of the whole
 // fan-out (GPD + region monitoring with a formed region) on the region
 // monitor's distribution path, the flat epoch index: after warm-up,
-// processing an interval must not allocate, save for the region monitor's
-// amortized UCR-history growth.
+// processing an interval must not allocate.
 func TestHotPathAllocs(t *testing.T) {
 	t.Run("epoch", func(t *testing.T) {
 		prog, l1, l2 := testProgram(t)
@@ -332,8 +331,8 @@ func TestHotPathAllocs(t *testing.T) {
 		avg := testing.AllocsPerRun(200, func() {
 			pipe.ProcessOverflow(ov)
 		})
-		// The UCR history is a fixed-capacity ring, so the steady state
-		// allocates nothing at all.
+		// Every detector's state is sized at construction or formation,
+		// so the steady state allocates nothing at all.
 		if avg != 0 {
 			t.Errorf("hot path allocates %.2f allocs/interval; want 0", avg)
 		}

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -215,6 +217,28 @@ func TestPipelineRestoreFailureLeavesPipelineUntouched(t *testing.T) {
 	}
 	if !bytes.Equal(mustSnapshot(t, p), before) {
 		t.Fatal("forged last detector: failed restore changed the pipeline")
+	}
+}
+
+// TestForgedSpanInputFailsAtSpanCheck: the kept fuzz input, a pipeline
+// snapshot whose region monitor holds a region of 1<<40 instructions,
+// decodes up to that region and is refused there, before the span sizes
+// an allocation. It is encoded in the current layout, so no version
+// header refuses it first.
+func TestForgedSpanInputFailsAtSpanCheck(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzPipelineRestore/ee6ed3c9adbfe494")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, quoted, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(quoted, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := fedPipeline(t, 23)
+	err = p.Restore([]byte(data))
+	if err == nil || !strings.Contains(err.Error(), "span") || !strings.Contains(err.Error(), "longer than the remaining input") {
+		t.Fatalf("restore error %v; want the region's forged-span check", err)
 	}
 }
 

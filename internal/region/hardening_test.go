@@ -136,42 +136,59 @@ func TestIdleSampleAccounting(t *testing.T) {
 	}
 }
 
-// TestUCRHistoryBounded is the regression test that the default monitor
-// retains a fixed-size UCR history no matter how long it runs.
-func TestUCRHistoryBounded(t *testing.T) {
+// TestSnapshotSizeIndependentOfIntervals: the monitor keeps no
+// per-interval history, so once its region set is formed its snapshot
+// has the same size after 10 intervals as after 5,000. Before, a
+// UCR-fraction ring grew the snapshot by 8 bytes an interval, up to 4,096
+// intervals.
+func TestSnapshotSizeIndependentOfIntervals(t *testing.T) {
+	prog, l1, l2 := testProgram(t)
+	m := newMonitor(t, prog, nil)
+	pcs := append(spanPCs(l1, 8), spanPCs(l2, 12)...)
+	sizes := map[int]int{}
+	for i := 0; i < 5000; i++ {
+		m.ProcessOverflow(overflow(i, 160, pcs...))
+		if i == 9 || i == 4999 {
+			sizes[i+1] = len(snap.Marshal(m))
+		}
+	}
+	if len(m.Regions()) != 2 {
+		t.Fatalf("monitor holds %d regions; want 2", len(m.Regions()))
+	}
+	if sizes[10] != sizes[5000] {
+		t.Fatalf("snapshot is %d bytes after 10 intervals and %d after 5,000", sizes[10], sizes[5000])
+	}
+}
+
+// TestPruneIgnoresSeq: the idle clock exempts exactly the regions formed
+// in the current interval, whatever the producer's Seq does. A region
+// formed in one interval and cold in the next three is pruned in the
+// third. Before, the exemption compared a region's FormedAt with the
+// overflow's Seq, so with Seq stuck at 0 no region was ever pruned, and
+// with a Seq that went back to the formation's value one cold interval
+// did not count.
+func TestPruneIgnoresSeq(t *testing.T) {
 	prog, l1, _ := testProgram(t)
-	m := newMonitor(t, prog, func(c *Config) { c.UCRHistoryCap = 8 })
-	const n = 100
-	for i := 0; i < n; i++ {
-		m.ProcessOverflow(overflow(i, 16, spanPCs(l1, 4)...))
-	}
-	if got := len(m.UCRHistory()); got != 8 {
-		t.Fatalf("UCRHistory length = %d; want 8", got)
-	}
-	if got := m.UCRDropped(); got != n-8 {
-		t.Fatalf("UCRDropped = %d; want %d", got, n-8)
-	}
-	if med := m.UCRMedian(); med < 0 || med > 1 {
-		t.Fatalf("UCRMedian = %v out of range", med)
-	}
-
-	// Default config: bounded at DefaultUCRHistoryCap, not unbounded.
-	md := newMonitor(t, prog, nil)
-	md.ProcessOverflow(overflow(0, 4, spanPCs(l1, 4)...))
-	if md.UCRDropped() != 0 || len(md.UCRHistory()) != 1 {
-		t.Fatal("short default-config run should retain everything")
-	}
-
-	// Retain-everything mode keeps the full series.
-	mu := newMonitor(t, prog, func(c *Config) { c.UCRHistoryCap = RetainAllHistory })
-	for i := 0; i < n; i++ {
-		mu.ProcessOverflow(overflow(i, 16, spanPCs(l1, 4)...))
-	}
-	if got := len(mu.UCRHistory()); got != n {
-		t.Fatalf("retain-all UCRHistory length = %d; want %d", got, n)
-	}
-	if mu.UCRDropped() != 0 {
-		t.Fatalf("retain-all dropped %d", mu.UCRDropped())
+	for _, c := range []struct {
+		name string
+		seqs []int // the formation interval's Seq, then three cold ones
+	}{
+		{"rising", []int{0, 1, 2, 3}},
+		{"constant", []int{0, 0, 0, 0}},
+		{"backwards", []int{5, 4, 5, 3}},
+	} {
+		m := newMonitor(t, prog, func(c *Config) { c.PruneAfter = 3 })
+		rep := m.ProcessOverflow(overflow(c.seqs[0], 128, spanPCs(l1, 8)...))
+		if len(rep.NewRegions) != 1 {
+			t.Fatalf("%s: formed %d regions; want 1", c.name, len(rep.NewRegions))
+		}
+		for k, seq := range c.seqs[1:] {
+			rep = m.ProcessOverflow(overflow(seq, 64, 0)) // idle: cold for every region
+			if want := k == 2; (len(rep.Pruned) == 1) != want || (len(m.Regions()) == 0) != want {
+				t.Fatalf("%s: cold interval %d (Seq %d) pruned %d, %d regions left; want the region pruned in cold interval 3",
+					c.name, k+1, seq, len(rep.Pruned), len(m.Regions()))
+			}
+		}
 	}
 }
 
@@ -229,10 +246,7 @@ func reportsEqual(t *testing.T, a, b Report) bool {
 
 func TestMonitorSnapshotForkEquality(t *testing.T) {
 	prog, l1, l2 := testProgram(t)
-	mut := func(c *Config) {
-		c.PruneAfter = 4
-		c.UCRHistoryCap = 32 // small, so the snapshot catches a wrapped ring
-	}
+	mut := func(c *Config) { c.PruneAfter = 4 }
 	const total = 140
 	stream := hardeningStream(l1, l2, total)
 
@@ -260,9 +274,6 @@ func TestMonitorSnapshotForkEquality(t *testing.T) {
 		}
 		if string(snap.Marshal(restored)) != string(s1) {
 			t.Fatalf("fork at %d: restored monitor snapshots to different bytes", at)
-		}
-		if restored.UCRMedian() != ref.UCRMedian() || restored.UCRDropped() != ref.UCRDropped() {
-			t.Fatalf("fork at %d: restored UCR history differs", at)
 		}
 		// FormedAt steers no verdict after the formation interval, so only
 		// a direct comparison sees it lost.
@@ -294,15 +305,18 @@ func TestMonitorSnapshotForkEquality(t *testing.T) {
 }
 
 func TestMonitorRestoreRejectsMismatch(t *testing.T) {
-	prog, l1, _ := testProgram(t)
-	m := newMonitor(t, prog, func(c *Config) { c.UCRHistoryCap = 8 })
-	m.ProcessOverflow(overflow(0, 64, spanPCs(l1, 8)...))
+	prog, l1, l2 := testProgram(t)
+	m := newMonitor(t, prog, nil)
+	m.ProcessOverflow(overflow(0, 64, append(spanPCs(l1, 8), spanPCs(l2, 8)...)...))
+	if len(m.Regions()) != 2 {
+		t.Fatalf("monitor formed %d regions; want 2", len(m.Regions()))
+	}
 	snapBytes := snap.Marshal(m)
 
-	// Different history capacity → reject.
-	other := newMonitor(t, prog, func(c *Config) { c.UCRHistoryCap = 16 })
+	// A region cap below the snapshot's region count → reject.
+	other := newMonitor(t, prog, func(c *Config) { c.MaxRegions = 1 })
 	if err := snap.Unmarshal(other, snapBytes); err == nil {
-		t.Error("expected history-capacity mismatch error")
+		t.Error("expected region-cap mismatch error")
 	}
 	// The failed restore left the monitor usable and empty.
 	if len(other.Regions()) != 0 {

@@ -18,6 +18,12 @@
 // loops spanning procedure boundaries form no region (the paper's
 // 186.crafty / 254.gap discussion), so their UCR contribution persists
 // across formation triggers.
+//
+// Formation reads only the current interval's UCR fraction, so the
+// monitor keeps no per-interval history: its state is the region set.
+// Each Report carries the interval's UCRFraction, and a caller that wants
+// the series over time (Figures 6 and 7, SystemStats.UCRMedian) collects
+// it from the reports.
 package region
 
 import (
@@ -28,7 +34,6 @@ import (
 	"regionmon/internal/interval"
 	"regionmon/internal/isa"
 	"regionmon/internal/lpd"
-	"regionmon/internal/stats"
 )
 
 // Config parameterizes the monitor.
@@ -66,23 +71,7 @@ type Config struct {
 	// MaxProcRegionInstrs caps inter-procedural region size
 	// (0 = DefaultMaxProcRegionInstrs).
 	MaxProcRegionInstrs int
-	// UCRHistoryCap bounds the retained per-interval UCR-fraction history.
-	// 0 selects DefaultUCRHistoryCap; RetainAllHistory (-1) keeps every
-	// interval (experiments and figure generators that plot the full
-	// series). The monitor is otherwise O(1)-state per interval, matching
-	// the related-work hardware schemes; an unbounded default would be a
-	// slow leak on the ROADMAP's billions-of-intervals runs.
-	UCRHistoryCap int
 }
-
-// DefaultUCRHistoryCap is the UCR history window used when
-// Config.UCRHistoryCap is 0 — deep enough for any online consumer
-// (UCRMedian, reporting) while keeping the monitor's footprint fixed.
-const DefaultUCRHistoryCap = 4096
-
-// RetainAllHistory, as Config.UCRHistoryCap, disables the UCR history
-// bound (opt-in retain-everything mode).
-const RetainAllHistory = -1
 
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
@@ -114,9 +103,6 @@ func (c *Config) Validate() error {
 	if c.MaxProcRegionInstrs < 0 {
 		return fmt.Errorf("region: max procedure-region size %d < 0", c.MaxProcRegionInstrs)
 	}
-	if c.UCRHistoryCap < RetainAllHistory {
-		return fmt.Errorf("region: UCR history cap %d < %d", c.UCRHistoryCap, RetainAllHistory)
-	}
 	return c.Detector.Validate()
 }
 
@@ -146,8 +132,9 @@ type Region struct {
 	Loop *isa.Loop //lint:config -- re-derived from the program on restore
 	// Detector is the region's local phase detector.
 	Detector *lpd.Detector
-	// FormedAt is the overflow sequence number at which the region was
-	// formed.
+	// FormedAt is the sequence number of the overflow that formed the
+	// region (for AddRegion between intervals, of the last overflow
+	// processed). It is informational: no monitoring decision reads it.
 	FormedAt int
 
 	// curr and intervalHits accumulate one interval; ProcessOverflow
@@ -267,8 +254,6 @@ type Monitor struct {
 	nextID int
 	seq    int
 
-	ucr *stats.Series
-
 	// Per-interval scratch, reused across ProcessOverflow calls so the
 	// monitoring hot path stays allocation-free in steady state. The
 	// per-slot arrays are indexed by the program's instruction slots (see
@@ -281,7 +266,6 @@ type Monitor struct {
 	seen           []int32         //lint:config -- count scratch: first-seen slots, then off-map sample indices
 	loopTally      []int           //lint:config -- formation scratch, per program loop ordinal
 	verdictScratch []RegionVerdict //lint:config -- backing array for Report.Verdicts
-	medScratch     []float64       //lint:config -- UCRMedian sort scratch
 }
 
 // NewMonitor returns a monitor for prog.
@@ -295,22 +279,13 @@ func NewMonitor(prog *isa.Program, cfg Config) (*Monitor, error) {
 	if err := cfg.validateAnnotations(prog); err != nil {
 		return nil, err
 	}
-	m := &Monitor{
+	return &Monitor{
 		prog:   prog,
 		cfg:    cfg,
 		index:  interval.NewEpoch(),
 		counts: make([]uint32, prog.NumSlots()),
 		segOf:  make([]int32, prog.NumSlots()),
-	}
-	switch cfg.UCRHistoryCap {
-	case RetainAllHistory:
-		m.ucr = stats.NewUnboundedSeries()
-	case 0:
-		m.ucr = stats.NewSeries(DefaultUCRHistoryCap)
-	default:
-		m.ucr = stats.NewSeries(cfg.UCRHistoryCap)
-	}
-	return m, nil
+	}, nil
 }
 
 // Regions returns the monitored regions in ID order.
@@ -329,28 +304,6 @@ func (m *Monitor) RegionAt(addr isa.Addr) *Region {
 		}
 	}
 	return best
-}
-
-// UCRHistory returns the retained per-interval UCR fractions, oldest
-// first. Under the default bounded configuration this is the most recent
-// UCRHistoryCap intervals (UCRDropped reports how many older ones were
-// evicted); with UCRHistoryCap = RetainAllHistory it is the complete
-// series.
-func (m *Monitor) UCRHistory() []float64 { return m.ucr.Values(nil) }
-
-// UCRDropped returns the number of per-interval UCR fractions evicted
-// from the bounded history (0 in retain-everything mode).
-func (m *Monitor) UCRDropped() int64 { return m.ucr.Dropped() }
-
-// UCRMedian returns the median per-interval UCR fraction over the
-// retained history — the Figure 6 per-benchmark quantity. The sort
-// scratch is reused across calls, so periodic reporting does not
-// allocate once the history has filled.
-func (m *Monitor) UCRMedian() float64 {
-	if n := m.ucr.Len(); cap(m.medScratch) < n {
-		m.medScratch = make([]float64, 0, n)
-	}
-	return m.ucr.MedianInto(m.medScratch)
 }
 
 // AddRegion manually registers a region over [start, end) (used for
@@ -420,7 +373,6 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	if rep.TotalSamples > 0 {
 		rep.UCRFraction = float64(rep.UCRSamples) / float64(rep.TotalSamples)
 	}
-	m.ucr.Append(rep.UCRFraction)
 
 	// Phase 2: region formation when the UCR is too hot. Idle samples are
 	// excluded from the trigger: they are unmonitored time but map to no
@@ -428,6 +380,7 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	// around.
 	codeSamples := rep.TotalSamples - rep.IdleSamples
 	codeUCR := rep.UCRSamples - rep.IdleSamples
+	formedFrom := len(m.regions) // regions from here on are formed this interval
 	if codeSamples > 0 && float64(codeUCR)/float64(codeSamples) > m.cfg.UCRThreshold {
 		rep.FormationTriggered = true
 		rep.NewRegions = m.formRegions(ucr)
@@ -440,7 +393,7 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	// state and prune cold regions, compacting the region slice in place.
 	rep.Verdicts = m.verdictScratch[:0]
 	live := m.regions[:0]
-	for _, r := range m.regions {
+	for i, r := range m.regions {
 		sparse := r.intervalHits > 0 && r.intervalHits < m.cfg.MinObserveSamples
 		if sparse {
 			// Too sparse to judge: treat as an empty interval.
@@ -458,9 +411,11 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 		// buffer replayed into it, and that partial interval must not
 		// start the idle clock (it could otherwise be pruned PruneAfter
 		// intervals after formation without ever seeing a full interval).
+		// The exemption goes by position, not by the producer's Seq,
+		// which need not rise.
 		if r.intervalHits >= m.cfg.MinObserveSamples {
 			r.idleFor = 0
-		} else if r.FormedAt != m.seq {
+		} else if i < formedFrom {
 			r.idleFor++
 		}
 		// r.curr was already zeroed in the sparse path above, and an

@@ -134,9 +134,6 @@ func TestStraightLineCodeStaysUCR(t *testing.T) {
 			t.Fatalf("interval %d: UCR fraction %v; want 1 (persistent UCR)", seq, rep.UCRFraction)
 		}
 	}
-	if m.UCRMedian() != 1 {
-		t.Errorf("UCR median = %v; want 1", m.UCRMedian())
-	}
 }
 
 func TestLocalDetectionStabilizes(t *testing.T) {
@@ -304,20 +301,6 @@ func TestAddRegionValidation(t *testing.T) {
 		t.Error("span starting inside an instruction accepted")
 	}
 	m.ProcessOverflow(overflow(0, 64, l1.Start+isa.InstrBytes))
-}
-
-func TestUCRHistoryIsCopied(t *testing.T) {
-	prog, l1, _ := testProgram(t)
-	m := newMonitor(t, prog, nil)
-	m.ProcessOverflow(overflow(0, 10, l1.Start))
-	h := m.UCRHistory()
-	if len(h) != 1 {
-		t.Fatalf("history = %v", h)
-	}
-	h[0] = -1
-	if m.UCRHistory()[0] == -1 {
-		t.Error("UCRHistory returned aliased storage")
-	}
 }
 
 func TestGranularityCycles(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 
 // Monitor checkpointing. A snapshot captures the monitor's complete
 // mutable state — the region set with each region's span, counters and
-// local phase detector, plus the sequence/ID counters and the UCR history
-// ring — and none of the construction inputs: a restore
+// local phase detector, plus the sequence and ID counters — and none of
+// the construction inputs: a restore
 // targets a monitor built over the same Program with the same Config. With that
 // precondition the restored monitor's subsequent ProcessOverflow reports
 // are identical to the uninterrupted monitor's for the same overflow
@@ -23,17 +23,17 @@ import (
 // not serialized; they are re-derived from the program on restore,
 // exactly as AddRegion derives them. Nor is a region's current-interval
 // histogram or hit count: ProcessOverflow zeroes both before it returns,
-// so between intervals they are always zero. Leaving them out is why the
-// version is 2; a version-1 snapshot, which carries them, is refused.
+// so between intervals they are always zero. Leaving them out made
+// version 2. Version 3 drops the per-interval UCR-fraction history the
+// monitor no longer keeps; older versions are refused.
 
 const monitorTag = "regmon"
 
 // AppendSnapshot encodes the monitor's mutable state onto e.
 func (m *Monitor) AppendSnapshot(e *snap.Encoder) {
-	e.Header(monitorTag, 2)
+	e.Header(monitorTag, 3)
 	e.Int(m.seq)
 	e.Int(m.nextID)
-	m.ucr.AppendSnapshot(e)
 
 	e.Int(len(m.regions))
 	for _, r := range m.regions {
@@ -50,20 +50,12 @@ func (m *Monitor) AppendSnapshot(e *snap.Encoder) {
 // StageSnapshot decodes and checks state written by AppendSnapshot and
 // returns a commit that replaces the monitor's state with it; m is
 // untouched until then. The monitor must have been built over the same
-// Program with the same Config as the snapshotted one; spans or history
-// shapes that do not fit the current program/configuration are rejected.
+// Program with the same Config as the snapshotted one; spans or region
+// counts that do not fit the current program/configuration are rejected.
 func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
-	dec.Header(monitorTag, 2)
+	dec.Header(monitorTag, 3)
 	seq := dec.Int()
 	nextID := dec.Int()
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	commitUCR, err := m.ucr.StageSnapshot(dec)
-	if err != nil {
-		return nil, err
-	}
-
 	count := dec.Len()
 	if err := dec.Err(); err != nil {
 		return nil, err
@@ -131,7 +123,6 @@ func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
 	}
 
 	return func() {
-		commitUCR()
 		m.seq = seq
 		m.nextID = nextID
 		for _, r := range m.regions {

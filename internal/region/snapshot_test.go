@@ -12,12 +12,8 @@ import (
 )
 
 // snapConfig is the configuration of the monitors the restore tests
-// snapshot: idle pruning on and a small UCR history, so a mid-stream
-// snapshot holds pruned IDs and a wrapped ring.
-func snapConfig(c *Config) {
-	c.PruneAfter = 4
-	c.UCRHistoryCap = 32
-}
+// snapshot: idle pruning on, so a mid-stream snapshot holds pruned IDs.
+func snapConfig(c *Config) { c.PruneAfter = 4 }
 
 // fedMonitor returns a monitor that has processed the first n intervals
 // of a 140-interval hardeningStream (formation, sparse and idle
@@ -41,22 +37,24 @@ type badSnapshot struct {
 }
 
 // badMonitorSnapshots returns snapshots a restore must reject: a real
-// mid-stream snapshot followed by a stray byte, one whose header,
-// counters and UCR history are valid but whose region count is 1<<62,
-// one whose first region ends one byte into an instruction, one whose
-// first region spans 1<<40 instructions, which would otherwise size that
-// region's detector, and one whose first region starts two bytes into an
-// instruction. Each carries the current header, so only its own
-// defect can reject it.
+// mid-stream snapshot followed by a stray byte, one whose header and
+// counters are valid but whose region count is 1<<62, one whose first
+// region ends one byte into an instruction, one whose first region spans
+// 1<<40 instructions, which would otherwise size that region's detector,
+// and one whose first region starts two bytes into an instruction. Each
+// carries the current header, so only its own defect can reject it. The
+// last is the real snapshot relabelled version 2, the layout that still
+// carried a UCR-fraction history.
 func badMonitorSnapshots(t testing.TB) []badSnapshot {
 	t.Helper()
 	m, _ := fedMonitor(t, 57)
 	src := snap.Marshal(m)
+	v2 := append([]byte(nil), src...)
+	v2[8+len(monitorTag)] = 2 // the version byte after the length-prefixed tag
 	e := snap.NewEncoder()
-	e.Header(monitorTag, 2)
+	e.Header(monitorTag, 3)
 	e.Int(m.seq)
 	e.Int(m.nextID)
-	m.ucr.AppendSnapshot(e)
 	e.Int(1 << 62)
 	r := m.Regions()[0]
 	start, end := r.Start, r.End
@@ -73,6 +71,7 @@ func badMonitorSnapshots(t testing.TB) []badSnapshot {
 		{"partial instruction", "not a whole number of instructions", partial},
 		{"span of 1<<40 instructions", "longer than the remaining input", long},
 		{"start inside an instruction", "starts inside an instruction", misaligned},
+		{"version 2", "version 2, want 3", v2},
 	}
 }
 

@@ -201,9 +201,8 @@ func BuildProgram() (*isa.Program, []isa.LoopSpan, error) {
 }
 
 // NewStack builds one full monitoring stack over prog: pipeline with
-// GPD, region monitor (bounded UCR history — the default), BBV, working
-// set, a CPI tracker and the E-divisive change-point detector (over the
-// same CPI signal). Every component uses its default configuration so a
+// GPD, region monitor, BBV, working set, a CPI tracker and the
+// E-divisive change-point detector (over the same CPI signal). Every component uses its default configuration so a
 // soak exercises exactly what users get.
 func NewStack(prog *isa.Program) (*pipeline.Pipeline, error) {
 	gdet, err := gpd.New(gpd.DefaultConfig())

@@ -1,7 +1,8 @@
 // Package stats provides the statistical primitives shared by the global
 // (centroid) and local (Pearson-correlation) phase detectors: correlation
-// coefficients over sample histograms, running mean/variance accumulators,
-// and small order statistics helpers.
+// coefficients over sample histograms, the one bounded float ring
+// (Window) with running mean and variance, and small order statistics
+// helpers.
 //
 // All functions are deterministic and allocation-conscious; the phase
 // detectors call them once per sample-buffer overflow, which in the paper's
@@ -11,6 +12,9 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sort"
+
+	"regionmon/internal/snap"
 )
 
 // Pearson computes Pearson's coefficient of correlation r between two
@@ -303,8 +307,9 @@ func StdDev(v []float64) float64 {
 	return math.Sqrt(s / float64(len(v)))
 }
 
-// Median returns the median of v without modifying it. For an even count it
-// returns the mean of the two central elements. Returns 0 for empty input.
+// Median returns the median of v without modifying it, sorting a copy in
+// O(n log n). For an even count it returns the mean of the two central
+// elements. Returns 0 for empty input.
 func Median(v []float64) float64 {
 	n := len(v)
 	if n == 0 {
@@ -312,29 +317,19 @@ func Median(v []float64) float64 {
 	}
 	c := make([]float64, n)
 	copy(c, v)
-	insertionSort(c)
+	sort.Float64s(c)
 	if n%2 == 1 {
 		return c[n/2]
 	}
 	return (c[n/2-1] + c[n/2]) / 2
 }
 
-func insertionSort(v []float64) {
-	for i := 1; i < len(v); i++ {
-		x := v[i]
-		j := i - 1
-		for j >= 0 && v[j] > x {
-			v[j+1] = v[j]
-			j--
-		}
-		v[j+1] = x
-	}
-}
-
 // Window is a fixed-capacity sliding window of float64 observations with
-// O(1) amortized mean and standard deviation. The GPD centroid history is a
-// Window: the paper's detector keeps "a history of such centroids" and
-// derives the band of stability from their expectation and deviation.
+// O(1) amortized mean and standard deviation: the repo's one bounded
+// float ring. The GPD centroid history is a Window (the paper's detector
+// keeps "a history of such centroids" and derives the band of stability
+// from their expectation and deviation), and so is the change-point
+// detector's metric window. Add never allocates.
 type Window struct {
 	buf  []float64
 	head int
@@ -420,4 +415,53 @@ func (w *Window) Values(dst []float64) []float64 {
 		dst = append(dst, w.buf[(w.head-w.n+i+len(w.buf))%len(w.buf)])
 	}
 	return dst
+}
+
+const windowTag = "window"
+
+// AppendSnapshot encodes the window (live values oldest first plus the
+// exact incremental sum/sum2 bits) onto e. Storing the incremental sums
+// verbatim — rather than recomputing them from the values on restore —
+// is what makes a restored detector's subsequent Mean/StdDev comparisons
+// replay bit-for-bit: recomputation would re-order the additions and
+// drift by ULPs.
+func (w *Window) AppendSnapshot(e *snap.Encoder) {
+	e.Header(windowTag, 1)
+	e.Int(len(w.buf))
+	e.F64(w.sum)
+	e.F64(w.sum2)
+	e.Int(w.n)
+	for i := 0; i < w.n; i++ {
+		e.F64(w.buf[(w.head-w.n+i+len(w.buf))%len(w.buf)])
+	}
+}
+
+// StageSnapshot decodes and checks state written by AppendSnapshot and
+// returns a commit that replaces w's contents with it; w is untouched
+// until then. The snapshot capacity must match the window's: a snapshot
+// is a resume point for an identically configured owner, not a migration
+// format.
+func (w *Window) StageSnapshot(d *snap.Decoder) (func(), error) {
+	d.Header(windowTag, 1)
+	capa := d.Int()
+	sum := d.F64()
+	sum2 := d.F64()
+	vals := d.F64s()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	n := len(vals)
+	if capa != len(w.buf) {
+		return nil, fmt.Errorf("stats: window snapshot capacity %d, window capacity %d", capa, len(w.buf))
+	}
+	if n > capa {
+		return nil, fmt.Errorf("stats: window snapshot holds %d values, exceeds capacity %d", n, capa)
+	}
+	return func() {
+		copy(w.buf, vals)
+		w.n = n
+		w.head = n % len(w.buf)
+		w.sum = sum
+		w.sum2 = sum2
+	}, nil
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"regionmon/internal/snap"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -456,5 +458,256 @@ func TestMedianLargeRandomAgainstSort(t *testing.T) {
 	}
 	if below > len(v)/2 || above > len(v)/2 {
 		t.Errorf("median %v splits %d below / %d above", m, below, above)
+	}
+}
+
+func TestWindowSnapshotRoundTrip(t *testing.T) {
+	w := NewWindow(8)
+	// Enough adds to wrap the ring and accumulate float drift in sum/sum2.
+	for i := 0; i < 100; i++ {
+		w.Add(math.Sin(float64(i)) * 1e3)
+	}
+	e := snap.NewEncoder()
+	w.AppendSnapshot(e)
+
+	r := NewWindow(8)
+	if err := snap.Unmarshal(r, e.Bytes()); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	if r.Len() != w.Len() || r.Mean() != w.Mean() || r.StdDev() != w.StdDev() {
+		t.Fatalf("restored window differs: Len %d/%d Mean %v/%v StdDev %v/%v",
+			r.Len(), w.Len(), r.Mean(), w.Mean(), r.StdDev(), w.StdDev())
+	}
+	// Bit-identical continuation: the incremental sums were restored
+	// verbatim, so the next Add yields identical Mean/StdDev on both.
+	w.Add(0.125)
+	r.Add(0.125)
+	if r.Mean() != w.Mean() || r.StdDev() != w.StdDev() {
+		t.Fatalf("post-restore divergence: Mean %v/%v StdDev %v/%v",
+			r.Mean(), w.Mean(), r.StdDev(), w.StdDev())
+	}
+
+	if err := snap.Unmarshal(NewWindow(4), e.Bytes()); err == nil {
+		t.Error("expected capacity mismatch error")
+	}
+}
+
+// TestRestoreTruncatedLeavesTargetUntouched: a snapshot cut at any
+// offset fails to restore and leaves the target byte-identical. The
+// restore used to empty the target before reading the values.
+func TestRestoreTruncatedLeavesTargetUntouched(t *testing.T) {
+	window := func(n int, x float64) *Window {
+		w := NewWindow(8)
+		for i := 0; i < n; i++ {
+			w.Add(x + float64(i))
+		}
+		return w
+	}
+	data := snap.Marshal(window(11, 0))
+	target := window(3, -9)
+	before := snap.Marshal(target)
+	for cut := 0; cut < len(data); cut++ {
+		if err := snap.Unmarshal(target, data[:cut]); err == nil {
+			t.Fatalf("cut at %d of %d: restore accepted", cut, len(data))
+		}
+		if string(snap.Marshal(target)) != string(before) {
+			t.Fatalf("cut at %d of %d: failed restore changed the target", cut, len(data))
+		}
+	}
+}
+
+// The TestSeries* tests pin the series of observations a Window holds,
+// as the change-point detector reads it: eviction, oldest-first order
+// across wraps, reset, zero-allocation Add, and snapshots taken at any
+// head position.
+
+func sameValues(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestSeriesBoundedEviction(t *testing.T) {
+	w := NewWindow(4)
+	for i := 1; i <= 10; i++ {
+		w.Add(float64(i))
+	}
+	if w.Len() != 4 || !w.Full() {
+		t.Fatalf("Len = %d, Full = %v, want 4, true", w.Len(), w.Full())
+	}
+	if got, want := w.Values(nil), []float64{7, 8, 9, 10}; !sameValues(got, want) {
+		t.Fatalf("Values = %v, want %v", got, want)
+	}
+	if m := w.Mean(); m != 8.5 {
+		t.Errorf("Mean = %v, want 8.5", m)
+	}
+	if m := Median(w.Values(nil)); m != 8.5 {
+		t.Errorf("Median = %v, want 8.5", m)
+	}
+}
+
+func TestSeriesOddMedian(t *testing.T) {
+	w := NewWindow(8)
+	for _, x := range []float64{5, 1, 3} {
+		w.Add(x)
+	}
+	if m := Median(w.Values(nil)); m != 3 {
+		t.Errorf("Median = %v, want 3", m)
+	}
+	if w.Mean() != 3 {
+		t.Errorf("Mean = %v, want 3", w.Mean())
+	}
+	// Median sorts a copy: the window keeps its arrival order.
+	if got, want := w.Values(nil), []float64{5, 1, 3}; !sameValues(got, want) {
+		t.Errorf("Values = %v after Median, want %v", got, want)
+	}
+}
+
+// TestSeriesWrapOrdering walks the ring across several full wraps,
+// checking Values keeps exact oldest-first order at every step,
+// including the Adds where the head returns to slot 0.
+func TestSeriesWrapOrdering(t *testing.T) {
+	const capacity = 5
+	w := NewWindow(capacity)
+	for i := 1; i <= 4*capacity+3; i++ {
+		w.Add(float64(i))
+		n := w.Len()
+		if want := min(i, capacity); n != want {
+			t.Fatalf("after %d adds: Len = %d, want %d", i, n, want)
+		}
+		lo := i - n + 1 // oldest retained value
+		vals := w.Values(nil)
+		if len(vals) != n {
+			t.Fatalf("after %d adds: Values len %d, want %d", i, len(vals), n)
+		}
+		for j, v := range vals {
+			if want := float64(lo + j); v != want {
+				t.Fatalf("after %d adds: Values[%d] = %v, want %v", i, j, v, want)
+			}
+		}
+	}
+}
+
+// TestSeriesSnapshotAtWrapBoundary snapshots a ring at every head
+// position across several wraps (head 0 exactly included) and checks
+// the restored ring re-snapshots bit-exact and continues identically.
+func TestSeriesSnapshotAtWrapBoundary(t *testing.T) {
+	const capacity = 4
+	for adds := 0; adds <= 3*capacity+1; adds++ {
+		w := NewWindow(capacity)
+		for i := 0; i < adds; i++ {
+			w.Add(float64(i) * 1.5)
+		}
+		data := snap.Marshal(w)
+		r := NewWindow(capacity)
+		if err := snap.Unmarshal(r, data); err != nil {
+			t.Fatalf("adds=%d: Unmarshal: %v", adds, err)
+		}
+		if string(snap.Marshal(r)) != string(data) {
+			t.Fatalf("adds=%d: restored window re-snapshots to different bytes", adds)
+		}
+		// Continue both across another full wrap: identical values and
+		// statistics at every step.
+		for i := 0; i < capacity+1; i++ {
+			x := float64(100 + i)
+			w.Add(x)
+			r.Add(x)
+			if wv, rv := w.Values(nil), r.Values(nil); !sameValues(wv, rv) {
+				t.Fatalf("adds=%d step %d: post-restore divergence: %v vs %v", adds, i, rv, wv)
+			}
+			if r.Len() != w.Len() || r.Mean() != w.Mean() || r.StdDev() != w.StdDev() {
+				t.Fatalf("adds=%d step %d: statistics diverged", adds, i)
+			}
+		}
+	}
+}
+
+func TestSeriesReset(t *testing.T) {
+	w := NewWindow(3)
+	for i := 0; i < 7; i++ {
+		w.Add(float64(i))
+	}
+	w.Reset()
+	if w.Len() != 0 || w.Full() || w.Mean() != 0 || w.StdDev() != 0 || len(w.Values(nil)) != 0 {
+		t.Fatalf("Reset left state: Len=%d Mean=%v StdDev=%v Values=%v",
+			w.Len(), w.Mean(), w.StdDev(), w.Values(nil))
+	}
+	// A reset window encodes and refills exactly like a fresh one.
+	fresh := NewWindow(3)
+	if string(snap.Marshal(w)) != string(snap.Marshal(fresh)) {
+		t.Fatal("reset window snapshots differently from a fresh one")
+	}
+	for _, x := range []float64{0.5, 2, 7, 11} {
+		w.Add(x)
+		fresh.Add(x)
+		if !sameValues(w.Values(nil), fresh.Values(nil)) || w.Mean() != fresh.Mean() || w.StdDev() != fresh.StdDev() {
+			t.Fatalf("after Add(%v): reset window %v differs from fresh %v", x, w.Values(nil), fresh.Values(nil))
+		}
+	}
+}
+
+func TestSeriesAppendNoAllocsBounded(t *testing.T) {
+	w := NewWindow(64)
+	allocs := testing.AllocsPerRun(200, func() {
+		w.Add(0.5)
+	})
+	if allocs != 0 {
+		t.Fatalf("Add allocates %v per op, want 0", allocs)
+	}
+}
+
+func TestSeriesSnapshotRoundTrip(t *testing.T) {
+	w := NewWindow(4)
+	for i := 1; i <= 9; i++ {
+		w.Add(float64(i) / 3)
+	}
+	r := NewWindow(4)
+	if err := snap.Unmarshal(r, snap.Marshal(w)); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	if r.Len() != w.Len() || r.Mean() != w.Mean() || r.StdDev() != w.StdDev() {
+		t.Fatalf("restored window differs: Len %d/%d Mean %v/%v StdDev %v/%v",
+			r.Len(), w.Len(), r.Mean(), w.Mean(), r.StdDev(), w.StdDev())
+	}
+	// Subsequent adds must behave identically (ring alignment restored).
+	w.Add(100)
+	r.Add(100)
+	if wv, rv := w.Values(nil), r.Values(nil); !sameValues(wv, rv) {
+		t.Fatalf("post-restore divergence: %v vs %v", rv, wv)
+	}
+}
+
+// TestSeriesSnapshotMismatch: a snapshot restores only into a window of
+// its own capacity, and one holding more values than its capacity is
+// refused. A refused restore leaves the target as it was.
+func TestSeriesSnapshotMismatch(t *testing.T) {
+	w := NewWindow(4)
+	w.Add(1)
+	data := snap.Marshal(w)
+
+	target := NewWindow(8)
+	target.Add(7)
+	before := snap.Marshal(target)
+	if err := snap.Unmarshal(target, data); err == nil {
+		t.Error("capacity-8 window accepted a capacity-4 snapshot")
+	}
+	if string(snap.Marshal(target)) != string(before) {
+		t.Error("refused restore changed the target")
+	}
+
+	e := snap.NewEncoder()
+	e.Header(windowTag, 1)
+	e.Int(2)
+	e.F64(6)
+	e.F64(14)
+	e.F64s([]float64{1, 2, 3})
+	if err := snap.Unmarshal(NewWindow(2), e.Bytes()); err == nil {
+		t.Error("capacity-2 snapshot holding 3 values accepted")
 	}
 }

@@ -3,6 +3,8 @@ package regionmon
 import (
 	"bytes"
 	"testing"
+
+	"regionmon/internal/stats"
 )
 
 // buildDemo constructs a small two-loop program and a schedule through the
@@ -119,6 +121,56 @@ func TestSystemSnapshotRestore(t *testing.T) {
 	}
 	if err := other.Restore([]byte("garbage")); err == nil {
 		t.Error("Restore accepted garbage")
+	}
+}
+
+// TestSystemUCRMedianCoversWholeRun: SystemStats.UCRMedian is the median
+// of every interval's UCR fraction, not of a recent window. The run's
+// first 3,000 intervals sample straight-line code, which forms no region
+// (UCR fraction 1), and its last 2,500 sample a loop the monitor covers
+// (fraction near 0). So the whole run's median is 1, while the median of
+// its last 4,096 intervals, the most the monitor used to keep, is near 0.
+func TestSystemUCRMedianCoversWholeRun(t *testing.T) {
+	b := NewProgramBuilder(0x10000)
+	p := b.Proc("main")
+	p.Code(32, KindALU)
+	loop := p.Loop(16, []Kind{KindLoad, KindALU}, nil)
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight := prog.Procs[0].Blocks[0]
+	const period, buffer = 100, 16
+	segment := func(start, end Addr, intervals uint64) Segment {
+		return Segment{
+			BaseCycles:  intervals * period * buffer,
+			SlicePeriod: 10_000,
+			Regions:     []RegionBehavior{{Start: start, End: end, Weight: 1, HotspotIdx: -1}},
+		}
+	}
+	sched := &Schedule{Name: "straight-then-loop", Segments: []Segment{
+		segment(straight.Start, straight.End(), 3000),
+		segment(loop.Start, loop.End, 2500),
+	}}
+	sys, err := NewSystem(prog, sched, SystemConfig{
+		Sampling: SamplingConfig{Period: period, BufferSize: buffer},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ucr []float64
+	sys.AddObserver(func(rep *PipelineReport) {
+		ucr = append(ucr, rep.Verdict(DetectorRegions).Payload.(*RegionReport).UCRFraction)
+	})
+	st := sys.Run()
+	if len(ucr) != st.Intervals || len(ucr) <= 4096 {
+		t.Fatalf("observer saw %d intervals of %d; want the same count, above 4,096", len(ucr), st.Intervals)
+	}
+	if want := stats.Median(ucr); st.UCRMedian != want {
+		t.Fatalf("UCRMedian = %v; the median over all %d intervals is %v", st.UCRMedian, len(ucr), want)
+	}
+	if recent := stats.Median(ucr[len(ucr)-4096:]); st.UCRMedian != 1 || recent > 0.1 {
+		t.Fatalf("whole-run median %v, last-4,096 median %v; the run does not tell them apart", st.UCRMedian, recent)
 	}
 }
 

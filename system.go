@@ -8,6 +8,7 @@ import (
 	"regionmon/internal/pipeline"
 	"regionmon/internal/region"
 	"regionmon/internal/sim"
+	"regionmon/internal/stats"
 )
 
 // SystemStats summarizes a completed System run.
@@ -20,7 +21,8 @@ type SystemStats struct {
 	GlobalPhaseChanges int
 	// GlobalStableFraction is GPD's stable-time share.
 	GlobalStableFraction float64
-	// UCRMedian is the median unmonitored-sample fraction.
+	// UCRMedian is the median unmonitored-sample fraction over every
+	// interval the System's sampling monitor delivered.
 	UCRMedian float64
 	// Regions is the number of monitored regions at end of run.
 	Regions int
@@ -46,6 +48,10 @@ type System struct {
 	pipe *pipeline.Pipeline
 	ga   *pipeline.GPD           //lint:config -- aliases a pipe-owned detector
 	ra   *pipeline.RegionMonitor //lint:config -- aliases a pipe-owned detector
+	// ucr holds each delivered interval's UCR fraction for Run's
+	// whole-run median. It summarizes the run, not the monitoring stack,
+	// so a snapshot leaves it out.
+	ucr []float64 //lint:config -- run summary input, not detector state
 }
 
 // SystemConfig bundles a System's tunables; the zero value of each field
@@ -88,7 +94,11 @@ func NewSystem(prog *Program, sched *Schedule, cfg SystemConfig) (*System, error
 	s.ra = pipeline.NewRegionMonitor(rmon)
 	s.pipe.MustRegister(s.ga)
 	s.pipe.MustRegister(s.ra)
-	mon, err := hpm.New(cfg.Sampling, func(ov *hpm.Overflow) { s.pipe.ProcessOverflow(ov) })
+	mon, err := hpm.New(cfg.Sampling, func(ov *hpm.Overflow) {
+		rep := s.pipe.ProcessOverflow(ov)
+		// The region adapter registered second, so its verdict is second.
+		s.ucr = append(s.ucr, rep.Verdicts[1].Payload.(*region.Report).UCRFraction)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +157,7 @@ func (s *System) Run() SystemStats {
 		Intervals:            s.pipe.Intervals(),
 		GlobalPhaseChanges:   gdet.PhaseChanges(),
 		GlobalStableFraction: gdet.StableFraction(),
-		UCRMedian:            rmon.UCRMedian(),
+		UCRMedian:            stats.Median(s.ucr),
 		Regions:              len(rmon.Regions()),
 	}
 }
