@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-hot bench fuzz perfbench-test perfbench soak soak-short check
+.PHONY: all build vet lint test race race-hot bench fuzz perfbench-test perfbench paper soak soak-short check
 
 all: check
 
@@ -48,7 +48,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkPearson' -benchtime 1x -benchmem ./internal/lpd/ ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectorObserve|BenchmarkBBVObserve|BenchmarkWorkingSetObserve' -benchtime 1x -benchmem ./internal/changepoint/ ./internal/altdetect/
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessOverflow' -benchtime 1x -benchmem ./internal/region/
-	$(GO) test -run '^$$' -bench 'BenchmarkDigestReport|BenchmarkEpochFormation' -benchtime 1x -benchmem ./internal/vhash/ ./internal/interval/
+	$(GO) test -run '^$$' -bench 'BenchmarkDigestReport' -benchtime 1x -benchmem ./internal/vhash/
 
 # Fuzz every restore path that has a fuzz target for 10 s each (manual,
 # about 100 s; not part of `make check`): the seven detector leaves, the
@@ -86,6 +86,12 @@ perfbench:
 		python3 perfbench/run.py --workload $$w --seconds 45 --trace 0 || exit 1; \
 		python3 perfbench/run.py --workload $$w --seconds 45 --trace 1 || exit 1; \
 	done
+
+# Regenerate results_full.txt: every figure and experiment at the paper's
+# full scale, with per-benchmark detail. Manual, about four minutes on a
+# 2-vCPU VM; not part of `make check`.
+paper:
+	$(GO) run ./cmd/experiments -fig all -detail > results_full.txt
 
 # Long-run hardening harness (cmd/soak): millions of intervals through
 # the full detector stack, asserting a steady heap and byte-identical

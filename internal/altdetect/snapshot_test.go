@@ -3,6 +3,7 @@ package altdetect
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"regionmon/internal/hpm"
@@ -132,10 +133,19 @@ func fedWorkingSet(t testing.TB, n int) *WorkingSet {
 	return d
 }
 
+// badSnapshot is a snapshot restore must reject and a fragment of the
+// error it must give.
+type badSnapshot struct {
+	name, err string
+	data      []byte
+}
+
 // badBBVSnapshots and badWorkingSetSnapshots return snapshots Restore
-// must reject: a real one cut by 8 bytes or followed by a stray byte,
-// and hand-encoded ones whose counters or blocks no run can produce.
-func badBBVSnapshots(t testing.TB) map[string][]byte {
+// must reject: a real snapshot cut short or with a trailing byte, and
+// hand-encoded ones under the current header whose counters or blocks no
+// run can produce. Each names its error, so a header the decoder refuses
+// cannot pass for the defect a case is about.
+func badBBVSnapshots(t testing.TB) []badSnapshot {
 	src := snap.Marshal(fedBBV(t, 23))
 	blocks := len(fedBBV(t, 0).prev)
 	encode := func(changes, total int) []byte {
@@ -147,16 +157,16 @@ func badBBVSnapshots(t testing.TB) map[string][]byte {
 		e.Int(total)
 		return e.Bytes()
 	}
-	return map[string][]byte{
-		"cut by 8 bytes":      src[:len(src)-8],
-		"trailing byte":       append(append([]byte(nil), src...), 0),
-		"negative counts":     encode(-5, -9),
-		"negative changes":    encode(-1, 4),
-		"changes above total": encode(7, 2),
+	return []badSnapshot{
+		{"cut by 8 bytes", "truncated input", src[:len(src)-8]},
+		{"trailing byte", "trailing bytes", append(append([]byte(nil), src...), 0)},
+		{"negative counts", "counts -5 changes over -9 intervals", encode(-5, -9)},
+		{"negative changes", "counts -1 changes over 4 intervals", encode(-1, 4)},
+		{"changes above total", "counts 7 changes over 2 intervals", encode(7, 2)},
 	}
 }
 
-func badWorkingSetSnapshots(t testing.TB) map[string][]byte {
+func badWorkingSetSnapshots(t testing.TB) []badSnapshot {
 	src := snap.Marshal(fedWorkingSet(t, 29))
 	encode := func(changes, total int, blocks ...int) []byte {
 		e := snap.NewEncoder()
@@ -166,14 +176,14 @@ func badWorkingSetSnapshots(t testing.TB) map[string][]byte {
 		e.Int(total)
 		return e.Bytes()
 	}
-	return map[string][]byte{
-		"cut by 8 bytes":      src[:len(src)-8],
-		"trailing byte":       append(append([]byte(nil), src...), 0),
-		"changes above total": encode(7, 2, 0, 1),
-		"negative total":      encode(0, -1, 0),
-		"descending blocks":   encode(0, 2, 1, 0),
-		"repeated block":      encode(0, 2, 1, 1),
-		"block out of range":  encode(0, 2, 0, 99),
+	return []badSnapshot{
+		{"cut by 8 bytes", "truncated input", src[:len(src)-8]},
+		{"trailing byte", "trailing bytes", append(append([]byte(nil), src...), 0)},
+		{"changes above total", "counts 7 changes over 2 intervals", encode(7, 2, 0, 1)},
+		{"negative total", "counts 0 changes over -1 intervals", encode(0, -1, 0)},
+		{"descending blocks", "not strictly ascending (0 after 1)", encode(0, 2, 1, 0)},
+		{"repeated block", "not strictly ascending (1 after 1)", encode(0, 2, 1, 1)},
+		{"block out of range", "block 99 outside program", encode(0, 2, 0, 99)},
 	}
 }
 
@@ -183,13 +193,17 @@ type detector interface {
 	snap.Snapshotter
 }
 
-// checkRestoreFails asserts that restoring data into d fails and leaves
-// d's state byte-identical.
-func checkRestoreFails(t *testing.T, name string, d detector, data []byte) {
+// checkRestoreFails asserts that restoring data into d fails with an
+// error mentioning wantErr and leaves d's state byte-identical.
+func checkRestoreFails(t *testing.T, name, wantErr string, d detector, data []byte) {
 	t.Helper()
 	before := snap.Marshal(d)
-	if err := snap.Unmarshal(d, data); err == nil {
+	err := snap.Unmarshal(d, data)
+	if err == nil {
 		t.Fatalf("%s: restore accepted", name)
+	}
+	if !strings.Contains(err.Error(), wantErr) {
+		t.Fatalf("%s: restore error %q, want it to mention %q", name, err, wantErr)
 	}
 	if !bytes.Equal(snap.Marshal(d), before) {
 		t.Fatalf("%s: failed restore changed the detector", name)
@@ -203,20 +217,20 @@ func checkRestoreFails(t *testing.T, name string, d detector, data []byte) {
 // snapshot, leaves the target untouched.
 func TestRestoreRejectsImpossibleState(t *testing.T) {
 	bbv := fedBBV(t, 11)
-	for name, data := range badBBVSnapshots(t) {
-		checkRestoreFails(t, "BBV "+name, bbv, data)
+	for _, bad := range badBBVSnapshots(t) {
+		checkRestoreFails(t, "BBV "+bad.name, bad.err, bbv, bad.data)
 	}
 	src := snap.Marshal(fedBBV(t, 23))
 	for cut := 0; cut < len(src); cut++ {
-		checkRestoreFails(t, fmt.Sprintf("BBV cut at %d", cut), bbv, src[:cut])
+		checkRestoreFails(t, fmt.Sprintf("BBV cut at %d", cut), "", bbv, src[:cut])
 	}
 	ws := fedWorkingSet(t, 11)
-	for name, data := range badWorkingSetSnapshots(t) {
-		checkRestoreFails(t, "working set "+name, ws, data)
+	for _, bad := range badWorkingSetSnapshots(t) {
+		checkRestoreFails(t, "working set "+bad.name, bad.err, ws, bad.data)
 	}
 	src = snap.Marshal(fedWorkingSet(t, 29))
 	for cut := 0; cut < len(src); cut++ {
-		checkRestoreFails(t, fmt.Sprintf("working set cut at %d", cut), ws, src[:cut])
+		checkRestoreFails(t, fmt.Sprintf("working set cut at %d", cut), "", ws, src[:cut])
 	}
 }
 
@@ -240,8 +254,8 @@ func fuzzRestore(t *testing.T, d detector, data []byte) {
 func FuzzBBVRestore(f *testing.F) {
 	f.Add(snap.Marshal(fedBBV(f, 23)))
 	f.Add(snap.Marshal(fedBBV(f, 0)))
-	for _, data := range badBBVSnapshots(f) {
-		f.Add(data)
+	for _, bad := range badBBVSnapshots(f) {
+		f.Add(bad.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRestore(t, fedBBV(t, 11), data)
@@ -251,8 +265,8 @@ func FuzzBBVRestore(f *testing.F) {
 func FuzzWorkingSetRestore(f *testing.F) {
 	f.Add(snap.Marshal(fedWorkingSet(f, 29)))
 	f.Add(snap.Marshal(fedWorkingSet(f, 0)))
-	for _, data := range badWorkingSetSnapshots(f) {
-		f.Add(data)
+	for _, bad := range badWorkingSetSnapshots(f) {
+		f.Add(bad.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRestore(t, fedWorkingSet(t, 11), data)

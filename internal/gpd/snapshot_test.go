@@ -3,6 +3,7 @@ package gpd
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"regionmon/internal/snap"
@@ -74,8 +75,8 @@ func TestDetectorSnapshotConfigMismatch(t *testing.T) {
 	d.Observe(100)
 	cfg := DefaultConfig()
 	cfg.HistorySize = 16
-	if err := snap.Unmarshal(MustNew(cfg), snap.Marshal(d)); err == nil {
-		t.Fatal("expected history-capacity mismatch error")
+	if err := snap.Unmarshal(MustNew(cfg), snap.Marshal(d)); err == nil || !strings.Contains(err.Error(), "window capacity 16") {
+		t.Fatalf("restore error %v, want a history-capacity mismatch", err)
 	}
 }
 
@@ -128,18 +129,22 @@ func TestPerfTrackerSnapshotForkEquality(t *testing.T) {
 func checkRestoreFailures(t *testing.T, src []byte, target snap.Snapshotter) {
 	t.Helper()
 	before := snap.Marshal(target)
-	check := func(name string, data []byte) {
+	check := func(name, wantErr string, data []byte) {
 		t.Helper()
-		if err := snap.Unmarshal(target, data); err == nil {
+		err := snap.Unmarshal(target, data)
+		if err == nil {
 			t.Fatalf("%s: restore accepted", name)
+		}
+		if !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("%s: restore error %q, want it to mention %q", name, err, wantErr)
 		}
 		if !bytes.Equal(snap.Marshal(target), before) {
 			t.Fatalf("%s: failed restore changed the target", name)
 		}
 	}
-	check("trailing byte", append(append([]byte(nil), src...), 0))
+	check("trailing byte", "trailing bytes", append(append([]byte(nil), src...), 0))
 	for cut := 0; cut < len(src); cut++ {
-		check(fmt.Sprintf("cut at %d of %d", cut, len(src)), src[:cut])
+		check(fmt.Sprintf("cut at %d of %d", cut, len(src)), "", src[:cut])
 	}
 }
 

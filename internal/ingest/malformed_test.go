@@ -80,7 +80,8 @@ func programStack(prog *isa.Program) (*pipeline.Pipeline, error) {
 // text, between the procedures on their shared page and in the wide gap,
 // past the end, misaligned — at its own rate: stream 0 rarely, stream 1
 // in half its samples, stream 2 in all of them. Every seventh interval is
-// empty.
+// empty. Only stream 0's Seq rises: stream 1's stays at 0, and stream 2's
+// counts down.
 func malformedIntervals(prog *isa.Program, loops []isa.LoopSpan, stream, n int) []*hpm.Overflow {
 	bad := []isa.Addr{
 		0, 1, prog.Start() - isa.InstrBytes, prog.Start() - 1,
@@ -94,7 +95,7 @@ func malformedIntervals(prog *isa.Program, loops []isa.LoopSpan, stream, n int) 
 	ovs := make([]*hpm.Overflow, n)
 	var cycle uint64
 	for seq := range ovs {
-		ov := &hpm.Overflow{Seq: seq}
+		ov := &hpm.Overflow{Seq: []int{seq, 0, n - 1 - seq}[stream]}
 		if seq%7 != 6 {
 			ov.Samples = make([]hpm.Sample, 48)
 		}
@@ -117,9 +118,10 @@ func malformedIntervals(prog *isa.Program, loops []isa.LoopSpan, stream, n int) 
 
 // TestFleetMalformedIntervals pins malformed samples at the fleet
 // boundary: streams of intervals whose PCs fall outside the program or
-// inside an instruction, and of empty intervals, run without a panic
-// through the six-detector stack, and at 1 and 3 shards every stream's
-// digest equals a sequential ObserveBatch over a fresh stack.
+// inside an instruction, of empty intervals, and with a stalled or
+// backwards Seq, run without a panic through the six-detector stack, and
+// at 1 and 3 shards every stream's digest equals a sequential
+// ObserveBatch over a fresh stack.
 func TestFleetMalformedIntervals(t *testing.T) {
 	const streams, intervals = 3, 150
 	prog, loops := malformedProgram(t)

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"regionmon/internal/snap"
@@ -43,7 +44,8 @@ func mustFleetSnapshot(t testing.TB, f *Fleet) []byte {
 }
 
 // forgeLastStream re-encodes a fleet snapshot with a valid outer frame
-// whose last stream's nested bytes are cut by one.
+// whose last stream's nested bytes are cut by one, so that only the
+// last stream's own restore can refuse it.
 func forgeLastStream(t testing.TB, data []byte) []byte {
 	t.Helper()
 	d := snap.NewDecoder(data)
@@ -76,10 +78,14 @@ func TestFleetRestoreFailureLeavesFleetUntouched(t *testing.T) {
 	data := mustFleetSnapshot(t, fedFleet(t, 57))
 	f := fedFleet(t, 23)
 	before, stats := mustFleetSnapshot(t, f), f.Stats()
-	check := func(name string, data []byte) {
+	check := func(name, wantErr string, data []byte) {
 		t.Helper()
-		if err := f.Restore(data); err == nil {
+		err := f.Restore(data)
+		if err == nil {
 			t.Fatalf("%s: restore accepted", name)
+		}
+		if !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("%s: restore error %q, want it to mention %q", name, err, wantErr)
 		}
 		if !bytes.Equal(mustFleetSnapshot(t, f), before) {
 			t.Fatalf("%s: failed restore changed the fleet", name)
@@ -89,10 +95,10 @@ func TestFleetRestoreFailureLeavesFleetUntouched(t *testing.T) {
 				name, got.Accepted, got.Dropped, stats.Accepted, stats.Dropped)
 		}
 	}
-	check("forged last stream", forgeLastStream(t, data))
-	check("trailing byte", append(append([]byte(nil), data...), 0))
+	check("forged last stream", "restore stream 3: snap: length", forgeLastStream(t, data))
+	check("trailing byte", "trailing bytes", append(append([]byte(nil), data...), 0))
 	for cut := 0; cut < len(data); cut++ {
-		check(fmt.Sprintf("cut at %d of %d", cut, len(data)), data[:cut])
+		check(fmt.Sprintf("cut at %d of %d", cut, len(data)), "", data[:cut])
 	}
 
 	// After the refused inputs, a good snapshot still restores exactly.

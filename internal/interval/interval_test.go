@@ -7,22 +7,11 @@ import (
 	"testing/quick"
 )
 
-// index is the surface the shared tests drive: List and Tree directly,
-// an Epoch through epochIndex. Remove is not part of it: Tree has none.
+// index is the surface the shared tests drive: List and Tree.
 type index interface {
 	Insert(id int, start, end uint64) bool
 	Stab(point uint64, visit func(id int))
 	Len() int
-}
-
-// epochIndex gives an Epoch the index surface, mapping Lookup's ranks
-// back to ids (after the Sync inside Lookup, ranges is in id order).
-type epochIndex struct{ *Epoch }
-
-func (e epochIndex) Stab(point uint64, visit func(id int)) {
-	for _, k := range e.Lookup(point) {
-		visit(e.ranges[k].ID)
-	}
 }
 
 // collect returns the ids of the ranges containing point, ascending.
@@ -45,8 +34,7 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// testIndexBasics exercises inserts and stabs on any index, and removal
-// on one that has a Remove.
+// testIndexBasics exercises inserts and stabs on any index.
 func testIndexBasics(t *testing.T, mk func() index) {
 	t.Helper()
 	ix := mk()
@@ -83,22 +71,6 @@ func testIndexBasics(t *testing.T, mk func() index) {
 		if got := collect(ix, c.point); !equalInts(got, c.want) {
 			t.Errorf("Stab(%d) = %v; want %v", c.point, got, c.want)
 		}
-	}
-	rm, ok := ix.(interface{ Remove(id int) bool })
-	if !ok {
-		return
-	}
-	if !rm.Remove(2) {
-		t.Error("Remove(2) failed")
-	}
-	if rm.Remove(2) {
-		t.Error("double Remove(2) should fail")
-	}
-	if got := collect(ix, 150); !equalInts(got, []int{1}) {
-		t.Errorf("after removal Stab(150) = %v; want [1]", got)
-	}
-	if ix.Len() != 2 {
-		t.Errorf("Len after removal = %d; want 2", ix.Len())
 	}
 }
 
@@ -178,7 +150,6 @@ func TestStabVisitsEachRegionOncePerPoint(t *testing.T) {
 	for _, mk := range []func() index{
 		func() index { return NewList() },
 		func() index { return NewTree() },
-		func() index { return epochIndex{NewEpoch()} },
 	} {
 		ix := mk()
 		ix.Insert(0, 100, 400) // outer
@@ -191,15 +162,12 @@ func TestStabVisitsEachRegionOncePerPoint(t *testing.T) {
 	}
 }
 
-func BenchmarkStabList16(b *testing.B)    { benchStab(b, NewList(), 16) }
-func BenchmarkStabTree16(b *testing.B)    { benchStab(b, NewTree(), 16) }
-func BenchmarkStabEpoch16(b *testing.B)   { benchStab(b, epochIndex{NewEpoch()}, 16) }
-func BenchmarkStabList256(b *testing.B)   { benchStab(b, NewList(), 256) }
-func BenchmarkStabTree256(b *testing.B)   { benchStab(b, NewTree(), 256) }
-func BenchmarkStabEpoch256(b *testing.B)  { benchStab(b, epochIndex{NewEpoch()}, 256) }
-func BenchmarkStabList1024(b *testing.B)  { benchStab(b, NewList(), 1024) }
-func BenchmarkStabTree1024(b *testing.B)  { benchStab(b, NewTree(), 1024) }
-func BenchmarkStabEpoch1024(b *testing.B) { benchStab(b, epochIndex{NewEpoch()}, 1024) }
+func BenchmarkStabList16(b *testing.B)   { benchStab(b, NewList(), 16) }
+func BenchmarkStabTree16(b *testing.B)   { benchStab(b, NewTree(), 16) }
+func BenchmarkStabList256(b *testing.B)  { benchStab(b, NewList(), 256) }
+func BenchmarkStabTree256(b *testing.B)  { benchStab(b, NewTree(), 256) }
+func BenchmarkStabList1024(b *testing.B) { benchStab(b, NewList(), 1024) }
+func BenchmarkStabTree1024(b *testing.B) { benchStab(b, NewTree(), 1024) }
 
 func benchStab(b *testing.B, ix index, n int) {
 	rng := rand.New(rand.NewPCG(42, uint64(n)))

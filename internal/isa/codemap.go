@@ -161,33 +161,6 @@ func (pr *Program) SlotAddr(s int) Addr {
 	return pr.code.start + Addr(pr.code.pages[s/pageSlots].num)<<pageShift + Addr(s%pageSlots)*InstrBytes
 }
 
-// SlotSegments writes to seg[s], for every slot s, the number of bounds
-// at or below the slot's address: its segment, when the ascending bounds
-// cut the address space into segments. It is one merge pass, filling the
-// slots between consecutive bounds a run at a time. len(seg) must be
-// NumSlots().
-func (pr *Program) SlotSegments(bounds []uint64, seg []int32) {
-	j := 0
-	for k, pg := range pr.code.pages {
-		base := uint64(pr.code.start) + uint64(pg.num)<<pageShift
-		page := seg[k*pageSlots : (k+1)*pageSlots]
-		for i := 0; i < pageSlots; {
-			for j < len(bounds) && bounds[j] <= base+uint64(i)*InstrBytes {
-				j++
-			}
-			// Slots i up to the first one at or past bounds[j] share
-			// segment j.
-			end := pageSlots
-			if j < len(bounds) && bounds[j] < base+pageSlots*InstrBytes {
-				end = int((bounds[j] - base + InstrBytes - 1) / InstrBytes)
-			}
-			for ; i < end; i++ {
-				page[i] = int32(j)
-			}
-		}
-	}
-}
-
 // SlotLoop returns the ordinal of the innermost loop whose span covers
 // slot s (see Loop), or -1 when none does.
 func (pr *Program) SlotLoop(s int) int {

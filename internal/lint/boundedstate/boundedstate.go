@@ -19,7 +19,7 @@
 //
 //   - //lint:bounded on a field: growth is bounded by construction
 //     (ring buffers like stats.Window.buf, scratch reused via [:0],
-//     epoch-rebuild outputs whose size is capped by the region set);
+//     per-interval report lists whose size is capped by the region set);
 //   - //lint:allow boundedstate on a function's doc comment: the walk
 //     neither checks nor traverses it (declared cold or bounded-by-design
 //     sub-paths, mirroring hotpath's convention);

@@ -3,6 +3,7 @@ package lpd
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"regionmon/internal/snap"
@@ -89,10 +90,14 @@ func TestSnapshotSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsCorruptState: a snapshot under the current header
+// whose state is none of the three, and three bytes of garbage, are
+// refused, each with its own error, so a header the decoder refuses
+// cannot pass for the invalid state.
 func TestSnapshotRejectsCorruptState(t *testing.T) {
 	d := MustNew(4, DefaultConfig())
 	e := snap.NewEncoder()
-	e.Header("lpd", 1)
+	e.Header(snapshotTag, 1)
 	e.Int(4)
 	e.Bool(false)
 	e.I64s(make([]int64, 4))
@@ -101,11 +106,17 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 	e.Int(0)
 	e.Int(0)
 	e.Int(0)
-	if err := snap.Unmarshal(d, e.Bytes()); err == nil {
-		t.Fatal("expected invalid-state error")
-	}
-	if err := snap.Unmarshal(d, []byte{1, 2, 3}); err == nil {
-		t.Fatal("expected decode error on garbage")
+	for _, c := range []struct {
+		name, err string
+		data      []byte
+	}{
+		{"invalid state", "invalid state 99", e.Bytes()},
+		{"garbage", "truncated input", []byte{1, 2, 3}},
+	} {
+		err := snap.Unmarshal(d, c.data)
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: restore error %v, want it to mention %q", c.name, err, c.err)
+		}
 	}
 }
 

@@ -313,10 +313,12 @@ func TestObserveBatchEmpty(t *testing.T) {
 }
 
 // TestHotPathAllocs gates the per-interval allocation budget of the whole
-// fan-out (GPD + region monitoring with a formed region) on the region
-// monitor's distribution path, the flat epoch index: after warm-up,
-// processing an interval must not allocate.
+// fan-out (GPD + region monitoring with formed regions, whose histograms
+// read the per-slot counts): after warm-up, processing an interval must
+// not allocate.
 func TestHotPathAllocs(t *testing.T) {
+	// The subtest keeps the name it had when the distribution path read
+	// an epoch index; it measures the whole fan-out all the same.
 	t.Run("epoch", func(t *testing.T) {
 		prog, l1, l2 := testProgram(t)
 		pipe, _, ra, _, _ := fullPipeline(t, prog)

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"fmt"
 	"testing"
 
 	"regionmon/internal/hpm"
@@ -325,5 +326,143 @@ func TestMonitorRestoreRejectsMismatch(t *testing.T) {
 
 	if err := snap.Unmarshal(m, []byte("not a snapshot")); err == nil {
 		t.Error("expected decode error on garbage")
+	}
+}
+
+// checkCover recounts from the live regions alone what the monitor's
+// derived state must hold, and fails the test when it does not: each
+// slot's cover is the number of regions containing the slot's address,
+// each region's runs take exactly the slots it contains to the bins of
+// those addresses, and offMapRegions counts the regions with an address
+// on no code page.
+func checkCover(t *testing.T, m *Monitor, when string) {
+	t.Helper()
+	prog := m.prog
+	offMap := 0
+	for _, r := range m.regions {
+		onMap := 0
+		for s := 0; s < prog.NumSlots(); s++ {
+			if r.Contains(prog.SlotAddr(s)) {
+				onMap++
+			}
+		}
+		inRuns := 0
+		for _, run := range r.runs {
+			for i := 0; i < run.n; i++ {
+				if a := prog.SlotAddr(run.slot + i); a != r.Start+isa.Addr(run.bin+i)*isa.InstrBytes {
+					t.Fatalf("%s: region %s maps slot %d (%v) to bin %d", when, r.Name(), run.slot+i, a, run.bin+i)
+				}
+			}
+			inRuns += run.n
+		}
+		if inRuns != onMap {
+			t.Fatalf("%s: region %s runs hold %d slots; it contains %d", when, r.Name(), inRuns, onMap)
+		}
+		if off := onMap < r.NumInstrs(); off != r.offMap {
+			t.Fatalf("%s: region %s off-map %v; it has %d of its %d addresses on code pages", when, r.Name(), r.offMap, onMap, r.NumInstrs())
+		} else if off {
+			offMap++
+		}
+	}
+	if m.offMapRegions != offMap {
+		t.Fatalf("%s: %d off-map regions counted; recount %d", when, m.offMapRegions, offMap)
+	}
+	for s := range m.cover {
+		want := 0
+		for _, r := range m.regions {
+			if r.Contains(prog.SlotAddr(s)) {
+				want++
+			}
+		}
+		if int(m.cover[s]) != want {
+			t.Fatalf("%s: slot %d (%v) covered by %d regions; recount %d", when, s, prog.SlotAddr(s), m.cover[s], want)
+		}
+	}
+}
+
+// TestCoverMatchesRegionSet: cover, the runs and the off-map count are
+// derived state, not snapshot state, so no byte comparison sees them go
+// stale. On a gapped program, with manual regions below the text, past
+// it, into the gap between procedures, over two loops and, added among
+// formed regions, over two loops with the gap between them, they are
+// recounted after every AddRegion, every interval (formation and
+// pruning) and every restore commit. After restores that fail midway
+// through the region list, the next interval's report equals that of an
+// untouched twin.
+func TestCoverMatchesRegionSet(t *testing.T) {
+	prog, spans := gappedProgram(t)
+	mut := func(c *Config) {
+		c.MinRegionSamples = 4
+		c.MinObserveSamples = 2
+		c.PruneAfter = 3
+	}
+	m, twin := newMonitor(t, prog, mut), newMonitor(t, prog, mut)
+	gap := prog.Procs[2].Start() - 0x100
+	add := func(start, end isa.Addr) {
+		t.Helper()
+		for _, x := range []*Monitor{m, twin} {
+			if _, err := x.AddRegion(start, end); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkCover(t, m, fmt.Sprintf("AddRegion %v-%v", start, end))
+	}
+	for _, span := range [][2]isa.Addr{
+		{0x100, 0x200}, {prog.Procs[1].End() - 8, gap}, {prog.End(), prog.End() + 0x40}, {spans[0].Start, spans[1].End},
+	} {
+		add(span[0], span[1])
+	}
+	bad := malformedPCs(prog)
+	var snaps [][]byte
+	formed, pruned := 0, 0
+	for seq := 0; seq < 48; seq++ {
+		if seq == 24 {
+			// Over formed regions: two loops with the gap between them.
+			add(spans[1].Start, spans[2].End)
+		}
+		pcs := append(spanPCs(spans[seq/4%len(spans)], 12), bad...)
+		if seq%6 == 5 {
+			pcs = []isa.Addr{0}
+		}
+		ov := overflow(seq, 96, pcs...)
+		rep, want := m.ProcessOverflow(ov), twin.ProcessOverflow(ov)
+		if !reportsEqual(t, rep, want) {
+			t.Fatalf("interval %d: identical monitors diverged", seq)
+		}
+		formed += len(rep.NewRegions)
+		pruned += len(rep.Pruned)
+		checkCover(t, m, fmt.Sprintf("interval %d", seq))
+		if seq%8 == 3 {
+			snaps = append(snaps, snap.Marshal(m))
+		}
+	}
+	if formed == 0 || pruned == 0 {
+		t.Fatalf("%d regions formed and %d pruned; the stream exercised nothing", formed, pruned)
+	}
+	if n := len(twin.Regions()); n < 3 {
+		t.Fatalf("%d regions left; a restore cut short fails before staging a second one", n)
+	}
+
+	for i, data := range snaps {
+		if err := snap.Unmarshal(m, data); err != nil {
+			t.Fatal(err)
+		}
+		checkCover(t, m, fmt.Sprintf("restore of snapshot %d", i))
+	}
+	if err := snap.Unmarshal(m, snap.Marshal(twin)); err != nil {
+		t.Fatal(err)
+	}
+	checkCover(t, m, "restore of the twin's state")
+	for i, data := range snaps {
+		if err := snap.Unmarshal(m, data[:len(data)-1]); err == nil {
+			t.Fatalf("snapshot %d cut by one byte restored", i)
+		}
+	}
+	for seq := 48; seq < 52; seq++ {
+		ov := overflow(seq, 96, append(spanPCs(spans[2], 20), bad...)...)
+		if rep, want := m.ProcessOverflow(ov), twin.ProcessOverflow(ov); !reportsEqual(t, rep, want) {
+			t.Fatalf("interval %d after failed restores: report %+v, untouched twin %+v", seq, rep, want)
+		}
+		checkCover(t, m, fmt.Sprintf("interval %d after failed restores", seq))
 	}
 }

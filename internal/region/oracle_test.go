@@ -1,13 +1,13 @@
 package region
 
 // The distribution oracle. distribute counts the buffer per instruction
-// slot and reads each distinct slot's epoch segment; the oracle does the
-// same job the slow, obvious way — every sample tested against every
-// monitored region with Region.Contains — and the tests below compare the
-// two on every interval of a stream. distribute runs on a snapshot/restore fork
-// of the monitor, so the monitor itself advances only through
-// ProcessOverflow, and each comparison starts from the region set,
-// histograms and counters the stream has built up so far.
+// slot and lets each region read its bins from the counts over its slot
+// runs; the oracle does the same job the slow, obvious way — every sample
+// tested against every monitored region with Region.Contains — and the
+// tests below compare the two on every interval of a stream. distribute
+// runs on a snapshot/restore fork of the monitor, so the monitor itself
+// advances only through ProcessOverflow, and each comparison starts from
+// the region set, histograms and counters the stream has built up so far.
 
 import (
 	"fmt"
@@ -252,7 +252,8 @@ func TestDistributeOracleStreams(t *testing.T) {
 }
 
 // TestDistributeOracleFormationStorm lowers the formation bar until
-// formation fires constantly: the epoch snapshot is rebuilt most often.
+// formation fires constantly: regions and their slot runs are added most
+// often.
 func TestDistributeOracleFormationStorm(t *testing.T) {
 	oracleStream(t, "176.gcc", func(c *Config) {
 		c.UCRThreshold = 0.05
@@ -261,8 +262,8 @@ func TestDistributeOracleFormationStorm(t *testing.T) {
 }
 
 // TestDistributeOraclePruneChurn combines a tight region cap with
-// aggressive idle pruning, so formation and removal both invalidate the
-// epoch snapshot between most intervals.
+// aggressive idle pruning, so formation and removal both change the
+// per-slot cover between most intervals.
 func TestDistributeOraclePruneChurn(t *testing.T) {
 	pruned := oracleStream(t, "181.mcf", func(c *Config) {
 		c.PruneAfter = 2

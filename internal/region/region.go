@@ -4,10 +4,10 @@
 //
 //  1. distributes the buffered PC samples across the monitored regions
 //     (counting the buffer's samples per instruction slot of the
-//     program's code map in one pass, then reading each distinct slot's
-//     segment of a flat epoch index of the region set),
-//     incrementing per-instruction histograms; a sample falling in several
-//     overlapping regions (nested loops) increments all of them;
+//     program's code map in one pass, then letting each region read its
+//     per-instruction histogram straight from the counts of the slots
+//     its span covers); a sample falling in several overlapping regions
+//     (nested loops) increments all of them;
 //  2. attributes samples outside every monitored region to the
 //     UnMonitored Code Region (UCR) and, when the UCR fraction exceeds a
 //     threshold (30% in the paper's study), triggers region formation —
@@ -31,7 +31,6 @@ import (
 	"sort"
 
 	"regionmon/internal/hpm"
-	"regionmon/internal/interval"
 	"regionmon/internal/isa"
 	"regionmon/internal/lpd"
 )
@@ -143,7 +142,19 @@ type Region struct {
 	intervalHits int     //lint:config -- zero between intervals
 	totalSamples int64
 	idleFor      int
+
+	// runs are the runs of slots the span covers on code pages, and
+	// offMap reports that it also reaches addresses on no code page;
+	// newRegion derives both from the span.
+	runs   []slotRun //lint:config -- derived from the span and the program
+	offMap bool      //lint:config -- derived from the span and the program
 }
+
+// slotRun is a run of consecutive instruction slots inside a region's
+// span: slots slot..slot+n-1 hold the instructions of histogram bins
+// bin..bin+n-1. Slots on consecutive code pages are consecutive, so a
+// loop or procedure region is one run.
+type slotRun struct{ slot, bin, n int }
 
 // Name renders the paper's region-name convention, e.g. "146f0-14770".
 func (r *Region) Name() string { return fmt.Sprintf("%v-%v", r.Start, r.End) }
@@ -246,23 +257,23 @@ type Monitor struct {
 	cfg  Config       //lint:config -- fixed at construction
 
 	// regions holds the monitored regions in ID order. AddRegion assigns
-	// IDs in increasing order, so insertion is an append, and the epoch's
-	// ranks are positions in this slice.
+	// IDs in increasing order, so insertion is an append.
 	regions []*Region
-	// index is rebuilt from regions on restore, never serialized.
-	index  *interval.Epoch //lint:config
-	nextID int
-	seq    int
+	nextID  int
+	seq     int
+
+	// cover holds, per instruction slot (see isa.Program.Slot), the
+	// number of regions whose span covers it, and offMapRegions the
+	// number of regions whose span reaches addresses on no code page.
+	// Both derive from the region set: AddRegion, pruning and the restore
+	// commit adjust them.
+	cover         []int32 //lint:config -- derived from the region set
+	offMapRegions int     //lint:config -- derived from the region set
 
 	// Per-interval scratch, reused across ProcessOverflow calls so the
-	// monitoring hot path stays allocation-free in steady state. The
-	// per-slot arrays are indexed by the program's instruction slots (see
-	// isa.Program.Slot): counts are zero between intervals, and segOf
-	// holds each slot's epoch segment, refilled whenever segStale says
-	// the region set changed.
+	// monitoring hot path stays allocation-free in steady state. counts
+	// is indexed by slot and zero between intervals.
 	counts         []uint32        //lint:config -- per-slot sample counts, zero between intervals
-	segOf          []int32         //lint:config -- per-slot epoch segment, derived from the region set
-	segStale       bool            //lint:config -- the region set changed since segOf was filled
 	seen           []int32         //lint:config -- count scratch: first-seen slots, then off-map sample indices
 	loopTally      []int           //lint:config -- formation scratch, per program loop ordinal
 	verdictScratch []RegionVerdict //lint:config -- backing array for Report.Verdicts
@@ -282,28 +293,14 @@ func NewMonitor(prog *isa.Program, cfg Config) (*Monitor, error) {
 	return &Monitor{
 		prog:   prog,
 		cfg:    cfg,
-		index:  interval.NewEpoch(),
+		cover:  make([]int32, prog.NumSlots()),
 		counts: make([]uint32, prog.NumSlots()),
-		segOf:  make([]int32, prog.NumSlots()),
 	}, nil
 }
 
 // Regions returns the monitored regions in ID order.
 func (m *Monitor) Regions() []*Region {
 	return append(make([]*Region, 0, len(m.regions)), m.regions...)
-}
-
-// RegionAt returns the innermost (smallest) monitored region containing
-// addr, the lowest ID among equal sizes, or nil.
-func (m *Monitor) RegionAt(addr isa.Addr) *Region {
-	var best *Region
-	for _, k := range m.index.Lookup(uint64(addr)) {
-		r := m.regions[k]
-		if best == nil || r.End-r.Start < best.End-best.Start {
-			best = r
-		}
-	}
-	return best
 }
 
 // AddRegion manually registers a region over [start, end) (used for
@@ -330,25 +327,64 @@ func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
 	if m.cfg.MaxRegions > 0 && len(m.regions) >= m.cfg.MaxRegions {
 		return nil, fmt.Errorf("region: region cap %d reached", m.cfg.MaxRegions)
 	}
-	n := int(end-start) / isa.InstrBytes
-	det, err := lpd.New(n, m.cfg.Detector)
+	det, err := lpd.New(int(end-start)/isa.InstrBytes, m.cfg.Detector)
 	if err != nil {
 		return nil, err
 	}
+	r := m.newRegion(m.nextID, start, end, det)
+	r.FormedAt = m.seq
+	m.nextID++
+	m.regions = append(m.regions, r)
+	m.addCover(r, 1)
+	return r, nil
+}
+
+// newRegion returns the region over the instruction-aligned span [start,
+// end) with its detector, a zeroed histogram, and the loop and slot runs
+// derived from the span: each run of slots the span covers on code pages,
+// and whether it also reaches addresses on no code page. The runs follow
+// the code map's slots, whose pages start at the program's first
+// instruction, not at a multiple of the page size.
+func (m *Monitor) newRegion(id int, start, end isa.Addr, det *lpd.Detector) *Region {
 	r := &Region{
-		ID:       m.nextID,
+		ID:       id,
 		Start:    start,
 		End:      end,
 		Loop:     m.loopSpanning(start, end),
 		Detector: det,
-		FormedAt: m.seq,
-		curr:     make([]int64, n),
+		curr:     make([]int64, int(end-start)/isa.InstrBytes),
 	}
-	m.nextID++
-	m.regions = append(m.regions, r)
-	m.index.Insert(r.ID, uint64(start), uint64(end))
-	m.segStale = true
-	return r, nil
+	for a := start; a < end; a += isa.InstrBytes {
+		s := m.prog.Slot(a)
+		if s < 0 {
+			r.offMap = true
+			continue
+		}
+		// A run goes on while both slot and bin go up by one: slot
+		// ordinals skip pages without code, so consecutive slots can lie
+		// on either side of an off-map gap, whose bins are skipped.
+		bin := int(a-start) / isa.InstrBytes
+		if k := len(r.runs) - 1; k >= 0 && r.runs[k].slot+r.runs[k].n == s && r.runs[k].bin+r.runs[k].n == bin {
+			r.runs[k].n++
+			continue
+		}
+		r.runs = append(r.runs, slotRun{slot: s, bin: bin, n: 1})
+	}
+	return r
+}
+
+// addCover adds d to the cover of every slot r covers, and to the
+// off-map region count when r reaches off the code map.
+func (m *Monitor) addCover(r *Region, d int32) {
+	for _, run := range r.runs {
+		c := m.cover[run.slot : run.slot+run.n]
+		for i := range c {
+			c[i] += d
+		}
+	}
+	if r.offMap {
+		m.offMapRegions += int(d)
+	}
 }
 
 // loopSpanning returns the innermost loop at start when its span is
@@ -385,7 +421,7 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 		rep.FormationTriggered = true
 		rep.NewRegions = m.formRegions(ucr)
 	}
-	for _, s := range ucr.slots {
+	for _, s := range ucr.counted {
 		m.counts[s] = 0
 	}
 
@@ -427,8 +463,7 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 		}
 		r.intervalHits = 0
 		if m.cfg.PruneAfter > 0 && r.idleFor >= m.cfg.PruneAfter {
-			m.index.Remove(r.ID)
-			m.segStale = true
+			m.addCover(r, -1)
 			rep.Pruned = append(rep.Pruned, r)
 			continue
 		}
@@ -444,10 +479,11 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 // leaves them for formation: the distinct slots in slots, whose counts
 // stay in the monitor's per-slot counts until ProcessOverflow clears
 // them, and in off the indices into samples of the samples on no code
-// page, one sample each.
+// page, one sample each. counted holds every distinct slot the buffer
+// touched, slots first, for ProcessOverflow to clear.
 type ucrSet struct {
-	slots, off []int32
-	samples    []hpm.Sample
+	slots, off, counted []int32
+	samples             []hpm.Sample
 }
 
 // eachUCR calls f with every run of u: each slot's address and count,
@@ -463,45 +499,48 @@ func (m *Monitor) eachUCR(u ucrSet, f func(pc isa.Addr, n int)) {
 
 // distribute spreads the buffer over the monitored regions and returns
 // its non-idle UCR samples. It counts the samples per instruction slot of
-// the program's code map, then adds each distinct slot's count to the
-// regions of its epoch segment, which segOf holds, so a loopy buffer
-// costs one directory read per sample and one segment read per distinct
-// slot. Every consumer only adds counts (histogram bins, hit and UCR
-// counters, loop and procedure tallies), so slot order cannot change a
-// result; region bounds are instruction-aligned, so a PC and its slot's
-// address share their regions and histogram bins. Samples on no code
-// page — idle PC 0, or anything outside the text — stab the epoch one at
-// a time.
+// the program's code map; a distinct slot no region covers is UCR, and
+// every region then reads its histogram bins, hits and totals straight
+// from the counts of the slots its runs cover. Every consumer only adds
+// counts (histogram bins, hit and UCR counters, loop and procedure
+// tallies), so slot order cannot change a result; region bounds are
+// instruction-aligned, so a PC and its slot's address share their
+// regions and histogram bins. Samples on no code page — idle PC 0, or
+// anything outside the text — are checked one at a time against the
+// regions that reach off the code map, when there are any.
 func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) ucrSet {
-	if m.segStale {
-		m.index.Sync()
-		m.prog.SlotSegments(m.index.Bounds(), m.segOf)
-		m.segStale = false
-	}
 	samples := ov.Samples
-	prog, counts := m.prog, m.counts
+	counts, cover := m.counts, m.cover
 	seen, n, back := m.countSlots(samples)
 
-	// Distinct slots: the monitored ones clear their count; the UCR ones
-	// compact into the front of seen and keep it for formation.
+	// Distinct slots: the UCR ones, which no region covers, move to the
+	// front of seen[:n] for formation.
 	u := 0
-	for _, s := range seen[:n] {
+	for i, s := range seen[:n] {
 		c := int(counts[s])
-		ranks := m.index.Ranks(int(m.segOf[s]))
-		if len(ranks) == 0 {
+		if cover[s] == 0 {
 			rep.UCRSamples += c
-			seen[u] = s
+			seen[i], seen[u] = seen[u], s
 			u++
 			continue
 		}
-		counts[s] = 0
 		rep.MonitoredSamples += c
-		pc := prog.SlotAddr(int(s))
-		for _, k := range ranks {
-			r := m.regions[k]
-			r.curr[int(pc-r.Start)/isa.InstrBytes] += int64(c)
-			r.intervalHits += c
-			r.totalSamples += int64(c)
+	}
+	// Every region reads its bins straight from the counts over its runs;
+	// when no distinct slot is covered, every read would be zero.
+	if u < n {
+		for _, r := range m.regions {
+			hits := 0
+			for _, run := range r.runs {
+				cs := counts[run.slot : run.slot+run.n]
+				bins := r.curr[run.bin : run.bin+len(cs)]
+				for i, c := range cs {
+					bins[i] += int64(c)
+					hits += int(c)
+				}
+			}
+			r.intervalHits += hits
+			r.totalSamples += int64(hits)
 		}
 	}
 
@@ -511,14 +550,8 @@ func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) ucrSet {
 	for j := len(seen) - 1; j >= back; j-- {
 		i := seen[j]
 		pc := samples[i].PC
-		if ranks := m.index.Lookup(uint64(pc)); len(ranks) > 0 {
+		if m.offMapRegions > 0 && m.distributeOffMap(pc) {
 			rep.MonitoredSamples++
-			for _, k := range ranks {
-				r := m.regions[k]
-				r.curr[int(pc-r.Start)/isa.InstrBytes]++
-				r.intervalHits++
-				r.totalSamples++
-			}
 			continue
 		}
 		rep.UCRSamples++
@@ -529,7 +562,22 @@ func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) ucrSet {
 		o--
 		seen[o] = i
 	}
-	return ucrSet{slots: seen[:u], off: seen[o:], samples: samples}
+	return ucrSet{slots: seen[:u], off: seen[o:], counted: seen[:n], samples: samples}
+}
+
+// distributeOffMap adds the off-map sample pc to every region that
+// contains it and reports whether any does.
+func (m *Monitor) distributeOffMap(pc isa.Addr) bool {
+	hit := false
+	for _, r := range m.regions {
+		if r.offMap && r.Contains(pc) {
+			r.curr[int(pc-r.Start)/isa.InstrBytes]++
+			r.intervalHits++
+			r.totalSamples++
+			hit = true
+		}
+	}
+	return hit
 }
 
 // countSlots counts samples per instruction slot into counts. The

@@ -196,10 +196,6 @@ func TestOverlappingRegionsBothIncremented(t *testing.T) {
 			t.Errorf("region %s got %d samples; want 100", v.Region.Name(), v.Samples)
 		}
 	}
-	// RegionAt prefers the innermost region.
-	if r := m.RegionAt(inner.Start); r == nil || r.Start != inner.Start {
-		t.Errorf("RegionAt(inner) = %v; want inner region", r)
-	}
 }
 
 func TestIdleSamplesCountAsUCR(t *testing.T) {

@@ -19,13 +19,14 @@ import (
 // verdicts).
 //
 // Regions are encoded in ID order, the order the monitor keeps them in,
-// so identical state always produces identical bytes. Loop pointers are
-// not serialized; they are re-derived from the program on restore,
-// exactly as AddRegion derives them. Nor is a region's current-interval
-// histogram or hit count: ProcessOverflow zeroes both before it returns,
-// so between intervals they are always zero. Leaving them out made
-// version 2. Version 3 drops the per-interval UCR-fraction history the
-// monitor no longer keeps; older versions are refused.
+// so identical state always produces identical bytes. Loop pointers,
+// slot runs and the per-slot cover are not serialized; they are
+// re-derived from the program on restore, exactly as AddRegion derives
+// them. Nor is a region's current-interval histogram or hit count:
+// ProcessOverflow zeroes both before it returns, so between intervals
+// they are always zero. Leaving them out made version 2. Version 3 drops
+// the per-interval UCR-fraction history the monitor no longer keeps;
+// older versions are refused.
 
 const monitorTag = "regmon"
 
@@ -99,8 +100,7 @@ func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
 		if (end-start)/isa.InstrBytes > isa.Addr(dec.Remaining()/8) {
 			return nil, fmt.Errorf("region: snapshot region %d span %v-%v is longer than the remaining input", id, start, end)
 		}
-		n := int(end-start) / isa.InstrBytes
-		det, err := lpd.New(n, m.cfg.Detector)
+		det, err := lpd.New(int(end-start)/isa.InstrBytes, m.cfg.Detector)
 		if err != nil {
 			return nil, err
 		}
@@ -109,29 +109,21 @@ func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
 			return nil, err
 		}
 		commitDet() // det is new and not yet reachable from m
-		regions = append(regions, &Region{
-			ID:           id,
-			Start:        start,
-			End:          end,
-			Loop:         m.loopSpanning(start, end),
-			Detector:     det,
-			FormedAt:     formedAt,
-			curr:         make([]int64, n),
-			totalSamples: totalSamples,
-			idleFor:      idleFor,
-		})
+		r := m.newRegion(id, start, end, det)
+		r.FormedAt = formedAt
+		r.totalSamples = totalSamples
+		r.idleFor = idleFor
+		regions = append(regions, r)
 	}
 
 	return func() {
 		m.seq = seq
 		m.nextID = nextID
-		for _, r := range m.regions {
-			m.index.Remove(r.ID)
-		}
 		m.regions = regions
+		clear(m.cover)
+		m.offMapRegions = 0
 		for _, r := range regions {
-			m.index.Insert(r.ID, uint64(r.Start), uint64(r.End))
+			m.addCover(r, 1)
 		}
-		m.segStale = true
 	}, nil
 }

@@ -180,8 +180,11 @@ func heapAlloc() uint64 {
 // BuildProgram constructs the soak workload's program: two procedures,
 // four loops of different sizes and kinds, separated by straight-line
 // code so formation always has an innermost loop to latch onto.
-func BuildProgram() (*isa.Program, []isa.LoopSpan, error) {
-	b := isa.NewBuilder(0x10000)
+func BuildProgram() (*isa.Program, []isa.LoopSpan, error) { return buildProgram(0x10000) }
+
+// buildProgram lays BuildProgram's program out from base.
+func buildProgram(base isa.Addr) (*isa.Program, []isa.LoopSpan, error) {
+	b := isa.NewBuilder(base)
 	p := b.Proc("main")
 	p.Code(32, isa.KindALU)
 	l1 := p.Loop(20, []isa.Kind{isa.KindLoad, isa.KindALU, isa.KindALU}, nil)
