@@ -42,9 +42,12 @@ race-hot:
 # Smoke-run the hot-path benchmarks: one iteration each, with allocation
 # reporting (the allocs/op gates themselves live in TestSystemRunAllocs,
 # pipeline.TestHotPathAllocs, changepoint.TestDetectorObserveAllocs and
-# altdetect's TestObserveAllocs, which run under `make test`).
+# altdetect's TestObserveAllocs, which run under `make test`). The root
+# line also runs the ablations (EXPERIMENTS.md): compiler annotations,
+# inter-procedural regions, pruning, the size-scaled r_t and the
+# Manhattan and top-k metrics run nowhere else.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSystemRun|BenchmarkFig13' -benchtime 1x -benchmem ./.
+	$(GO) test -run '^$$' -bench 'BenchmarkSystemRun|BenchmarkFig13|BenchmarkAblation' -benchtime 1x -benchmem ./.
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkPearson' -benchtime 1x -benchmem ./internal/lpd/ ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectorObserve|BenchmarkBBVObserve|BenchmarkWorkingSetObserve' -benchtime 1x -benchmem ./internal/changepoint/ ./internal/altdetect/
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessOverflow' -benchtime 1x -benchmem ./internal/region/
@@ -95,10 +98,12 @@ paper:
 
 # Long-run hardening harness (cmd/soak): millions of intervals through
 # the full detector stack, asserting a steady heap and byte-identical
-# verdict streams across mid-run kill/restore — first single-stream, then
-# at fleet scale (8 streams behind an ingest.Fleet, reference on 1 shard
-# vs kill/restore on 4). `soak` is the full acceptance run; `soak-short`
-# is the minutes-free variant folded into `make check` and CI.
+# verdict streams across mid-run kill/restore. Both stages run through
+# soak.RunFleet: one stream, then 8 streams behind an ingest.Fleet; each
+# compares a reference on 1 shard with per-item pushes against a
+# kill/restore run on up to 4 shards with 16-interval batches. `soak` is
+# the full acceptance run; `soak-short` is the minutes-free variant
+# folded into `make check` and CI.
 soak:
 	$(GO) run ./cmd/soak -intervals 2000000
 

@@ -1,7 +1,7 @@
 // Command soak is the long-run hardening harness: it drives the full
 // detector stack (pipeline, GPD, region monitoring, BBV, working set,
-// CPI tracker) for millions of synthetic sampling intervals and checks
-// the two properties ISSUE-grade deployments depend on:
+// CPI tracker, change-point detector) for millions of synthetic sampling
+// intervals and checks two properties long-lived deployments depend on:
 //
 //  1. Bounded state: with every per-interval series bounded, post-GC
 //     HeapAlloc must not grow from the post-warmup baseline to the end
@@ -11,14 +11,15 @@
 //     byte-identical (FNV-1a digest equality over every verdict field)
 //     to an uninterrupted reference run.
 //
-// Usage:
-//
-// After the single-stream comparison it repeats the exercise at fleet
-// scale: -streams independent stacks behind an ingest.Fleet, where the
-// reference run uses one shard with per-item pushes and the kill/restore
-// run uses -shards with batched pushes (-batch intervals per PushBatchWait
-// call) — so the comparison also proves verdict streams are independent of
-// both the worker topology and the per-item-vs-batched transport.
+// Both stages run through soak.RunFleet: the one-stream stage drives one
+// stack for -intervals, the fleet stage -streams stacks behind an
+// ingest.Fleet for -fleet-intervals each. In each, a reference run on one
+// shard with per-item pushes must match, stream by stream, a kill/restore
+// run on -shards with -batch intervals per PushBatchWait call, so every
+// stage also proves the verdict streams independent of the transport and,
+// with more than one stream, of the worker topology. A fleet runs no more
+// shards than streams, so the one-stream stage's runs differ in batching
+// and checkpoints only.
 //
 // Usage:
 //
@@ -39,100 +40,73 @@ import (
 
 func main() {
 	var (
-		intervals = flag.Int("intervals", 2_000_000, "sampling intervals to drive per run")
+		intervals = flag.Int("intervals", 2_000_000, "sampling intervals to drive in the one-stream stage")
 		samples   = flag.Int("samples", 96, "samples per interval (overflow buffer size)")
 		seed      = flag.Uint64("seed", 1, "workload generator seed")
-		restores  = flag.Int("restores", 4, "kill/restore cycles in the checkpoint run")
-		heapMiB   = flag.Int("max-heap-growth", 4, "allowed post-warmup heap growth in MiB")
+		restores  = flag.Int("restores", 4, "kill/restore cycles in each checkpoint run")
+		heapMiB   = flag.Int("max-heap-growth", 4, "allowed post-warmup heap growth in MiB (the fleet stage adds 4 MiB per stream)")
 		streams   = flag.Int("streams", 8, "fleet stage stream count (0 skips the fleet stage)")
-		shards    = flag.Int("shards", 4, "fleet stage worker count for the kill/restore run")
-		batch     = flag.Int("batch", 16, "fleet stage intervals per PushBatchWait call in the kill/restore run")
+		shards    = flag.Int("shards", 4, "worker count for the kill/restore runs")
+		batch     = flag.Int("batch", 16, "intervals per PushBatchWait call in the kill/restore runs")
 		fleetIvs  = flag.Int("fleet-intervals", 0, "fleet stage intervals per stream (0 = intervals/20)")
 	)
 	flag.Parse()
 
-	cfg := soak.Config{
+	start := time.Now() //lint:allow determinism -- progress timing on stderr, not in results
+	cfg := soak.FleetConfig{
+		Streams:            1,
 		Intervals:          *intervals,
 		SamplesPerInterval: *samples,
 		Seed:               *seed,
 		MaxHeapGrowth:      uint64(*heapMiB) << 20,
 	}
-
-	start := time.Now() //lint:allow determinism -- progress timing on stderr, not in results
-	fmt.Fprintf(os.Stderr, "soak: reference run, %d intervals x %d samples (seed %d)\n",
-		cfg.Intervals, cfg.SamplesPerInterval, cfg.Seed)
-	ref, err := soak.Run(cfg)
-	if err != nil {
-		fail("reference run", err)
-	}
-	report("reference", ref)
-
-	cfg.RestoreEvery = cfg.Intervals / (*restores + 1)
-	fmt.Fprintf(os.Stderr, "soak: kill/restore run, checkpoint every %d intervals\n", cfg.RestoreEvery)
-	kr, err := soak.Run(cfg)
-	if err != nil {
-		fail("kill/restore run", err)
-	}
-	report("kill/restore", kr)
-
-	if kr.Digest != ref.Digest {
-		fail("verdict comparison", fmt.Errorf("restored stream digest %#x != reference %#x", kr.Digest, ref.Digest))
-	}
-	fmt.Fprintf(os.Stderr, "soak: single-stream PASS — %d restores, digest %#x, heap steady (%.1f MiB)\n",
-		kr.Restores, kr.Digest, float64(kr.HeapFinal)/(1<<20))
-
+	stage("one-stream", cfg, *shards, *batch, *restores)
 	if *streams > 0 {
-		ivs := *fleetIvs
-		if ivs == 0 {
-			ivs = *intervals / 20
-			if ivs < 500 {
-				ivs = 500
-			}
+		cfg.Streams, cfg.Intervals = *streams, *fleetIvs
+		if cfg.Intervals == 0 {
+			cfg.Intervals = max(*intervals/20, 500)
 		}
-		fcfg := soak.FleetConfig{
-			Streams:            *streams,
-			Intervals:          ivs,
-			Shards:             1,
-			Batch:              1, // reference drives the per-item push path
-			SamplesPerInterval: *samples,
-			Seed:               *seed,
-			MaxHeapGrowth:      uint64(*heapMiB+4*(*streams)) << 20,
-		}
-		fmt.Fprintf(os.Stderr, "soak: fleet reference run, %d streams x %d intervals, 1 shard, per-item pushes\n", *streams, ivs)
-		fref, err := soak.RunFleet(fcfg)
-		if err != nil {
-			fail("fleet reference run", err)
-		}
-		fcfg.Shards = *shards
-		fcfg.Batch = *batch
-		fcfg.RestoreEvery = ivs / (*restores + 1)
-		fmt.Fprintf(os.Stderr, "soak: fleet kill/restore run, %d shards, %d-interval batches, checkpoint every %d rounds\n",
-			fcfg.Shards, fcfg.Batch, fcfg.RestoreEvery)
-		fkr, err := soak.RunFleet(fcfg)
-		if err != nil {
-			fail("fleet kill/restore run", err)
-		}
-		for s := range fref.Digests {
-			if fkr.Digests[s] != fref.Digests[s] {
-				fail("fleet verdict comparison", fmt.Errorf("stream %d digest %#x != reference %#x",
-					s, fkr.Digests[s], fref.Digests[s]))
-			}
-		}
-		fmt.Fprintf(os.Stderr, "soak: fleet PASS — %d restores across topologies 1→%d shards and per-item→%d-batch pushes, digest %#x (%d snapshot bytes)\n",
-			fkr.Restores, fcfg.Shards, fcfg.Batch, fkr.Digest, fkr.SnapshotBytes)
+		cfg.MaxHeapGrowth += uint64(4*(*streams)) << 20
+		stage("fleet", cfg, *shards, *batch, *restores)
 	}
 
 	elapsed := time.Since(start).Round(time.Millisecond) //lint:allow determinism -- harness timing on stderr, not in results
 	fmt.Fprintf(os.Stderr, "soak: PASS in %v\n", elapsed)
 }
 
-func report(name string, r soak.Result) {
-	fmt.Fprintf(os.Stderr, "soak: %s done — digest %#x, heap baseline %.1f MiB final %.1f MiB",
-		name, r.Digest, float64(r.HeapBaseline)/(1<<20), float64(r.HeapFinal)/(1<<20))
-	if r.Restores > 0 {
-		fmt.Fprintf(os.Stderr, ", %d restores (%d snapshot bytes)", r.Restores, r.SnapshotBytes)
+// stage runs cfg twice through soak.RunFleet — an uninterrupted reference
+// on one shard with per-item pushes, then a kill/restore run on shards
+// with batch-interval pushes and restores checkpoints — and exits unless
+// both runs pass their heap budget and emit the same verdict stream on
+// every stream.
+func stage(name string, cfg soak.FleetConfig, shards, batch, restores int) {
+	cfg.Shards, cfg.Batch = 1, 1
+	fmt.Fprintf(os.Stderr, "soak: %s reference run — streams %d, intervals %d, samples %d, seed %d; 1 shard, per-item pushes\n",
+		name, cfg.Streams, cfg.Intervals, cfg.SamplesPerInterval, cfg.Seed)
+	ref, err := soak.RunFleet(cfg)
+	if err != nil {
+		fail(name+" reference run", err)
 	}
-	fmt.Fprintln(os.Stderr)
+
+	cfg.Shards, cfg.Batch, cfg.RestoreEvery = min(shards, cfg.Streams), batch, cfg.Intervals/(restores+1)
+	topology := fmt.Sprintf("%d shards", cfg.Shards)
+	if cfg.Shards == 1 {
+		topology = "1 shard, as the reference, so the runs differ in batching and checkpoints only"
+	}
+	fmt.Fprintf(os.Stderr, "soak: %s kill/restore run — %s; %d-interval batches, checkpoint every %d intervals\n",
+		name, topology, cfg.Batch, cfg.RestoreEvery)
+	kr, err := soak.RunFleet(cfg)
+	if err != nil {
+		fail(name+" kill/restore run", err)
+	}
+	for s := range ref.Digests {
+		if kr.Digests[s] != ref.Digests[s] {
+			fail(name+" verdict comparison", fmt.Errorf("stream %d digest %#x != reference %#x",
+				s, kr.Digests[s], ref.Digests[s]))
+		}
+	}
+	fmt.Fprintf(os.Stderr, "soak: %s PASS — %d restores, digest %#x (%d snapshot bytes), heap baseline %.1f MiB final %.1f MiB\n",
+		name, kr.Restores, kr.Digest, kr.SnapshotBytes, float64(kr.HeapBaseline)/(1<<20), float64(kr.HeapFinal)/(1<<20))
 }
 
 func fail(stage string, err error) {

@@ -119,9 +119,8 @@ func TestFacadeDetectors(t *testing.T) {
 	if observed != 6 || lastVerdicts != len(wantNames) {
 		t.Errorf("observer saw %d reports of %d verdicts", observed, lastVerdicts)
 	}
-	var st DetectorStats = pipe.Stats(DetectorBBV)
-	if st.Intervals != 6 {
-		t.Errorf("bbv stats intervals = %d", st.Intervals)
+	if n := bbv.Intervals(); n != 6 {
+		t.Errorf("bbv intervals = %d", n)
 	}
 	if _ = CPI(ov); DPI(ov) <= 0 {
 		t.Error("CPI/DPI helpers broken")

@@ -221,7 +221,6 @@ func (t *Table) CSV() string {
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func itoa(v int) string    { return fmt.Sprintf("%d", v) }
-func u64(v uint64) string  { return fmt.Sprintf("%d", v) }
 func periodLabel(p uint64) string {
 	switch {
 	case p >= 1_000_000 && p%100_000 == 0:

@@ -254,9 +254,6 @@ func NewFleet(numStreams int, cfg Config) (*Fleet, error) {
 // NumStreams returns the fleet's stream count.
 func (f *Fleet) NumStreams() int { return len(f.shardOf) }
 
-// NumShards returns the fleet's worker count.
-func (f *Fleet) NumShards() int { return len(f.shards) }
-
 // ShardOf returns the shard a stream is pinned to.
 func (f *Fleet) ShardOf(stream int) int { return f.shardOf[stream] }
 

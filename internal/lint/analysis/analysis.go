@@ -62,11 +62,8 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Report records a diagnostic (dropped by the runner when an
-// //lint:allow directive covers it).
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
-// Reportf is Report with formatting.
+// Reportf records a diagnostic with a formatted message (dropped by the
+// runner when an //lint:allow directive covers it).
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }

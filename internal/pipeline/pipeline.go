@@ -17,10 +17,10 @@
 //     ObserveBatch is the batch-first entry consuming a whole run of
 //     intervals per call (the ingest fleet's worker loop drains ring runs
 //     straight into it); ProcessOverflow is its per-item wrapper.
-//   - Observers hook the merged report; any number may be attached, and
-//     the pipeline additionally maintains per-detector aggregate counters
-//     (DetectorStats) so consumers do not each re-derive interval, stable
-//     and phase-change totals.
+//   - Observers hook the merged report; any number may be attached.
+//     Whole-run totals live in the detectors themselves (for example
+//     gpd.Detector.PhaseChanges and StableFraction) and in Intervals, the
+//     pipeline's delivery count.
 //
 // A Pipeline is single-owner: one goroutine drives ProcessOverflow, in
 // step with the monitor that produced the overflow. Scaling across cores
@@ -71,25 +71,6 @@ type PhaseDetector interface {
 	ObserveInterval(ov *hpm.Overflow) Verdict
 }
 
-// DetectorStats aggregates one detector's whole-run counters, maintained
-// by the pipeline so observers need not re-derive them.
-type DetectorStats struct {
-	// Intervals is the number of intervals observed.
-	Intervals int
-	// StableIntervals counts intervals judged stable.
-	StableIntervals int
-	// PhaseChanges counts stable-boundary crossings (both directions).
-	PhaseChanges int
-}
-
-// StableFraction returns the fraction of observed intervals judged stable.
-func (s DetectorStats) StableFraction() float64 {
-	if s.Intervals == 0 {
-		return 0
-	}
-	return float64(s.StableIntervals) / float64(s.Intervals)
-}
-
 // IntervalReport is the merged delivery for one sampling interval: every
 // registered detector's verdict, in registration order. The report and
 // its Verdicts slice are reused across intervals — they are valid only
@@ -124,7 +105,6 @@ type Observer func(*IntervalReport)
 //lint:single-owner
 type Pipeline struct {
 	dets      []PhaseDetector
-	stats     []DetectorStats
 	byName    map[string]int   //lint:config -- derived from dets at construction
 	observers []Observer       //lint:config -- wiring, not observation state
 	rep       IntervalReport   //lint:config -- per-interval scratch, reused across intervals
@@ -154,7 +134,6 @@ func (p *Pipeline) Register(d PhaseDetector) error {
 	}
 	p.byName[name] = len(p.dets)
 	p.dets = append(p.dets, d)
-	p.stats = append(p.stats, DetectorStats{})
 	return nil
 }
 
@@ -184,15 +163,6 @@ func (p *Pipeline) Detector(name string) PhaseDetector {
 func (p *Pipeline) AddObserver(fn Observer) int {
 	p.observers = append(p.observers, fn)
 	return len(p.observers) - 1
-}
-
-// Stats returns the named detector's aggregate counters (zero value for
-// an unknown name).
-func (p *Pipeline) Stats(name string) DetectorStats {
-	if i, ok := p.byName[name]; ok {
-		return p.stats[i]
-	}
-	return DetectorStats{}
 }
 
 // Intervals returns the number of overflow deliveries processed.
@@ -226,10 +196,10 @@ func (p *Pipeline) ProcessOverflow(ov *hpm.Overflow) *IntervalReport {
 // the payload lifetime rule (a detector's verdict payload is only valid
 // until its next ObserveInterval call), and it is what makes the batched
 // and per-item paths verdict-stream byte-identical. What the batch entry
-// amortizes is everything around that core: one call dispatch, one
-// intervals-counter update, and one report/stats setup per batch instead
-// of per interval — plus, upstream, the ring reserve/publish/wake the
-// ingest layer pays once per batch.
+// amortizes is everything around that core: one call dispatch and one
+// intervals-counter update per batch instead of per interval — plus,
+// upstream, the ring reserve/publish/wake the ingest layer pays once per
+// batch.
 //
 // Every overflow in ovs (and the report delivered to observers) follows
 // the usual lifetime rule: valid only until the call returns.
@@ -239,17 +209,8 @@ func (p *Pipeline) ObserveBatch(ovs []*hpm.Overflow) {
 		p.rep.Seq = ov.Seq
 		p.rep.Cycle = ov.Cycle
 		p.rep.Verdicts = p.rep.Verdicts[:0]
-		for i, d := range p.dets {
-			v := d.ObserveInterval(ov)
-			p.rep.Verdicts = append(p.rep.Verdicts, v)
-			st := &p.stats[i]
-			st.Intervals++
-			if v.Stable {
-				st.StableIntervals++
-			}
-			if v.PhaseChange {
-				st.PhaseChanges++
-			}
+		for _, d := range p.dets {
+			p.rep.Verdicts = append(p.rep.Verdicts, d.ObserveInterval(ov))
 		}
 		for _, fn := range p.observers {
 			fn(&p.rep)

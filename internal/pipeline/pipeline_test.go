@@ -152,12 +152,11 @@ func TestFanOutMergesAllDetectors(t *testing.T) {
 	if ga.Detector().State() != gpd.Stable {
 		t.Errorf("gpd state = %v; want stable on steady stream", ga.Detector().State())
 	}
-	st := pipe.Stats(NameGPD)
-	if st.Intervals != intervals {
-		t.Errorf("gpd stats intervals = %d; want %d", st.Intervals, intervals)
+	if n := ga.Detector().Intervals(); n != intervals {
+		t.Errorf("gpd intervals = %d; want %d", n, intervals)
 	}
-	if st.StableIntervals == 0 || st.StableFraction() == 0 {
-		t.Error("gpd never stable in pipeline stats")
+	if ga.Detector().StableFraction() == 0 {
+		t.Error("gpd never stable")
 	}
 	// Region monitor formed the loop region and judged it stable.
 	if len(ra.Monitor().Regions()) == 0 {
@@ -234,15 +233,19 @@ func TestObserverSlots(t *testing.T) {
 // byte-identity contract: a run of intervals through ObserveBatch produces
 // exactly the interleaving of per-item ProcessOverflow calls — same
 // verdicts in the same order, observers fired once per interval between
-// detector passes, stats counted identically.
+// detector passes, GPD's whole-run counters identical.
 func TestObserveBatchMatchesPerItem(t *testing.T) {
 	type event struct {
 		seq      int
 		verdicts []Verdict
 	}
-	drive := func(batch int) ([]event, DetectorStats) {
+	type counters struct {
+		intervals, changes int
+		stable             float64
+	}
+	drive := func(batch int) ([]event, counters) {
 		prog, l1, l2 := testProgram(t)
-		pipe, _, _, _, _ := fullPipeline(t, prog)
+		pipe, ga, _, _, _ := fullPipeline(t, prog)
 		var events []event
 		pipe.AddObserver(func(rep *IntervalReport) {
 			// Copy: the report and its payloads are reused per interval.
@@ -275,14 +278,15 @@ func TestObserveBatchMatchesPerItem(t *testing.T) {
 		if pipe.Intervals() != intervals {
 			t.Fatalf("batch %d: Intervals = %d; want %d", batch, pipe.Intervals(), intervals)
 		}
-		return events, pipe.Stats(NameGPD)
+		g := ga.Detector()
+		return events, counters{g.Intervals(), g.PhaseChanges(), g.StableFraction()}
 	}
 
-	refEvents, refStats := drive(1)
+	refEvents, refCounters := drive(1)
 	for _, batch := range []int{5, 16, 64} {
-		events, stats := drive(batch)
-		if stats != refStats {
-			t.Errorf("batch %d: gpd stats %+v != per-item %+v", batch, stats, refStats)
+		events, c := drive(batch)
+		if c != refCounters {
+			t.Errorf("batch %d: gpd counters %+v != per-item %+v", batch, c, refCounters)
 		}
 		if len(events) != len(refEvents) {
 			t.Fatalf("batch %d: %d observer events; want %d", batch, len(events), len(refEvents))

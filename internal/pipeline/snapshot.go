@@ -1,10 +1,11 @@
 package pipeline
 
-// Pipeline checkpointing. A pipeline snapshot nests one component
-// snapshot per registered detector (in registration order, keyed by
-// registered name) plus the pipeline's own aggregate counters, so an
-// entire monitoring stack checkpoints through a single Snapshot call and
-// resumes mid-stream with a byte-identical subsequent verdict stream.
+// Pipeline checkpointing. A pipeline snapshot (version 2) is the
+// pipeline's interval count followed by one component snapshot per
+// registered detector, in registration order and keyed by registered
+// name, so an entire monitoring stack checkpoints through a single
+// Snapshot call and resumes mid-stream with a byte-identical subsequent
+// verdict stream.
 //
 // Restore targets a pipeline with the same detectors registered in the
 // same order over the same program; the executor/hpm side of a run is
@@ -24,19 +25,15 @@ const pipelineTag = "pipeline"
 // does not implement snap.Snapshotter.
 func (p *Pipeline) Snapshot() ([]byte, error) {
 	e := snap.NewEncoder()
-	e.Header(pipelineTag, 1)
+	e.Header(pipelineTag, 2)
 	e.Int(p.intervals)
 	e.Int(len(p.dets))
-	for i, d := range p.dets {
+	for _, d := range p.dets {
 		s, ok := d.(snap.Snapshotter)
 		if !ok {
 			return nil, fmt.Errorf("pipeline: detector %q (%T) does not support snapshotting", d.Name(), d)
 		}
 		e.String(d.Name())
-		st := p.stats[i]
-		e.Int(st.Intervals)
-		e.Int(st.StableIntervals)
-		e.Int(st.PhaseChanges)
 		s.AppendSnapshot(e)
 	}
 	return e.Bytes(), nil
@@ -48,7 +45,7 @@ func (p *Pipeline) Snapshot() ([]byte, error) {
 // detectors registered in the same order as the snapshotted one.
 func (p *Pipeline) Stage(data []byte) (commit func(), err error) {
 	d := snap.NewDecoder(data)
-	d.Header(pipelineTag, 1)
+	d.Header(pipelineTag, 2)
 	intervals := d.Int()
 	count := d.Int()
 	if err := d.Err(); err != nil {
@@ -57,13 +54,9 @@ func (p *Pipeline) Stage(data []byte) (commit func(), err error) {
 	if count != len(p.dets) {
 		return nil, fmt.Errorf("pipeline: snapshot has %d detectors, pipeline has %d", count, len(p.dets))
 	}
-	stats := make([]DetectorStats, count)
 	commits := make([]func(), count)
 	for i, det := range p.dets {
 		name := d.String()
-		stats[i].Intervals = d.Int()
-		stats[i].StableIntervals = d.Int()
-		stats[i].PhaseChanges = d.Int()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
@@ -86,7 +79,6 @@ func (p *Pipeline) Stage(data []byte) (commit func(), err error) {
 			c()
 		}
 		p.intervals = intervals
-		copy(p.stats, stats)
 	}, nil
 }
 

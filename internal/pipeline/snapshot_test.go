@@ -40,7 +40,7 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 	const total, cut = 90, 37
 
 	// Reference: uninterrupted run over the full stream.
-	ref, _, refRegions, _, _ := fullPipeline(t, prog)
+	ref, refGPD, refRegions, _, _ := fullPipeline(t, prog)
 	var refV [][]Verdict
 	ref.AddObserver(func(rep *IntervalReport) { refV = append(refV, commonVerdicts(rep)) })
 	for i := 0; i < total; i++ {
@@ -66,7 +66,7 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 
 	// Fork: a fresh identically configured pipeline restored from the
 	// snapshot must replay the rest of the stream identically.
-	fork, _, forkRegions, _, _ := fullPipeline(t, prog)
+	fork, forkGPD, forkRegions, _, _ := fullPipeline(t, prog)
 	if err := fork.Restore(s1); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -110,11 +110,11 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 		t.Errorf("fork WeightedStableFraction = %v; want %v", got, want)
 	}
 
-	// Aggregate stats must survive the round trip too.
-	for _, d := range fork.Detectors() {
-		if got, want := fork.Stats(d.Name()), ref.Stats(d.Name()); got != want {
-			t.Errorf("stats[%s] = %+v; want %+v", d.Name(), got, want)
-		}
+	// So must a detector's whole-run counters.
+	if got, want := forkGPD.Detector(), refGPD.Detector(); got.Intervals() != want.Intervals() ||
+		got.PhaseChanges() != want.PhaseChanges() || got.StableFraction() != want.StableFraction() {
+		t.Errorf("fork gpd counters %d/%d/%v; want %d/%d/%v", got.Intervals(), got.PhaseChanges(), got.StableFraction(),
+			want.Intervals(), want.PhaseChanges(), want.StableFraction())
 	}
 }
 
@@ -199,7 +199,7 @@ func TestRegionAdapterRestoreFailureLeavesAdapterUntouched(t *testing.T) {
 // TestPipelineRestoreFailureLeavesPipelineUntouched: a pipeline stages
 // every detector before any commits. Before, each detector committed as
 // it was decoded, so a cut in the last detector left the first four
-// overwritten.
+// overwritten. A snapshot relabelled version 1 is refused by name.
 func TestPipelineRestoreFailureLeavesPipelineUntouched(t *testing.T) {
 	src, _ := fedPipeline(t, 57)
 	data := mustSnapshot(t, src)
@@ -207,9 +207,8 @@ func TestPipelineRestoreFailureLeavesPipelineUntouched(t *testing.T) {
 	before := mustSnapshot(t, p)
 	checkRestoreFailures(t, data, func() []byte { return mustSnapshot(t, p) }, p.Restore)
 
-	// The forged child: the outer frame, every name and counter, and the
-	// first four detectors are valid; the last detector's bytes are one
-	// short.
+	// The forged child: the outer frame, every name and the first four
+	// detectors are valid; the last detector's bytes are one short.
 	last := p.Detectors()[len(p.Detectors())-1].Name()
 	err := p.Restore(data[:len(data)-1])
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("restoring detector %q", last)) {
@@ -217,6 +216,17 @@ func TestPipelineRestoreFailureLeavesPipelineUntouched(t *testing.T) {
 	}
 	if !bytes.Equal(mustSnapshot(t, p), before) {
 		t.Fatal("forged last detector: failed restore changed the pipeline")
+	}
+
+	// Version 1, the layout with three per-detector counters after each
+	// name, is refused at the header.
+	v1 := append([]byte(nil), data...)
+	v1[8+len(pipelineTag)] = 1 // the version byte after the length-prefixed tag
+	if err := p.Restore(v1); err == nil || !strings.Contains(err.Error(), `"pipeline" version 1, want 2`) {
+		t.Fatalf("version 1: restore error %v, want the version check", err)
+	}
+	if !bytes.Equal(mustSnapshot(t, p), before) {
+		t.Fatal("version 1: failed restore changed the pipeline")
 	}
 }
 

@@ -215,11 +215,13 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		fold.U64(info.Digest)
 	}
 	res.Digest = fold.Sum()
+	// The final reading, like the baseline, is taken with the fleet open:
+	// Close ends the shard workers, and with them goes every stream's
+	// stack, so a reading after it cannot see detector state grow.
+	res.HeapFinal = heapAlloc()
 	if err := f.Close(); err != nil {
 		return res, err
 	}
-
-	res.HeapFinal = heapAlloc()
 	if res.HeapFinal > res.HeapBaseline+cfg.MaxHeapGrowth {
 		return res, fmt.Errorf("soak: fleet heap grew %d bytes over %d rounds (baseline %d, final %d, budget %d)",
 			res.HeapFinal-res.HeapBaseline, cfg.Intervals-cfg.Warmup, res.HeapBaseline, res.HeapFinal, cfg.MaxHeapGrowth)

@@ -1,43 +1,109 @@
 package soak
 
-import "testing"
+import (
+	"testing"
 
-// TestFleetSoakKillRestoreMatchesReference is the short-form multi-stream
-// soak: a fleet that is killed and restored mid-run — and runs on a
-// different shard count — must emit per-stream verdict streams exactly
-// matching an uninterrupted reference fleet. This folds the two tentpole
-// guarantees (topology independence, checkpoint fidelity) into one
-// digest comparison.
+	"regionmon/internal/hpm"
+)
+
+// TestFleetSoakKillRestoreMatchesReference is the short-form soak: a
+// fleet that is killed and restored mid-run — and runs on a different
+// shard count — must emit per-stream verdict streams exactly matching an
+// uninterrupted reference fleet. This folds the two tentpole guarantees
+// (topology independence, checkpoint fidelity) into one digest
+// comparison. The one-stream input is the single-stream soak's shape: a
+// fleet never runs more shards than streams, so there the kill/restore
+// run differs from the reference in its checkpoints and batching only.
 func TestFleetSoakKillRestoreMatchesReference(t *testing.T) {
-	cfg := FleetConfig{Streams: 6, Intervals: 1000, Shards: 1, Seed: 11, MaxHeapGrowth: 64 << 20}
+	for _, tc := range []struct {
+		name                             string
+		streams, intervals, restoreEvery int
+		seed, maxHeapGrowth              uint64
+	}{
+		{"6 streams", 6, 1000, 400, 11, 64 << 20},
+		{"1 stream", 1, 6000, 2300, 7, 16 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := FleetConfig{Streams: tc.streams, Intervals: tc.intervals, Shards: 1, Seed: tc.seed, MaxHeapGrowth: tc.maxHeapGrowth}
+			ref, err := RunFleet(cfg)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			if ref.Restores != 0 {
+				t.Fatalf("reference run performed %d restores; want 0", ref.Restores)
+			}
 
-	ref, err := RunFleet(cfg)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
+			cfg.Shards = 4
+			cfg.RestoreEvery = tc.restoreEvery
+			kr, err := RunFleet(cfg)
+			if err != nil {
+				t.Fatalf("kill/restore run: %v", err)
+			}
+			if kr.Restores != 2 {
+				t.Errorf("restores = %d; want 2", kr.Restores)
+			}
+			if kr.SnapshotBytes == 0 {
+				t.Error("no fleet snapshot taken")
+			}
+			for s := range ref.Digests {
+				if kr.Digests[s] != ref.Digests[s] {
+					t.Errorf("stream %d diverged: digest %#x, reference %#x", s, kr.Digests[s], ref.Digests[s])
+				}
+			}
+			if kr.Digest != ref.Digest {
+				t.Errorf("fleet digest %#x != reference %#x", kr.Digest, ref.Digest)
+			}
+		})
 	}
-	if ref.Restores != 0 {
-		t.Fatalf("reference run performed %d restores; want 0", ref.Restores)
-	}
+}
 
-	cfg.Shards = 4
-	cfg.RestoreEvery = 400
-	kr, err := RunFleet(cfg)
+// TestOneStreamFleetMatchesDirectDrive: a one-stream RunFleet emits the
+// verdict stream of one NewStack pipeline driven directly —
+// ProcessOverflow over Workload.IntervalInto, digested by an observer —
+// both uninterrupted with per-item pushes and killed and restored with
+// batched ones. The direct drive passes through no ring, shard worker or
+// fleet snapshot, so it is the reference for everything RunFleet adds.
+func TestOneStreamFleetMatchesDirectDrive(t *testing.T) {
+	const intervals, buf = 3000, 96
+	prog, loops, err := BuildProgram()
 	if err != nil {
-		t.Fatalf("kill/restore run: %v", err)
+		t.Fatal(err)
 	}
-	if kr.Restores != 2 {
-		t.Errorf("restores = %d; want 2", kr.Restores)
-	}
-	if kr.SnapshotBytes == 0 {
-		t.Error("no fleet snapshot taken")
-	}
-	for s := range ref.Digests {
-		if kr.Digests[s] != ref.Digests[s] {
-			t.Errorf("stream %d diverged: digest %#x, reference %#x", s, kr.Digests[s], ref.Digests[s])
+	for _, seed := range []uint64{1, 42} {
+		pipe, err := NewStack(prog)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if kr.Digest != ref.Digest {
-		t.Errorf("fleet digest %#x != reference %#x", kr.Digest, ref.Digest)
+		dig := observeDigest(t, pipe)
+		g := NewWorkload(seed, loops, buf)
+		ov := &hpm.Overflow{Samples: make([]hpm.Sample, buf)}
+		for i := 0; i < intervals; i++ {
+			pipe.ProcessOverflow(g.IntervalInto(i, ov))
+		}
+		want := dig.Sum()
+
+		for _, tc := range []struct {
+			cfg      FleetConfig
+			restores int
+		}{
+			{FleetConfig{Batch: 1}, 0},
+			{FleetConfig{RestoreEvery: 1100}, 2},
+		} {
+			cfg := tc.cfg
+			cfg.Streams, cfg.Intervals, cfg.SamplesPerInterval, cfg.Seed = 1, intervals, buf, seed
+			cfg.MaxHeapGrowth = 64 << 20
+			res, err := RunFleet(cfg)
+			if err != nil {
+				t.Fatalf("seed %d, restore every %d: %v", seed, cfg.RestoreEvery, err)
+			}
+			if res.Restores != tc.restores {
+				t.Errorf("seed %d, restore every %d: %d restores; want %d", seed, cfg.RestoreEvery, res.Restores, tc.restores)
+			}
+			if res.Digests[0] != want {
+				t.Errorf("seed %d, restore every %d: stream digest %#x, direct drive %#x",
+					seed, cfg.RestoreEvery, res.Digests[0], want)
+			}
+		}
 	}
 }
 

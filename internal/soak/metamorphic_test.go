@@ -28,15 +28,6 @@ func TestShufflingPCsWithinIntervalsKeepsDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := func(pipe *pipeline.Pipeline) *vhash.Digest {
-		d := vhash.New()
-		pipe.AddObserver(func(rep *pipeline.IntervalReport) {
-			if err := d.Report(rep); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return d
-	}
 	ref, err := NewStack(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +36,7 @@ func TestShufflingPCsWithinIntervalsKeepsDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refDig, shufDig := digest(ref), digest(shuf)
+	refDig, shufDig := observeDigest(t, ref), observeDigest(t, shuf)
 
 	g := NewWorkload(7, loops, buf)
 	ov := &hpm.Overflow{Samples: make([]hpm.Sample, buf)}
@@ -77,6 +68,18 @@ func TestShufflingPCsWithinIntervalsKeepsDigest(t *testing.T) {
 	if moved < intervals/2 {
 		t.Fatalf("only %d of %d intervals had their PCs moved", moved, intervals)
 	}
+}
+
+// observeDigest attaches an observer to pipe that folds every report
+// into the returned digest, failing t on a payload vhash cannot hash.
+func observeDigest(t *testing.T, pipe *pipeline.Pipeline) *vhash.Digest {
+	d := vhash.New()
+	pipe.AddObserver(func(rep *pipeline.IntervalReport) {
+		if err := d.Report(rep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return d
 }
 
 // TestRelocationKeepsVerdicts is a metamorphic relation: the soak program

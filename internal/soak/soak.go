@@ -1,15 +1,18 @@
 // Package soak drives the full detector stack — pipeline, centroid GPD,
-// region monitoring, BBV, working set and a CPI tracker — for millions
-// of synthetic sampling intervals to prove the long-run hardening
-// properties: bounded detector state (the heap is steady after warmup)
-// and checkpoint fidelity (killing the stack mid-run and resuming a
-// fresh one from a Snapshot yields a byte-identical subsequent verdict
-// stream).
+// region monitoring, BBV, working set, a CPI tracker and the E-divisive
+// change-point detector — for millions of synthetic sampling intervals
+// to prove the long-run hardening properties: bounded detector state
+// (the heap is steady after warmup) and checkpoint fidelity (killing the
+// stack mid-run and resuming a fresh one from a Snapshot yields a
+// byte-identical subsequent verdict stream). RunFleet is the one driver:
+// it runs one stack per stream behind an ingest.Fleet, and a one-stream
+// fleet is the single-stream soak.
 //
 // The workload generator is fully deterministic (splitmix64 seeded by
-// Config.Seed), so two runs over the same configuration produce the same
-// verdict digest; a kill/restore run matching an uninterrupted reference
-// run is therefore an exact equality proof, not a statistical one.
+// FleetConfig.Seed), so two runs over the same configuration produce the
+// same verdict digests; a kill/restore run matching an uninterrupted
+// reference run is therefore an exact equality proof, not a statistical
+// one.
 package soak
 
 import (
@@ -23,150 +26,7 @@ import (
 	"regionmon/internal/isa"
 	"regionmon/internal/pipeline"
 	"regionmon/internal/region"
-	"regionmon/internal/vhash"
 )
-
-// Config tunes one soak run. The zero value of every optional field
-// selects a sensible default (see withDefaults).
-type Config struct {
-	// Intervals is the number of sampling intervals to drive. Required.
-	Intervals int
-	// SamplesPerInterval is the synthetic overflow buffer size
-	// (default 96).
-	SamplesPerInterval int
-	// Seed seeds the deterministic workload generator (default 1).
-	Seed uint64
-	// RestoreEvery, when positive, kills the live stack every that many
-	// intervals: Snapshot it, build a fresh identically configured
-	// stack, Restore into it and continue on the fresh one. 0 disables
-	// the kill/restore exercise (reference mode).
-	RestoreEvery int
-	// Warmup is the number of intervals before the heap baseline is
-	// taken (default Intervals/10). Formation, ring fills and detector
-	// warm-up allocate; steady state starts after.
-	Warmup int
-	// HeapCheckEvery is the interval stride between heap samples after
-	// warmup (default (Intervals-Warmup)/8). Each sample forces a GC,
-	// so keep it coarse.
-	HeapCheckEvery int
-	// MaxHeapGrowth is the allowed growth of HeapAlloc from the
-	// post-warmup baseline to the end of the run, in bytes
-	// (default 4 MiB). With every per-interval series bounded the
-	// steady-state heap must not track run length.
-	MaxHeapGrowth uint64
-}
-
-func (c Config) withDefaults() Config {
-	if c.SamplesPerInterval == 0 {
-		c.SamplesPerInterval = 96
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Warmup == 0 {
-		c.Warmup = c.Intervals / 10
-	}
-	if c.HeapCheckEvery == 0 {
-		c.HeapCheckEvery = (c.Intervals - c.Warmup) / 8
-		if c.HeapCheckEvery < 1 {
-			c.HeapCheckEvery = 1
-		}
-	}
-	if c.MaxHeapGrowth == 0 {
-		c.MaxHeapGrowth = 4 << 20
-	}
-	return c
-}
-
-// Result summarizes a completed soak run.
-type Result struct {
-	// Intervals is the number of intervals driven.
-	Intervals int
-	// Digest is the FNV-1a digest of the full verdict stream (every
-	// field of every verdict, bit-exact floats). Two runs with equal
-	// digests emitted identical verdict streams.
-	Digest uint64
-	// Restores counts kill/restore cycles performed.
-	Restores int
-	// SnapshotBytes is the size of the last snapshot taken (0 when
-	// RestoreEvery is 0).
-	SnapshotBytes int
-	// HeapBaseline and HeapFinal are post-GC HeapAlloc at warmup and at
-	// the end of the run.
-	HeapBaseline, HeapFinal uint64
-	// HeapSamples holds the periodic post-GC HeapAlloc readings taken
-	// between baseline and final.
-	HeapSamples []uint64
-}
-
-// Run drives one soak according to cfg and returns the run summary. It
-// returns an error if the configuration is invalid, a snapshot or
-// restore fails, an unknown verdict payload appears, or the heap grew
-// beyond cfg.MaxHeapGrowth from the post-warmup baseline.
-func Run(cfg Config) (Result, error) {
-	if cfg.Intervals <= 0 {
-		return Result{}, fmt.Errorf("soak: Intervals must be positive, got %d", cfg.Intervals)
-	}
-	cfg = cfg.withDefaults()
-
-	prog, loops, err := BuildProgram()
-	if err != nil {
-		return Result{}, err
-	}
-	pipe, err := NewStack(prog)
-	if err != nil {
-		return Result{}, err
-	}
-
-	dig := vhash.New()
-	var hashErr error
-	obs := func(rep *pipeline.IntervalReport) {
-		if err := dig.Report(rep); err != nil && hashErr == nil {
-			hashErr = err
-		}
-	}
-	pipe.AddObserver(obs)
-
-	g := NewWorkload(cfg.Seed, loops, cfg.SamplesPerInterval)
-	ov := &hpm.Overflow{Samples: make([]hpm.Sample, cfg.SamplesPerInterval)}
-	var res Result
-	for i := 0; i < cfg.Intervals; i++ {
-		if cfg.RestoreEvery > 0 && i > 0 && i%cfg.RestoreEvery == 0 {
-			snap, err := pipe.Snapshot()
-			if err != nil {
-				return res, fmt.Errorf("soak: snapshot at interval %d: %w", i, err)
-			}
-			fresh, err := NewStack(prog)
-			if err != nil {
-				return res, err
-			}
-			if err := fresh.Restore(snap); err != nil {
-				return res, fmt.Errorf("soak: restore at interval %d: %w", i, err)
-			}
-			fresh.AddObserver(obs)
-			pipe = fresh // the old stack is dead; resume on the restored one
-			res.Restores++
-			res.SnapshotBytes = len(snap)
-		}
-		pipe.ProcessOverflow(g.IntervalInto(i, ov))
-		if hashErr != nil {
-			return res, hashErr
-		}
-		if i == cfg.Warmup {
-			res.HeapBaseline = heapAlloc()
-		} else if i > cfg.Warmup && (i-cfg.Warmup)%cfg.HeapCheckEvery == 0 {
-			res.HeapSamples = append(res.HeapSamples, heapAlloc())
-		}
-	}
-	res.Intervals = cfg.Intervals
-	res.Digest = dig.Sum()
-	res.HeapFinal = heapAlloc()
-	if res.HeapFinal > res.HeapBaseline+cfg.MaxHeapGrowth {
-		return res, fmt.Errorf("soak: heap grew %d bytes over %d intervals (baseline %d, final %d, budget %d)",
-			res.HeapFinal-res.HeapBaseline, cfg.Intervals-cfg.Warmup, res.HeapBaseline, res.HeapFinal, cfg.MaxHeapGrowth)
-	}
-	return res, nil
-}
 
 // heapAlloc returns HeapAlloc after a forced collection, so readings
 // compare live heap rather than GC pacing noise.
@@ -252,8 +112,8 @@ func NewStack(prog *isa.Program) (*pipeline.Pipeline, error) {
 // through phases that weight two of the four loops, with a small idle
 // (PC 0) fraction and a sparse partial-buffer interval every 97th
 // delivery — the shapes the hardening fixes are about. It is exported for
-// the fleet soak mode and the benchmark's fleet workload (perfbench/),
-// which drive many independent Workloads (one per stream) over the same
+// the benchmark's fleet workload (perfbench/), which, like RunFleet,
+// drives many independent Workloads (one per stream) over the same
 // program.
 type Workload struct {
 	rng   uint64
@@ -351,6 +211,3 @@ func NewOverflowBatch(n, samplesPerInterval int) []*hpm.Overflow {
 func loopPC(span isa.LoopSpan, r uint64) isa.Addr {
 	return span.Start + isa.Addr(r%uint64(span.NumInstrs()))*isa.InstrBytes
 }
-
-// The verdict-stream digest lives in internal/vhash (shared with the
-// ingest fleet's determinism and kill/restore proofs).

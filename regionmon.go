@@ -240,8 +240,6 @@ type (
 	PhaseDetector = pipeline.PhaseDetector
 	// DetectorVerdict is a detector's unified per-interval event.
 	DetectorVerdict = pipeline.Verdict
-	// DetectorStats aggregates one detector's whole-run counters.
-	DetectorStats = pipeline.DetectorStats
 	// PipelineReport is the merged per-interval delivery (reused across
 	// intervals; copy to retain).
 	PipelineReport = pipeline.IntervalReport
