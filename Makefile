@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-hot bench fuzz perfbench-test perfbench paper soak soak-short check
+.PHONY: all build vet lint test race race-hot bench fuzz perfbench-test perfbench paper soak soak-short check loc
 
 all: check
 
@@ -111,3 +111,12 @@ soak-short:
 	$(GO) run ./cmd/soak -intervals 60000
 
 check: build lint test bench perfbench-test soak-short
+
+# Count the root module's lines of Go, non-test and test, leaving out the
+# benchmark module (perfbench/), every testdata/ tree and hidden
+# directories (.bench_build/, .git/): the net non-test delta each change
+# states in CHANGES.md is the difference of two such counts.
+GO_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path '*/testdata/*' -not -path './.*'
+loc:
+	@printf 'non-test Go lines: %s\n' "$$($(GO_FILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'test Go lines:     %s\n' "$$($(GO_FILES) -name '*_test.go' -exec cat {} + | wc -l)"

@@ -5,6 +5,7 @@ package regionmon
 // rather than by downstream examples.
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -319,8 +320,9 @@ func TestFacadeSchedule(t *testing.T) {
 }
 
 // TestFacadeRegionHistograms pins the region re-exports: a monitor built
-// through the façade distributes samples, and the histogram accessors
-// agree.
+// through the façade distributes samples, and both histogram accessors
+// return the interval's bins, which the region's detector observed: all
+// 64 samples on the first instruction.
 func TestFacadeRegionHistograms(t *testing.T) {
 	prog, span := facadeProgram(t)
 	rmon, err := NewRegionMonitor(prog, DefaultRegionConfig())
@@ -338,9 +340,13 @@ func TestFacadeRegionHistograms(t *testing.T) {
 	if rep := rmon.ProcessOverflow(ov); rep.MonitoredSamples != 64 {
 		t.Fatalf("MonitoredSamples = %d, want 64", rep.MonitoredSamples)
 	}
-	h := r.Histogram()
-	if got := r.AppendHistogram(nil); len(got) != len(h) {
-		t.Fatalf("AppendHistogram len %d != Histogram len %d", len(got), len(h))
+	want := make([]int64, span.NumInstrs())
+	want[0] = 64
+	if h := r.Histogram(); !slices.Equal(h, want) {
+		t.Fatalf("Histogram() = %v, want %v", h, want)
+	}
+	if got := r.AppendHistogram([]int64{-1}); !slices.Equal(got[1:], want) || got[0] != -1 {
+		t.Fatalf("AppendHistogram([-1]) = %v, want -1 then %v", got, want)
 	}
 	if got := rmon.Regions(); len(got) != 1 || got[0] != r {
 		t.Fatalf("Regions() = %v", got)

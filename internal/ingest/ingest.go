@@ -100,7 +100,8 @@ type StreamInfo struct {
 	Stream int
 	// Shard is the shard the stream is pinned to.
 	Shard int
-	// Intervals is the number of batches the worker has processed.
+	// Intervals is the number of intervals the stream's pipeline has
+	// observed (its Intervals count).
 	Intervals int
 	// Digest is the FNV-1a verdict-stream digest so far (see vhash).
 	Digest uint64
@@ -447,12 +448,11 @@ func (f *Fleet) Close() error {
 // stream is the worker-side state for one stream. It lives entirely
 // inside its shard worker's goroutine.
 type stream struct {
-	id        int
-	pipe      *pipeline.Pipeline
-	dig       *vhash.Digest
-	intervals int
-	err       error  // first verdict-hashing error
-	staged    func() // commit of the last opStage, until its opCommit
+	id     int
+	pipe   *pipeline.Pipeline
+	dig    *vhash.Digest
+	err    error  // first verdict-hashing error
+	staged func() // commit of the last opStage, until its opCommit
 }
 
 func newStream(id int, build BuildFunc) (*stream, error) {
@@ -564,7 +564,6 @@ func (sh *shard) run(numStreams int, build BuildFunc, ready chan<- error) {
 			}
 			st := states[id]
 			st.pipe.ObserveBatch(batch[:j-k])
-			st.intervals += j - k
 			k = j
 			// Only now may the producer overwrite the group's slots.
 			sh.ring.releaseRun(k - released)
@@ -594,7 +593,7 @@ func (sh *shard) exec(c *control, states []*stream) {
 		}
 		st.staged = nil
 	case opInfo:
-		c.info = StreamInfo{Stream: st.id, Shard: sh.id, Intervals: st.intervals, Digest: st.dig.Sum()}
+		c.info = StreamInfo{Stream: st.id, Shard: sh.id, Intervals: st.pipe.Intervals(), Digest: st.dig.Sum()}
 		c.err = st.err
 	default:
 		c.err = fmt.Errorf("ingest: unknown control op %d", c.op)

@@ -10,9 +10,10 @@ import (
 // Snapshot and Restore checkpoint the whole fleet. The encoding is keyed
 // by stream, not by shard: a snapshot taken from a 16-shard fleet restores
 // into a 1-shard fleet (and vice versa), because sharding is a throughput
-// topology, not stream state. Each stream contributes its interval count,
-// its verdict-digest sum, and its pipeline's own nested snapshot; the
-// owner adds the producer-side accepted/dropped counters.
+// topology, not stream state. Each stream contributes its verdict-digest
+// sum and its pipeline's own nested snapshot, which holds the stream's
+// interval count; the owner adds the producer-side accepted/dropped
+// counters. Stream snapshots are version 2; version 1 is refused.
 //
 // Both operations ride the rings in-band (control ops per stream), so
 // the captured state is exactly "after every batch pushed before the
@@ -103,8 +104,7 @@ func (st *stream) snapshot() ([]byte, error) {
 		return nil, err
 	}
 	e := snap.NewEncoder()
-	e.Header(streamTag, 1)
-	e.Int(st.intervals)
+	e.Header(streamTag, 2)
 	e.U64(st.dig.Sum())
 	e.Bytes64(pb)
 	return e.Bytes(), nil
@@ -115,8 +115,7 @@ func (st *stream) snapshot() ([]byte, error) {
 // only.
 func (st *stream) stage(data []byte) (func(), error) {
 	d := snap.NewDecoder(data)
-	d.Header(streamTag, 1)
-	intervals := d.Int()
+	d.Header(streamTag, 2)
 	sum := d.U64()
 	pb := d.Bytes64()
 	if err := d.Finish(); err != nil {
@@ -128,7 +127,6 @@ func (st *stream) stage(data []byte) (func(), error) {
 	}
 	return func() {
 		commitPipe()
-		st.intervals = intervals
 		st.dig = vhash.Resume(sum)
 		st.err = nil
 	}, nil

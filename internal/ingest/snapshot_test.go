@@ -43,10 +43,20 @@ func mustFleetSnapshot(t testing.TB, f *Fleet) []byte {
 	return b
 }
 
+// cutByOne drops a stream snapshot's last byte.
+func cutByOne(blob []byte) []byte { return blob[:len(blob)-1] }
+
+// streamVersion1 relabels a stream snapshot version 1, the layout that
+// also carried the stream's interval count.
+func streamVersion1(blob []byte) []byte {
+	blob[8+len(streamTag)] = 1 // the version byte after the length-prefixed tag
+	return blob
+}
+
 // forgeLastStream re-encodes a fleet snapshot with a valid outer frame
-// whose last stream's nested bytes are cut by one, so that only the
-// last stream's own restore can refuse it.
-func forgeLastStream(t testing.TB, data []byte) []byte {
+// whose last stream's nested bytes are passed through forge, so that only
+// the last stream's own restore can refuse it.
+func forgeLastStream(t testing.TB, data []byte, forge func([]byte) []byte) []byte {
 	t.Helper()
 	d := snap.NewDecoder(data)
 	d.Header(fleetTag, 1)
@@ -59,7 +69,7 @@ func forgeLastStream(t testing.TB, data []byte) []byte {
 		e.U64(d.U64())
 		blob := d.Bytes64()
 		if id == n-1 {
-			blob = blob[:len(blob)-1]
+			blob = forge(append([]byte(nil), blob...))
 		}
 		e.Bytes64(blob)
 	}
@@ -95,7 +105,8 @@ func TestFleetRestoreFailureLeavesFleetUntouched(t *testing.T) {
 				name, got.Accepted, got.Dropped, stats.Accepted, stats.Dropped)
 		}
 	}
-	check("forged last stream", "restore stream 3: snap: length", forgeLastStream(t, data))
+	check("forged last stream", "restore stream 3: snap: length", forgeLastStream(t, data, cutByOne))
+	check("stream version 1", `restore stream 3: snap: component "ingest-stream" version 1, want 2`, forgeLastStream(t, data, streamVersion1))
 	check("trailing byte", "trailing bytes", append(append([]byte(nil), data...), 0))
 	for cut := 0; cut < len(data); cut++ {
 		check(fmt.Sprintf("cut at %d of %d", cut, len(data)), "", data[:cut])
@@ -123,7 +134,8 @@ func FuzzFleetRestore(f *testing.F) {
 		f.Add(src[:cut])
 	}
 	f.Add(append(append([]byte(nil), src...), 0))
-	f.Add(forgeLastStream(f, src))
+	f.Add(forgeLastStream(f, src, cutByOne))
+	f.Add(forgeLastStream(f, src, streamVersion1))
 	fl := fedFleet(f, 23)
 	base, stats := mustFleetSnapshot(f, fl), fl.Stats()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -152,6 +152,16 @@ func (m *codeMap) slotBlock(s int) int {
 // and a slot between two procedures on a shared page has no block.
 func (pr *Program) Slot(pc Addr) int { return pr.code.slot(pc) }
 
+// SpanOnCode reports whether every instruction of the span [start, end)
+// lies on a code page, for start < end, both multiples of InstrBytes.
+// Slot ordinals skip only pages without code, so it does exactly when
+// the slots of the span's first and last instructions differ by its
+// length less one; the span's slots then run from Slot(start).
+func (pr *Program) SpanOnCode(start, end Addr) bool {
+	first, last := pr.code.slot(start), pr.code.slot(end-InstrBytes)
+	return first >= 0 && last >= first && Addr(last-first) == (end-start)/InstrBytes-1
+}
+
 // NumSlots returns the number of instruction slots, pageSlots per code
 // page.
 func (pr *Program) NumSlots() int { return len(pr.code.block) }

@@ -11,7 +11,9 @@ import (
 // procedures and blocks at every address from Start()-8 to End()+8:
 // Slot's ordinal (pageSlots slots per page holding an instruction, pages
 // numbered from Start()) and SlotAddr, BlockOrdinal, ProcAt, BlockAt,
-// KindAt, LoopAt (against the procedure's InnermostLoopAt) and SlotLoop.
+// KindAt, LoopAt (against the procedure's InnermostLoopAt) and SlotLoop;
+// and SpanOnCode for spans of up to 129 instructions from every aligned
+// address.
 func CheckCodeMap(t testing.TB, prog *isa.Program) {
 	t.Helper()
 	const pageSlots, pageBytes = 64, 64 * isa.InstrBytes
@@ -100,6 +102,31 @@ func CheckCodeMap(t testing.TB, prog *isa.Program) {
 		}
 		if k, ok := prog.KindAt(a); k != wantKind || ok != kindOK {
 			t.Fatalf("%v: KindAt %v, %v; want %v, %v", a, k, ok, wantKind, kindOK)
+		}
+	}
+
+	// SpanOnCode: a span is on code when none of its instructions is off
+	// the scan's code pages. offBefore[i] counts the aligned addresses
+	// from lo below lo+i*InstrBytes that are.
+	const maxSpan = 129
+	lo := (start - min(start, 8)) &^ (isa.InstrBytes - 1)
+	n := int(end+8-lo)/isa.InstrBytes + maxSpan
+	offBefore := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		a := lo + isa.Addr(i)*isa.InstrBytes
+		_, ok := codePage[(a-start)/pageBytes]
+		offBefore[i+1] = offBefore[i]
+		if !ok || a < start {
+			offBefore[i+1]++
+		}
+	}
+	for i := 0; i < n-maxSpan; i++ {
+		a := lo + isa.Addr(i)*isa.InstrBytes
+		for _, k := range []int{1, 2, 63, 64, 65, maxSpan} {
+			e := a + isa.Addr(k)*isa.InstrBytes
+			if got, want := prog.SpanOnCode(a, e), offBefore[i+k] == offBefore[i]; got != want {
+				t.Fatalf("SpanOnCode(%v, %v) = %v; want %v", a, e, got, want)
+			}
 		}
 	}
 }

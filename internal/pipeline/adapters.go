@@ -17,7 +17,8 @@ import (
 	"regionmon/internal/snap"
 )
 
-// Default detector names used by the adapter constructors.
+// The names the adapters register under. NewPerf alone takes a name of
+// the caller's; NewCPI and NewDPI pass it NameCPI and NameDPI.
 const (
 	NameGPD         = "gpd"
 	NameRegions     = "regions"
@@ -33,21 +34,14 @@ const (
 //lint:single-owner
 type GPD struct {
 	det  *gpd.Detector
-	name string      //lint:config -- fixed at construction
 	last gpd.Verdict //lint:config -- payload storage; the next interval overwrites it
 }
 
-// NewGPD wraps det under the default name.
-func NewGPD(det *gpd.Detector) *GPD { return NewNamedGPD(NameGPD, det) }
-
-// NewNamedGPD wraps det under an explicit name (for pipelines carrying
-// several centroid detectors, e.g. threshold ablations).
-func NewNamedGPD(name string, det *gpd.Detector) *GPD {
-	return &GPD{det: det, name: name}
-}
+// NewGPD wraps det under NameGPD.
+func NewGPD(det *gpd.Detector) *GPD { return &GPD{det: det} }
 
 // Name implements PhaseDetector.
-func (g *GPD) Name() string { return g.name }
+func (g *GPD) Name() string { return NameGPD }
 
 // Detector exposes the wrapped centroid detector.
 func (g *GPD) Detector() *gpd.Detector { return g.det }
@@ -56,7 +50,7 @@ func (g *GPD) Detector() *gpd.Detector { return g.det }
 func (g *GPD) ObserveInterval(ov *hpm.Overflow) Verdict {
 	g.last = g.det.ObserveOverflow(ov)
 	return Verdict{
-		Detector:    g.name,
+		Detector:    NameGPD,
 		Stable:      g.last.State == gpd.Stable,
 		PhaseChange: g.last.PhaseChange,
 		Payload:     &g.last,
@@ -75,25 +69,19 @@ func (g *GPD) ObserveInterval(ov *hpm.Overflow) Verdict {
 //lint:single-owner
 type RegionMonitor struct {
 	mon  *region.Monitor
-	name string        //lint:config -- fixed at construction
 	last region.Report //lint:config -- aliases monitor-owned scratch; rebuilt next interval
 
 	stableW float64 // sample-weighted locally-stable accumulation
 	totalW  float64
 }
 
-// NewRegionMonitor wraps mon under the default name.
+// NewRegionMonitor wraps mon under NameRegions.
 func NewRegionMonitor(mon *region.Monitor) *RegionMonitor {
-	return NewNamedRegionMonitor(NameRegions, mon)
-}
-
-// NewNamedRegionMonitor wraps mon under an explicit name.
-func NewNamedRegionMonitor(name string, mon *region.Monitor) *RegionMonitor {
-	return &RegionMonitor{mon: mon, name: name}
+	return &RegionMonitor{mon: mon}
 }
 
 // Name implements PhaseDetector.
-func (r *RegionMonitor) Name() string { return r.name }
+func (r *RegionMonitor) Name() string { return NameRegions }
 
 // Monitor exposes the wrapped region monitor.
 func (r *RegionMonitor) Monitor() *region.Monitor { return r.mon }
@@ -140,7 +128,7 @@ func (r *RegionMonitor) ObserveInterval(ov *hpm.Overflow) Verdict {
 	r.stableW += stableW
 	r.totalW += totalW
 	return Verdict{
-		Detector:    r.name,
+		Detector:    NameRegions,
 		Stable:      totalW > 0 && stableW*2 > totalW,
 		PhaseChange: change,
 		Payload:     &r.last,
@@ -229,8 +217,8 @@ func (p *Perf) ObserveInterval(ov *hpm.Overflow) Verdict {
 	}
 }
 
-// ChangePoint adapts the E-divisive online detector over any scalar
-// per-interval metric (CPI by default). Payload: *changepoint.Verdict.
+// ChangePoint adapts the E-divisive online detector over the interval CPI
+// (hpm.CPI). Payload: *changepoint.Verdict.
 // Stable is "no change point confirmed this interval"; a confirmed
 // change point is a phase change in the metric's distribution — the
 // statistically grounded counterpart of the Perf adapter's band check
@@ -238,35 +226,26 @@ func (p *Perf) ObserveInterval(ov *hpm.Overflow) Verdict {
 //
 //lint:single-owner
 type ChangePoint struct {
-	det    *changepoint.Detector
-	name   string                      //lint:config -- fixed at construction
-	metric func(*hpm.Overflow) float64 //lint:config -- fixed at construction
-	last   changepoint.Verdict         //lint:config -- payload storage; the next interval overwrites it
+	det  *changepoint.Detector
+	last changepoint.Verdict //lint:config -- payload storage; the next interval overwrites it
 }
 
-// NewChangePoint wraps det over the interval CPI metric under the
-// default name.
+// NewChangePoint wraps det over the interval CPI under NameChangePoint.
 func NewChangePoint(det *changepoint.Detector) *ChangePoint {
-	return NewNamedChangePoint(NameChangePoint, det, hpm.CPI)
-}
-
-// NewNamedChangePoint wraps det over an arbitrary per-interval metric
-// under an explicit name.
-func NewNamedChangePoint(name string, det *changepoint.Detector, metric func(*hpm.Overflow) float64) *ChangePoint {
-	return &ChangePoint{det: det, name: name, metric: metric}
+	return &ChangePoint{det: det}
 }
 
 // Name implements PhaseDetector.
-func (c *ChangePoint) Name() string { return c.name }
+func (c *ChangePoint) Name() string { return NameChangePoint }
 
 // Detector exposes the wrapped change-point detector.
 func (c *ChangePoint) Detector() *changepoint.Detector { return c.det }
 
 // ObserveInterval implements PhaseDetector.
 func (c *ChangePoint) ObserveInterval(ov *hpm.Overflow) Verdict {
-	c.last = c.det.Observe(c.metric(ov))
+	c.last = c.det.Observe(hpm.CPI(ov))
 	return Verdict{
-		Detector:    c.name,
+		Detector:    NameChangePoint,
 		Stable:      !c.last.Changed,
 		PhaseChange: c.last.Changed,
 		Payload:     &c.last,

@@ -86,6 +86,13 @@ func fullPipeline(t testing.TB, prog *isa.Program) (*Pipeline, *GPD, *RegionMoni
 	return pipe, ga, ra, ba, wa
 }
 
+// namedDetector is a detector registered under the name it holds; it
+// judges nothing.
+type namedDetector string
+
+func (d namedDetector) Name() string                          { return string(d) }
+func (d namedDetector) ObserveInterval(*hpm.Overflow) Verdict { return Verdict{Detector: string(d)} }
+
 func TestRegisterValidation(t *testing.T) {
 	prog, _, _ := testProgram(t)
 	pipe, _, _, _, _ := fullPipeline(t, prog)
@@ -96,7 +103,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err := pipe.Register(NewGPD(gdet)); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if err := pipe.Register(NewNamedGPD("", gdet)); err == nil {
+	if err := pipe.Register(namedDetector("")); err == nil {
 		t.Error("empty name accepted")
 	}
 	if pipe.Detector(NameGPD) == nil || pipe.Detector("nope") != nil {

@@ -35,6 +35,24 @@ func gappedProgram(t testing.TB) (*isa.Program, []isa.LoopSpan) {
 	return prog, []isa.LoopSpan{la, lb, lc}
 }
 
+// offCodeErr is the fragment of every refusal of a span that reaches off
+// the code map.
+const offCodeErr = "reaches addresses on no code page"
+
+// offCodeSpans returns aligned spans of gappedProgram's prog, with its
+// loop spans, that reach addresses on no code page: below the text,
+// across its start, from its end to past its last code page, into the
+// wide gap after the second procedure, and across that gap.
+func offCodeSpans(prog *isa.Program, spans []isa.LoopSpan) [][2]isa.Addr {
+	return [][2]isa.Addr{
+		{0x100, 0x200},
+		{prog.Start() - 0x40, prog.Start() + 0x40},
+		{prog.End(), prog.End() + 0x200},
+		{prog.Procs[1].End() - 8, prog.Procs[2].Start() - 0x100},
+		{spans[1].Start, spans[2].End},
+	}
+}
+
 // malformedPCs returns addresses no well-formed sample carries, on a
 // program with at least two procedures: idle PC 0, addresses below the
 // text, in the gap after every procedure but the last (its first
@@ -95,12 +113,15 @@ type countRun struct {
 
 // refCount is the reference count: a map from instruction address to
 // samples, in first-seen order, over the samples on a code page, plus the
-// indices of the others in sample order.
-func refCount(prog *isa.Program, samples []hpm.Sample) (runs []countRun, off []int32) {
+// number of the others and of those at PC 0.
+func refCount(prog *isa.Program, samples []hpm.Sample) (runs []countRun, off, idle int) {
 	idx := make(map[isa.Addr]int)
-	for i, s := range samples {
+	for _, s := range samples {
 		if prog.Slot(s.PC) < 0 {
-			off = append(off, int32(i))
+			off++
+			if s.PC == 0 {
+				idle++
+			}
 			continue
 		}
 		pc := s.PC &^ (isa.InstrBytes - 1)
@@ -112,30 +133,26 @@ func refCount(prog *isa.Program, samples []hpm.Sample) (runs []countRun, off []i
 		}
 		runs[k].n++
 	}
-	return runs, off
+	return runs, off, idle
 }
 
 // takeCounts counts buf with countSlots and reads what it left — the
-// runs of seen[:n] and the off-map indices of seen[back:] in sample
-// order — then clears the counts, as distribute and ProcessOverflow do
-// between them.
-func takeCounts(m *Monitor, buf []hpm.Sample) (runs []countRun, off []int32) {
-	seen, n, back := m.countSlots(buf)
-	for _, s := range seen[:n] {
+// runs of seen and the off-map and idle counts — then clears the counts,
+// as distribute and ProcessOverflow do between them.
+func takeCounts(m *Monitor, buf []hpm.Sample) (runs []countRun, off, idle int) {
+	seen, off, idle := m.countSlots(buf)
+	for _, s := range seen {
 		runs = append(runs, countRun{m.prog.SlotAddr(int(s)), int(m.counts[s])})
 		m.counts[s] = 0
 	}
-	for j := len(seen) - 1; j >= back; j-- {
-		off = append(off, seen[j])
-	}
-	return runs, off
+	return runs, off, idle
 }
 
 // TestCountSlotsMatchesMapCount: on seeded random buffers over a gapped
 // program, with PC 0, off-map and misaligned PCs among them, and of sizes
 // on both sides of each growth, countSlots yields the same runs, in the
-// same first-seen order, as a map count over instruction addresses, lists
-// every off-map sample, and leaves the buffer as it was.
+// same first-seen order, as a map count over instruction addresses,
+// counts every off-map and idle sample, and leaves the buffer as it was.
 func TestCountSlotsMatchesMapCount(t *testing.T) {
 	prog, _ := gappedProgram(t)
 	m := newMonitor(t, prog, nil)
@@ -148,12 +165,12 @@ func TestCountSlotsMatchesMapCount(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, n := range []int{1, 2, 95, 96, 97, 700, hpm.DefaultBufferSize} {
 			for _, buf := range [][]hpm.Sample{randomSlotBuffer(rng, prog, n), same[:min(n, len(same))], idle[:min(n, len(idle))], nil} {
-				wantRuns, wantOff := refCount(prog, buf)
+				wantRuns, wantOff, wantIdle := refCount(prog, buf)
 				before := slices.Clone(buf)
-				gotRuns, gotOff := takeCounts(m, buf)
-				if !slices.Equal(gotRuns, wantRuns) || !slices.Equal(gotOff, wantOff) {
-					t.Fatalf("round %d, buffer of %d: %d runs and %d off-map samples, map count %d and %d, or different runs or order",
-						round, len(buf), len(gotRuns), len(gotOff), len(wantRuns), len(wantOff))
+				gotRuns, gotOff, gotIdle := takeCounts(m, buf)
+				if !slices.Equal(gotRuns, wantRuns) || gotOff != wantOff || gotIdle != wantIdle {
+					t.Fatalf("round %d, buffer of %d: %d runs, %d off-map and %d idle samples, map count %d, %d and %d, or different runs or order",
+						round, len(buf), len(gotRuns), gotOff, gotIdle, len(wantRuns), wantOff, wantIdle)
 				}
 				if !slices.Equal(buf, before) {
 					t.Fatalf("round %d, buffer of %d: count modified the buffer", round, len(buf))
@@ -195,8 +212,8 @@ func TestCountSlotsGrowsOnce(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, func() {
 		for _, buf := range [][]hpm.Sample{small, large} {
-			seen, n, _ := m.countSlots(buf)
-			for _, s := range seen[:n] {
+			seen, _, _ := m.countSlots(buf)
+			for _, s := range seen {
 				m.counts[s] = 0
 			}
 		}

@@ -27,16 +27,12 @@ type Annotation struct {
 	Name string
 }
 
-// Validate reports structural errors against prog.
+// Validate reports structural errors against prog: the span must be one
+// AddRegion accepts, on the program's code pages, and its first and last
+// instructions must lie in basic blocks.
 func (a *Annotation) Validate(prog *isa.Program) error {
-	if a.Start >= a.End {
-		return fmt.Errorf("region: annotation %q has empty span %v-%v", a.Name, a.Start, a.End)
-	}
-	if a.Start%isa.InstrBytes != 0 {
-		return fmt.Errorf("region: annotation %q span %v-%v starts inside an instruction", a.Name, a.Start, a.End)
-	}
-	if (a.End-a.Start)%isa.InstrBytes != 0 {
-		return fmt.Errorf("region: annotation %q span %v-%v is not a whole number of instructions", a.Name, a.Start, a.End)
+	if err := checkSpan(prog, a.Start, a.End); err != nil {
+		return fmt.Errorf("region: annotation %q: %w", a.Name, err)
 	}
 	if prog.BlockAt(a.Start) == nil || prog.BlockAt(a.End-isa.InstrBytes) == nil {
 		return fmt.Errorf("region: annotation %q span %v-%v outside program text", a.Name, a.Start, a.End)
@@ -56,7 +52,7 @@ type candidate struct {
 // extendedCandidates collects annotation- and procedure-based candidates
 // from the interval's unmonitored runs. Loop candidates are gathered by
 // the caller; this adds the two extension classes when enabled.
-func (m *Monitor) extendedCandidates(ucr ucrSet) []candidate {
+func (m *Monitor) extendedCandidates(ucr []int32) []candidate {
 	var out []candidate
 
 	if len(m.cfg.Annotations) > 0 {

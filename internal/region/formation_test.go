@@ -1,6 +1,7 @@
 package region
 
 import (
+	"strings"
 	"testing"
 
 	"regionmon/internal/isa"
@@ -131,6 +132,12 @@ func TestAnnotationValidation(t *testing.T) {
 		if _, err := NewMonitor(prog, cfg); err == nil {
 			t.Errorf("bad annotation %d accepted", i)
 		}
+	}
+	// Past the procedure's end but on its last code page: AddRegion would
+	// take the span, an annotation must also start and end in blocks.
+	past := Annotation{Start: hot.End(), End: hot.End() + 2*isa.InstrBytes}
+	if err := past.Validate(prog); err == nil || !strings.Contains(err.Error(), "outside program text") {
+		t.Errorf("annotation past the text on a code page: %v; want the block check", err)
 	}
 	if _, err := NewMonitor(prog, func() Config {
 		c := DefaultConfig()

@@ -2,6 +2,7 @@ package region
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"regionmon/internal/hpm"
@@ -331,41 +332,21 @@ func TestMonitorRestoreRejectsMismatch(t *testing.T) {
 
 // checkCover recounts from the live regions alone what the monitor's
 // derived state must hold, and fails the test when it does not: each
-// slot's cover is the number of regions containing the slot's address,
-// each region's runs take exactly the slots it contains to the bins of
-// those addresses, and offMapRegions counts the regions with an address
-// on no code page.
+// region's slots, from its first, hold the addresses of its span in bin
+// order, and each slot's cover is the number of regions containing the
+// slot's address.
 func checkCover(t *testing.T, m *Monitor, when string) {
 	t.Helper()
 	prog := m.prog
-	offMap := 0
 	for _, r := range m.regions {
-		onMap := 0
-		for s := 0; s < prog.NumSlots(); s++ {
-			if r.Contains(prog.SlotAddr(s)) {
-				onMap++
+		if r.slot < 0 || r.slot+len(r.curr) > prog.NumSlots() {
+			t.Fatalf("%s: region %s has slots %d-%d of %d", when, r.Name(), r.slot, r.slot+len(r.curr), prog.NumSlots())
+		}
+		for i := range r.curr {
+			if a := prog.SlotAddr(r.slot + i); a != r.Start+isa.Addr(i)*isa.InstrBytes {
+				t.Fatalf("%s: region %s maps slot %d (%v) to bin %d", when, r.Name(), r.slot+i, a, i)
 			}
 		}
-		inRuns := 0
-		for _, run := range r.runs {
-			for i := 0; i < run.n; i++ {
-				if a := prog.SlotAddr(run.slot + i); a != r.Start+isa.Addr(run.bin+i)*isa.InstrBytes {
-					t.Fatalf("%s: region %s maps slot %d (%v) to bin %d", when, r.Name(), run.slot+i, a, run.bin+i)
-				}
-			}
-			inRuns += run.n
-		}
-		if inRuns != onMap {
-			t.Fatalf("%s: region %s runs hold %d slots; it contains %d", when, r.Name(), inRuns, onMap)
-		}
-		if off := onMap < r.NumInstrs(); off != r.offMap {
-			t.Fatalf("%s: region %s off-map %v; it has %d of its %d addresses on code pages", when, r.Name(), r.offMap, onMap, r.NumInstrs())
-		} else if off {
-			offMap++
-		}
-	}
-	if m.offMapRegions != offMap {
-		t.Fatalf("%s: %d off-map regions counted; recount %d", when, m.offMapRegions, offMap)
 	}
 	for s := range m.cover {
 		want := 0
@@ -380,15 +361,15 @@ func checkCover(t *testing.T, m *Monitor, when string) {
 	}
 }
 
-// TestCoverMatchesRegionSet: cover, the runs and the off-map count are
+// TestCoverMatchesRegionSet: cover and each region's first slot are
 // derived state, not snapshot state, so no byte comparison sees them go
-// stale. On a gapped program, with manual regions below the text, past
-// it, into the gap between procedures, over two loops and, added among
-// formed regions, over two loops with the gap between them, they are
-// recounted after every AddRegion, every interval (formation and
-// pruning) and every restore commit. After restores that fail midway
-// through the region list, the next interval's report equals that of an
-// untouched twin.
+// stale. On a gapped program, with manual regions over two loops of two
+// procedures, across the slots between those procedures and, added among
+// formed regions, over both procedures whole, they are recounted after
+// every AddRegion, every interval (formation and pruning, with malformed
+// PCs in every buffer) and every restore commit. After restores that
+// fail midway through the region list, the next interval's report equals
+// that of an untouched twin.
 func TestCoverMatchesRegionSet(t *testing.T) {
 	prog, spans := gappedProgram(t)
 	mut := func(c *Config) {
@@ -397,7 +378,7 @@ func TestCoverMatchesRegionSet(t *testing.T) {
 		c.PruneAfter = 3
 	}
 	m, twin := newMonitor(t, prog, mut), newMonitor(t, prog, mut)
-	gap := prog.Procs[2].Start() - 0x100
+	a, b := prog.Procs[0], prog.Procs[1]
 	add := func(start, end isa.Addr) {
 		t.Helper()
 		for _, x := range []*Monitor{m, twin} {
@@ -407,18 +388,21 @@ func TestCoverMatchesRegionSet(t *testing.T) {
 		}
 		checkCover(t, m, fmt.Sprintf("AddRegion %v-%v", start, end))
 	}
-	for _, span := range [][2]isa.Addr{
-		{0x100, 0x200}, {prog.Procs[1].End() - 8, gap}, {prog.End(), prog.End() + 0x40}, {spans[0].Start, spans[1].End},
-	} {
-		add(span[0], span[1])
+	add(spans[0].Start, spans[1].End)
+	add(a.End()-8, b.Start()+8)
+	for _, span := range offCodeSpans(prog, spans) {
+		if _, err := m.AddRegion(span[0], span[1]); err == nil || !strings.Contains(err.Error(), offCodeErr) {
+			t.Fatalf("AddRegion %v-%v: %v; want the code-page check", span[0], span[1], err)
+		}
+		checkCover(t, m, fmt.Sprintf("refused AddRegion %v-%v", span[0], span[1]))
 	}
 	bad := malformedPCs(prog)
 	var snaps [][]byte
 	formed, pruned := 0, 0
 	for seq := 0; seq < 48; seq++ {
 		if seq == 24 {
-			// Over formed regions: two loops with the gap between them.
-			add(spans[1].Start, spans[2].End)
+			// Over formed regions: both procedures whole.
+			add(a.Start(), b.End())
 		}
 		pcs := append(spanPCs(spans[seq/4%len(spans)], 12), bad...)
 		if seq%6 == 5 {

@@ -1,17 +1,18 @@
 package region
 
 // The distribution oracle. distribute counts the buffer per instruction
-// slot and lets each region read its bins from the counts over its slot
-// runs; the oracle does the same job the slow, obvious way — every sample
-// tested against every monitored region with Region.Contains — and the
-// tests below compare the two on every interval of a stream. distribute
-// runs on a snapshot/restore fork of the monitor, so the monitor itself
+// slot and sets each region's bins from the counts of its slots; the
+// oracle does the same job the slow, obvious way — every sample tested
+// against every monitored region with Region.Contains — and the tests
+// below compare the two on every interval of a stream. distribute runs
+// on a snapshot/restore fork of the monitor, so the monitor itself
 // advances only through ProcessOverflow, and each comparison starts from
-// the region set, histograms and counters the stream has built up so far.
+// the region set and totals the stream has built up so far.
 
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"regionmon/internal/hpm"
@@ -31,17 +32,18 @@ type oracleOutcome struct {
 }
 
 // oracleDistribute distributes ov over regions (in ID order) by testing
-// every sample against every region, starting from each region's current
-// histogram and counters. The regions are not modified.
-func oracleDistribute(regions []*Region, ov *hpm.Overflow) oracleOutcome {
+// every sample against every region, starting each region from an empty
+// histogram and its current total. UCR PCs on no code page are counted
+// but not listed: formation can build nothing around them. The regions
+// are not modified.
+func oracleDistribute(prog *isa.Program, regions []*Region, ov *hpm.Overflow) oracleOutcome {
 	out := oracleOutcome{
 		hists:  make([][]int64, len(regions)),
 		hits:   make([]int, len(regions)),
 		totals: make([]int64, len(regions)),
 	}
 	for i, r := range regions {
-		out.hists[i] = r.Histogram()
-		out.hits[i] = r.intervalHits
+		out.hists[i] = make([]int64, r.NumInstrs())
 		out.totals[i] = r.totalSamples
 	}
 	for _, s := range ov.Samples {
@@ -60,6 +62,8 @@ func oracleDistribute(regions []*Region, ov *hpm.Overflow) oracleOutcome {
 		case s.PC == 0:
 			out.ucr++
 			out.idle++
+		case prog.Slot(s.PC) < 0:
+			out.ucr++
 		default:
 			out.ucr++
 			out.ucrPCs = append(out.ucrPCs, s.PC&^(isa.InstrBytes-1))
@@ -85,7 +89,7 @@ func checkDistribute(t *testing.T, m *Monitor, ov *hpm.Overflow) {
 	if err := snap.Unmarshal(fork, snap.Marshal(m)); err != nil {
 		t.Fatalf("interval %d: fork: %v", ov.Seq, err)
 	}
-	want := oracleDistribute(m.Regions(), ov)
+	want := oracleDistribute(m.prog, m.Regions(), ov)
 	var rep Report
 	var got []isa.Addr
 	fork.eachUCR(fork.distribute(ov, &rep), func(pc isa.Addr, n int) {
@@ -151,18 +155,25 @@ func TestDistributeOracle(t *testing.T) {
 		})
 	}
 
-	// "malformed": a gapped program whose regions include a manual one
-	// outside the text and one spanning the wide gap between two
-	// procedures, fed buffers of malformed PCs (idle, below the text,
-	// between procedures, past the end, misaligned), alone, mixed into
-	// loop samples, and empty.
+	// "malformed": a gapped program with manual regions over both
+	// procedures that share code pages and across the slots between them
+	// (the spans off the code map are refused), fed buffers of malformed
+	// PCs (idle, below the text, between procedures, past the end,
+	// misaligned, in the refused spans), alone, mixed into loop samples,
+	// and empty.
 	t.Run("malformed", func(t *testing.T) {
 		prog, spans := gappedProgram(t)
 		m := newMonitor(t, prog, func(c *Config) { c.MinRegionSamples = 4 })
-		gap := prog.Procs[2].Start() - 0x100
-		for _, span := range [][2]isa.Addr{{0x100, 0x200}, {prog.Procs[1].End() - 8, gap}, {prog.End(), prog.End() + 0x40}} {
+		a, b := prog.Procs[0], prog.Procs[1]
+		for _, span := range [][2]isa.Addr{{a.Start(), b.End()}, {a.End() - 8, b.Start() + 8}} {
 			if _, err := m.AddRegion(span[0], span[1]); err != nil {
 				t.Fatal(err)
+			}
+		}
+		gap := prog.Procs[2].Start() - 0x100
+		for _, span := range offCodeSpans(prog, spans) {
+			if _, err := m.AddRegion(span[0], span[1]); err == nil || !strings.Contains(err.Error(), offCodeErr) {
+				t.Fatalf("AddRegion %v-%v: %v; want the code-page check", span[0], span[1], err)
 			}
 		}
 		bad := malformedPCs(prog)
@@ -180,8 +191,8 @@ func TestDistributeOracle(t *testing.T) {
 			checkDistribute(t, m, ov)
 			m.ProcessOverflow(ov)
 		}
-		if n := len(m.Regions()); n != 5 {
-			t.Fatalf("%d regions; want the 3 manual ones and 2 formed loops", n)
+		if n := len(m.Regions()); n != 3 {
+			t.Fatalf("%d regions; want the 2 manual ones and the loop of the third procedure", n)
 		}
 	})
 
@@ -252,7 +263,7 @@ func TestDistributeOracleStreams(t *testing.T) {
 }
 
 // TestDistributeOracleFormationStorm lowers the formation bar until
-// formation fires constantly: regions and their slot runs are added most
+// formation fires constantly: regions and their slot cover are added most
 // often.
 func TestDistributeOracleFormationStorm(t *testing.T) {
 	oracleStream(t, "176.gcc", func(c *Config) {

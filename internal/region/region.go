@@ -4,15 +4,20 @@
 //
 //  1. distributes the buffered PC samples across the monitored regions
 //     (counting the buffer's samples per instruction slot of the
-//     program's code map in one pass, then letting each region read its
-//     per-instruction histogram straight from the counts of the slots
-//     its span covers); a sample falling in several overlapping regions
-//     (nested loops) increments all of them;
+//     program's code map in one pass, then setting each region's
+//     per-instruction histogram from the counts of its slots); a sample
+//     falling in several overlapping regions (nested loops) counts in
+//     all of them;
 //  2. attributes samples outside every monitored region to the
 //     UnMonitored Code Region (UCR) and, when the UCR fraction exceeds a
 //     threshold (30% in the paper's study), triggers region formation —
 //     building loop regions around the unmonitored hot samples;
 //  3. runs each region's local phase detector on its interval histogram.
+//
+// Every region lies on the code map: its span is one run of consecutive
+// instruction slots (isa.Program.SpanOnCode), which AddRegion, restore
+// and Annotation.Validate require. A sample on no code page — idle PC 0,
+// or an address outside the text — is UCR and can form nothing.
 //
 // Some hot code cannot be covered: samples in straight-line code or in
 // loops spanning procedure boundaries form no region (the paper's
@@ -136,25 +141,18 @@ type Region struct {
 	// processed). It is informational: no monitoring decision reads it.
 	FormedAt int
 
-	// curr and intervalHits accumulate one interval; ProcessOverflow
-	// zeroes both before it returns, so a snapshot has nothing to store.
-	curr         []int64 //lint:config -- zero between intervals; restore allocates it zeroed
-	intervalHits int     //lint:config -- zero between intervals
+	// curr and intervalHits are the histogram the detector last observed
+	// and its samples: each interval sets both from the slot counts
+	// before anything reads them, so a snapshot has nothing to store.
+	curr         []int64 //lint:config -- set every interval; restore allocates it zeroed
+	intervalHits int     //lint:config -- set every interval
 	totalSamples int64
 	idleFor      int
 
-	// runs are the runs of slots the span covers on code pages, and
-	// offMap reports that it also reaches addresses on no code page;
-	// newRegion derives both from the span.
-	runs   []slotRun //lint:config -- derived from the span and the program
-	offMap bool      //lint:config -- derived from the span and the program
+	// slot is the slot of the span's first instruction: the span lies on
+	// code pages, so histogram bin i counts slot+i.
+	slot int //lint:config -- derived from the span and the program
 }
-
-// slotRun is a run of consecutive instruction slots inside a region's
-// span: slots slot..slot+n-1 hold the instructions of histogram bins
-// bin..bin+n-1. Slots on consecutive code pages are consecutive, so a
-// loop or procedure region is one run.
-type slotRun struct{ slot, bin, n int }
 
 // Name renders the paper's region-name convention, e.g. "146f0-14770".
 func (r *Region) Name() string { return fmt.Sprintf("%v-%v", r.Start, r.End) }
@@ -186,15 +184,19 @@ func (r *Region) GranularityCycles(prog *isa.Program, cost func(isa.Kind) uint64
 	return total
 }
 
-// AppendHistogram appends the region's current-interval histogram to dst
-// and returns the extended slice. It is the allocation-free form of
-// Histogram for callers that reuse a buffer across intervals.
+// AppendHistogram appends the histogram the region's detector last
+// observed to dst and returns the extended slice. It is the
+// allocation-free form of Histogram for callers that reuse a buffer
+// across intervals.
 func (r *Region) AppendHistogram(dst []int64) []int64 {
 	return append(dst, r.curr...)
 }
 
-// Histogram returns a copy of the region's current-interval histogram
-// (inspection helper; see AppendHistogram for the reusable-buffer form).
+// Histogram returns a copy of the histogram the region's detector last
+// observed: the interval's per-instruction sample counts, all zero after
+// an interval too sparse to judge, before the region's first interval
+// and after a restore (inspection helper; see AppendHistogram for the
+// reusable-buffer form).
 func (r *Region) Histogram() []int64 {
 	return r.AppendHistogram(make([]int64, 0, len(r.curr)))
 }
@@ -263,18 +265,15 @@ type Monitor struct {
 	seq     int
 
 	// cover holds, per instruction slot (see isa.Program.Slot), the
-	// number of regions whose span covers it, and offMapRegions the
-	// number of regions whose span reaches addresses on no code page.
-	// Both derive from the region set: AddRegion, pruning and the restore
-	// commit adjust them.
-	cover         []int32 //lint:config -- derived from the region set
-	offMapRegions int     //lint:config -- derived from the region set
+	// number of regions whose span covers it. It derives from the region
+	// set: AddRegion, pruning and the restore commit adjust it.
+	cover []int32 //lint:config -- derived from the region set
 
 	// Per-interval scratch, reused across ProcessOverflow calls so the
 	// monitoring hot path stays allocation-free in steady state. counts
 	// is indexed by slot and zero between intervals.
 	counts         []uint32        //lint:config -- per-slot sample counts, zero between intervals
-	seen           []int32         //lint:config -- count scratch: first-seen slots, then off-map sample indices
+	seen           []int32         //lint:config -- count scratch: the buffer's distinct slots
 	loopTally      []int           //lint:config -- formation scratch, per program loop ordinal
 	verdictScratch []RegionVerdict //lint:config -- backing array for Report.Verdicts
 }
@@ -304,20 +303,13 @@ func (m *Monitor) Regions() []*Region {
 }
 
 // AddRegion manually registers a region over [start, end) (used for
-// non-loop spans in tests and by controllers with prior knowledge).
+// non-loop spans in tests and by controllers with prior knowledge). The
+// span must be non-empty, start and end on instruction boundaries, and
+// lie wholly on the program's code pages (isa.Program.SpanOnCode), so
+// that it is one run of instruction slots; any other span is refused.
 func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
-	if start >= end {
-		return nil, fmt.Errorf("region: empty span %v-%v", start, end)
-	}
-	// A misaligned start would split an instruction: a PC and its slot
-	// address could then land in different regions or bins. A partial
-	// trailing instruction would let a sample at the last address index
-	// one past the histogram.
-	if start%isa.InstrBytes != 0 {
-		return nil, fmt.Errorf("region: span %v-%v starts inside an instruction", start, end)
-	}
-	if (end-start)%isa.InstrBytes != 0 {
-		return nil, fmt.Errorf("region: span %v-%v is not a whole number of instructions", start, end)
+	if err := checkSpan(m.prog, start, end); err != nil {
+		return nil, fmt.Errorf("region: %w", err)
 	}
 	for _, r := range m.regions {
 		if r.Start == start && r.End == end {
@@ -339,51 +331,47 @@ func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
 	return r, nil
 }
 
-// newRegion returns the region over the instruction-aligned span [start,
-// end) with its detector, a zeroed histogram, and the loop and slot runs
-// derived from the span: each run of slots the span covers on code pages,
-// and whether it also reaches addresses on no code page. The runs follow
-// the code map's slots, whose pages start at the program's first
-// instruction, not at a multiple of the page size.
+// checkSpan reports why [start, end) cannot be a region of prog: it is
+// empty, it starts or ends inside an instruction, or it reaches an
+// address on no code page. A misaligned start would split an
+// instruction, so a PC and its slot's address could land in different
+// regions or bins; a partial trailing instruction would let a sample at
+// the last address index one past the histogram; and off the code pages
+// no sample has a slot for the region to read.
+func checkSpan(prog *isa.Program, start, end isa.Addr) error {
+	switch {
+	case start >= end:
+		return fmt.Errorf("empty span %v-%v", start, end)
+	case start%isa.InstrBytes != 0:
+		return fmt.Errorf("span %v-%v starts inside an instruction", start, end)
+	case (end-start)%isa.InstrBytes != 0:
+		return fmt.Errorf("span %v-%v is not a whole number of instructions", start, end)
+	case !prog.SpanOnCode(start, end):
+		return fmt.Errorf("span %v-%v reaches addresses on no code page", start, end)
+	}
+	return nil
+}
+
+// newRegion returns the region over the span [start, end), which
+// checkSpan accepts, with its detector, a zeroed histogram, and the loop
+// and first slot derived from the span.
 func (m *Monitor) newRegion(id int, start, end isa.Addr, det *lpd.Detector) *Region {
-	r := &Region{
+	return &Region{
 		ID:       id,
 		Start:    start,
 		End:      end,
 		Loop:     m.loopSpanning(start, end),
 		Detector: det,
 		curr:     make([]int64, int(end-start)/isa.InstrBytes),
+		slot:     m.prog.Slot(start),
 	}
-	for a := start; a < end; a += isa.InstrBytes {
-		s := m.prog.Slot(a)
-		if s < 0 {
-			r.offMap = true
-			continue
-		}
-		// A run goes on while both slot and bin go up by one: slot
-		// ordinals skip pages without code, so consecutive slots can lie
-		// on either side of an off-map gap, whose bins are skipped.
-		bin := int(a-start) / isa.InstrBytes
-		if k := len(r.runs) - 1; k >= 0 && r.runs[k].slot+r.runs[k].n == s && r.runs[k].bin+r.runs[k].n == bin {
-			r.runs[k].n++
-			continue
-		}
-		r.runs = append(r.runs, slotRun{slot: s, bin: bin, n: 1})
-	}
-	return r
 }
 
-// addCover adds d to the cover of every slot r covers, and to the
-// off-map region count when r reaches off the code map.
+// addCover adds d to the cover of every slot r covers.
 func (m *Monitor) addCover(r *Region, d int32) {
-	for _, run := range r.runs {
-		c := m.cover[run.slot : run.slot+run.n]
-		for i := range c {
-			c[i] += d
-		}
-	}
-	if r.offMap {
-		m.offMapRegions += int(d)
+	c := m.cover[r.slot : r.slot+len(r.curr)]
+	for i := range c {
+		c[i] += d
 	}
 }
 
@@ -404,7 +392,8 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	rep := Report{Seq: ov.Seq, TotalSamples: len(ov.Samples)}
 	m.seq = ov.Seq
 
-	// Phase 1: distribute samples. The UCR samples are kept for formation.
+	// Phase 1: distribute samples. The UCR slots keep their counts for
+	// formation.
 	ucr := m.distribute(ov, &rep)
 	if rep.TotalSamples > 0 {
 		rep.UCRFraction = float64(rep.UCRSamples) / float64(rep.TotalSamples)
@@ -421,21 +410,18 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 		rep.FormationTriggered = true
 		rep.NewRegions = m.formRegions(ucr)
 	}
-	for _, s := range ucr.counted {
+	for _, s := range ucr {
 		m.counts[s] = 0
 	}
 
-	// Phase 3: local phase detection per region, then reset interval
-	// state and prune cold regions, compacting the region slice in place.
+	// Phase 3: local phase detection per region, then prune cold regions,
+	// compacting the region slice in place.
 	rep.Verdicts = m.verdictScratch[:0]
 	live := m.regions[:0]
 	for i, r := range m.regions {
-		sparse := r.intervalHits > 0 && r.intervalHits < m.cfg.MinObserveSamples
-		if sparse {
+		if r.intervalHits > 0 && r.intervalHits < m.cfg.MinObserveSamples {
 			// Too sparse to judge: treat as an empty interval.
-			for i := range r.curr {
-				r.curr[i] = 0
-			}
+			clear(r.curr)
 		}
 		v := r.Detector.Observe(r.curr)
 		rep.Verdicts = append(rep.Verdicts, RegionVerdict{Region: r, Verdict: v, Samples: r.intervalHits})
@@ -454,14 +440,6 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 		} else if i < formedFrom {
 			r.idleFor++
 		}
-		// r.curr was already zeroed in the sparse path above, and an
-		// empty interval left nothing to clear; zero exactly once.
-		if !sparse && r.intervalHits > 0 {
-			for i := range r.curr {
-				r.curr[i] = 0
-			}
-		}
-		r.intervalHits = 0
 		if m.cfg.PruneAfter > 0 && r.idleFor >= m.cfg.PruneAfter {
 			m.addCover(r, -1)
 			rep.Pruned = append(rep.Pruned, r)
@@ -475,48 +453,34 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	return rep
 }
 
-// ucrSet is one buffer's non-idle unmonitored samples as distribute
-// leaves them for formation: the distinct slots in slots, whose counts
-// stay in the monitor's per-slot counts until ProcessOverflow clears
-// them, and in off the indices into samples of the samples on no code
-// page, one sample each. counted holds every distinct slot the buffer
-// touched, slots first, for ProcessOverflow to clear.
-type ucrSet struct {
-	slots, off, counted []int32
-	samples             []hpm.Sample
-}
-
-// eachUCR calls f with every run of u: each slot's address and count,
-// then each off-map sample's PC with count 1.
-func (m *Monitor) eachUCR(u ucrSet, f func(pc isa.Addr, n int)) {
-	for _, s := range u.slots {
+// eachUCR calls f with the address and count of each UCR slot that
+// distribute returned, while the slots keep their counts.
+func (m *Monitor) eachUCR(ucr []int32, f func(pc isa.Addr, n int)) {
+	for _, s := range ucr {
 		f(m.prog.SlotAddr(int(s)), int(m.counts[s]))
-	}
-	for _, i := range u.off {
-		f(u.samples[i].PC, 1)
 	}
 }
 
 // distribute spreads the buffer over the monitored regions and returns
-// its non-idle UCR samples. It counts the samples per instruction slot of
-// the program's code map; a distinct slot no region covers is UCR, and
-// every region then reads its histogram bins, hits and totals straight
-// from the counts of the slots its runs cover. Every consumer only adds
-// counts (histogram bins, hit and UCR counters, loop and procedure
-// tallies), so slot order cannot change a result; region bounds are
-// instruction-aligned, so a PC and its slot's address share their
-// regions and histogram bins. Samples on no code page — idle PC 0, or
-// anything outside the text — are checked one at a time against the
-// regions that reach off the code map, when there are any.
-func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) ucrSet {
-	samples := ov.Samples
+// its UCR slots. It counts the samples per instruction slot of the
+// program's code map; a distinct slot no region covers is UCR, and every
+// region then sets its histogram bins and hits from the counts of its
+// slots. Histogram bins take a slot's count, and hit and UCR counters and
+// loop and procedure tallies add counts, so slot order cannot change a
+// result; region bounds are instruction-aligned, so a PC and its slot's
+// address share their regions and histogram bins. Samples on no code page
+// — idle PC 0, or anything outside the text — lie in no region and are
+// UCR. Only the UCR slots keep their counts, for formation, until
+// ProcessOverflow clears them.
+func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) []int32 {
 	counts, cover := m.counts, m.cover
-	seen, n, back := m.countSlots(samples)
+	seen, off, idle := m.countSlots(ov.Samples)
+	rep.UCRSamples, rep.IdleSamples = off, idle
 
 	// Distinct slots: the UCR ones, which no region covers, move to the
-	// front of seen[:n] for formation.
+	// front of seen for formation.
 	u := 0
-	for i, s := range seen[:n] {
+	for i, s := range seen {
 		c := int(counts[s])
 		if cover[s] == 0 {
 			rep.UCRSamples += c
@@ -526,79 +490,57 @@ func (m *Monitor) distribute(ov *hpm.Overflow, rep *Report) ucrSet {
 		}
 		rep.MonitoredSamples += c
 	}
-	// Every region reads its bins straight from the counts over its runs;
-	// when no distinct slot is covered, every read would be zero.
-	if u < n {
-		for _, r := range m.regions {
-			hits := 0
-			for _, run := range r.runs {
-				cs := counts[run.slot : run.slot+run.n]
-				bins := r.curr[run.bin : run.bin+len(cs)]
-				for i, c := range cs {
-					bins[i] += int64(c)
-					hits += int(c)
-				}
-			}
-			r.intervalHits += hits
-			r.totalSamples += int64(hits)
-		}
-	}
-
-	// Off-map samples: the non-idle UCR ones compact into the back of
-	// seen, walked from the end so no entry is overwritten unread.
-	o := len(seen)
-	for j := len(seen) - 1; j >= back; j-- {
-		i := seen[j]
-		pc := samples[i].PC
-		if m.offMapRegions > 0 && m.distributeOffMap(pc) {
-			rep.MonitoredSamples++
-			continue
-		}
-		rep.UCRSamples++
-		if pc == 0 {
-			rep.IdleSamples++
-			continue
-		}
-		o--
-		seen[o] = i
-	}
-	return ucrSet{slots: seen[:u], off: seen[o:], counted: seen[:n], samples: samples}
-}
-
-// distributeOffMap adds the off-map sample pc to every region that
-// contains it and reports whether any does.
-func (m *Monitor) distributeOffMap(pc isa.Addr) bool {
-	hit := false
 	for _, r := range m.regions {
-		if r.offMap && r.Contains(pc) {
-			r.curr[int(pc-r.Start)/isa.InstrBytes]++
-			r.intervalHits++
-			r.totalSamples++
-			hit = true
-		}
+		r.read(counts)
 	}
-	return hit
+	// Formation, and each region it forms, reads only the UCR slots.
+	for _, s := range seen[u:] {
+		counts[s] = 0
+	}
+	return seen[:u]
 }
 
-// countSlots counts samples per instruction slot into counts. The
-// distinct slots fill seen[:n] in first-seen order, and the indices of
-// the samples on no code page fill seen[back:], last sample first. Each
-// step writes the next front entry unconditionally and moves past it
-// only on a slot's first touch, which it detects without a branch:
-// (c-1)>>31 is 1 exactly when the old count c is 0. seen is sized to the
-// buffer and valid until the next call.
-func (m *Monitor) countSlots(samples []hpm.Sample) (seen []int32, n, back int) {
+// read sets r's histogram and interval hits from the per-slot counts over
+// its slots and adds the hits to its total. It stays a call of its own:
+// written inline in distribute, the loop's index and hit sum spilled to
+// the stack, and BenchmarkProcessOverflow ran 5-42% slower at 64 and 512
+// regions.
+//
+//go:noinline
+func (r *Region) read(counts []uint32) {
+	bins := r.curr
+	cs := counts[r.slot:][:len(bins)]
+	hits := 0
+	for i := range bins {
+		c := cs[i]
+		bins[i] = int64(c)
+		hits += int(c)
+	}
+	r.intervalHits = hits
+	r.totalSamples += int64(hits)
+}
+
+// countSlots counts samples per instruction slot into counts and returns
+// the distinct slots in first-seen order, the number of samples on no
+// code page and how many of those are idle (PC 0). Each step writes the
+// next entry of seen unconditionally and moves past it only on a slot's
+// first touch, which it detects without a branch: (c-1)>>31 is 1 exactly
+// when the old count c is 0. seen is valid until the next call.
+func (m *Monitor) countSlots(samples []hpm.Sample) (seen []int32, off, idle int) {
 	if len(samples) > len(m.seen) {
 		m.growSeen(len(samples))
 	}
 	prog, counts := m.prog, m.counts
 	seen = m.seen[:len(samples)]
-	back = len(seen)
+	n := 0
 	for i := range samples {
-		s := prog.Slot(samples[i].PC)
+		pc := samples[i].PC
+		s := prog.Slot(pc)
 		if s < 0 {
-			back--
-			seen[back] = int32(i)
+			off++
+			if pc == 0 {
+				idle++
+			}
 			continue
 		}
 		c := counts[s]
@@ -606,7 +548,7 @@ func (m *Monitor) countSlots(samples []hpm.Sample) (seen []int32, n, back int) {
 		n += int((c - 1) >> 31)
 		counts[s] = c + 1
 	}
-	return seen, n, back
+	return seen[:n], off, idle
 }
 
 // growSeen sizes the count scratch for buffers of up to samples samples.
@@ -629,11 +571,11 @@ func (m *Monitor) growSeen(samples int) {
 // their detectors, histogram storage).
 //
 //lint:allow hotpath boundedstate -- region formation is a declared cold sub-path, capped by cfg.MaxRegions
-func (m *Monitor) formRegions(ucr ucrSet) []*Region {
+func (m *Monitor) formRegions(ucr []int32) []*Region {
 	if m.loopTally == nil {
 		m.loopTally = make([]int, m.prog.NumLoops())
 	}
-	for _, s := range ucr.slots {
+	for _, s := range ucr {
 		if l := m.prog.SlotLoop(int(s)); l >= 0 {
 			m.loopTally[l] += int(m.counts[s])
 		}
@@ -678,15 +620,10 @@ func (m *Monitor) formRegions(ucr ucrSet) []*Region {
 	if len(formed) == 0 {
 		return nil
 	}
-	// Replay the triggering interval's UCR samples into the new regions.
-	m.eachUCR(ucr, func(pc isa.Addr, n int) {
-		for _, r := range formed {
-			if r.Contains(pc) {
-				r.curr[int(pc-r.Start)/isa.InstrBytes] += int64(n)
-				r.intervalHits += n
-				r.totalSamples += int64(n)
-			}
-		}
-	})
+	// Replay the triggering interval's UCR samples into the new regions:
+	// distribute left counts only on the UCR slots.
+	for _, r := range formed {
+		r.read(m.counts)
+	}
 	return formed
 }

@@ -1,11 +1,14 @@
 package region
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"regionmon/internal/hpm"
 	"regionmon/internal/isa"
 	"regionmon/internal/lpd"
+	"regionmon/internal/snap"
 )
 
 // testProgram builds a program with two loops and a straight-line stretch,
@@ -297,6 +300,59 @@ func TestAddRegionValidation(t *testing.T) {
 		t.Error("span starting inside an instruction accepted")
 	}
 	m.ProcessOverflow(overflow(0, 64, l1.Start+isa.InstrBytes))
+}
+
+// TestOffCodeSpansRefused: every region lies on the code map, so
+// AddRegion, Annotation.Validate (and with it NewMonitor) and restore
+// staging refuse each of offCodeSpans with the code-page error, and a
+// refused restore leaves the monitor as it was. Each refused snapshot is
+// hand-encoded in the current version 3 with one such region, which only
+// AddRegion before the check could make: the format did not change.
+func TestOffCodeSpansRefused(t *testing.T) {
+	prog, spans := gappedProgram(t)
+	m := newMonitor(t, prog, nil)
+	if _, err := m.AddRegion(spans[0].Start, spans[0].End); err != nil {
+		t.Fatal(err)
+	}
+	before := snap.Marshal(m)
+	for _, span := range offCodeSpans(prog, spans) {
+		start, end := span[0], span[1]
+		refused := func(what string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), offCodeErr) {
+				t.Fatalf("%s of %v-%v: %v; want the code-page check", what, start, end, err)
+			}
+		}
+		_, err := m.AddRegion(start, end)
+		refused("AddRegion", err)
+		ann := Annotation{Start: start, End: end, Name: "off"}
+		refused("Annotation.Validate", ann.Validate(prog))
+		cfg := DefaultConfig()
+		cfg.Annotations = []Annotation{ann}
+		_, err = NewMonitor(prog, cfg)
+		refused("NewMonitor with the annotation", err)
+
+		e := snap.NewEncoder()
+		e.Header(monitorTag, 3)
+		e.Int(0) // seq
+		e.Int(1) // nextID
+		e.Int(1) // regions
+		e.Int(0) // ID
+		e.U64(uint64(start))
+		e.U64(uint64(end))
+		e.Int(0) // FormedAt
+		e.I64(0) // totalSamples
+		e.Int(0) // idleFor
+		det, err := lpd.New(int(end-start)/isa.InstrBytes, m.cfg.Detector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det.AppendSnapshot(e)
+		refused("restore", snap.Unmarshal(m, e.Bytes()))
+		if !bytes.Equal(snap.Marshal(m), before) {
+			t.Fatalf("refused restore of %v-%v changed the monitor", start, end)
+		}
+	}
 }
 
 func TestGranularityCycles(t *testing.T) {

@@ -20,13 +20,11 @@ import (
 //
 // Regions are encoded in ID order, the order the monitor keeps them in,
 // so identical state always produces identical bytes. Loop pointers,
-// slot runs and the per-slot cover are not serialized; they are
+// first slots and the per-slot cover are not serialized; they are
 // re-derived from the program on restore, exactly as AddRegion derives
-// them. Nor is a region's current-interval histogram or hit count:
-// ProcessOverflow zeroes both before it returns, so between intervals
-// they are always zero. Leaving them out made version 2. Version 3 drops
-// the per-interval UCR-fraction history the monitor no longer keeps;
-// older versions are refused.
+// them. Nor is a region's histogram or hit count: each interval sets both
+// from its slot counts before anything reads them. Version 3 is the
+// current layout; older versions are refused.
 
 const monitorTag = "regmon"
 
@@ -75,17 +73,6 @@ func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
 		if err := dec.Err(); err != nil {
 			return nil, err
 		}
-		if start >= end {
-			return nil, fmt.Errorf("region: snapshot region %d has empty span %v-%v", id, start, end)
-		}
-		if start%isa.InstrBytes != 0 {
-			return nil, fmt.Errorf("region: snapshot region %d span %v-%v starts inside an instruction", id, start, end)
-		}
-		// A partial trailing instruction would let a sample at the last
-		// address index one past the histogram.
-		if (end-start)%isa.InstrBytes != 0 {
-			return nil, fmt.Errorf("region: snapshot region %d span %v-%v is not a whole number of instructions", id, start, end)
-		}
 		if id < 0 || id >= nextID {
 			return nil, fmt.Errorf("region: snapshot region ID %d outside [0, %d)", id, nextID)
 		}
@@ -96,9 +83,12 @@ func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
 		}
 		// The region's detector snapshot holds 8 bytes per instruction, so
 		// a longer span is forged; rejecting it here bounds the detector's
-		// allocation by the input.
+		// allocation by the input. An inverted span reads as longer still.
 		if (end-start)/isa.InstrBytes > isa.Addr(dec.Remaining()/8) {
 			return nil, fmt.Errorf("region: snapshot region %d span %v-%v is longer than the remaining input", id, start, end)
+		}
+		if err := checkSpan(m.prog, start, end); err != nil {
+			return nil, fmt.Errorf("region: snapshot region %d: %w", id, err)
 		}
 		det, err := lpd.New(int(end-start)/isa.InstrBytes, m.cfg.Detector)
 		if err != nil {
@@ -121,7 +111,6 @@ func (m *Monitor) StageSnapshot(dec *snap.Decoder) (func(), error) {
 		m.nextID = nextID
 		m.regions = regions
 		clear(m.cover)
-		m.offMapRegions = 0
 		for _, r := range regions {
 			m.addCover(r, 1)
 		}

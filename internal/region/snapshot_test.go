@@ -41,10 +41,12 @@ type badSnapshot struct {
 // counters are valid but whose region count is 1<<62, one whose first
 // region ends one byte into an instruction, one whose first region spans
 // 1<<40 instructions, which would otherwise size that region's detector,
-// and one whose first region starts two bytes into an instruction. Each
-// carries the current header, so only its own defect can reject it. The
-// last is the real snapshot relabelled version 2, the layout that still
-// carried a UCR-fraction history.
+// one whose first region starts two bytes into an instruction, one whose
+// first region lies below the text, off the code map, and one whose first
+// region is empty. Each carries
+// the current header, so only its own defect can reject it. The last is
+// the real snapshot relabelled version 2, the layout that still carried a
+// UCR-fraction history.
 func badMonitorSnapshots(t testing.TB) []badSnapshot {
 	t.Helper()
 	m, _ := fedMonitor(t, 57)
@@ -64,6 +66,10 @@ func badMonitorSnapshots(t testing.TB) []badSnapshot {
 	long := snap.Marshal(m)
 	r.Start, r.End = start+2, end+2
 	misaligned := snap.Marshal(m)
+	r.Start, r.End = 0x100, 0x100+end-start
+	offCode := snap.Marshal(m)
+	r.Start, r.End = start, start
+	empty := snap.Marshal(m)
 	r.Start, r.End = start, end
 	return []badSnapshot{
 		{"trailing byte", "trailing bytes", append(append([]byte(nil), src...), 0)},
@@ -71,6 +77,8 @@ func badMonitorSnapshots(t testing.TB) []badSnapshot {
 		{"partial instruction", "not a whole number of instructions", partial},
 		{"span of 1<<40 instructions", "longer than the remaining input", long},
 		{"start inside an instruction", "starts inside an instruction", misaligned},
+		{"span below the text", offCodeErr, offCode},
+		{"empty span", "empty span", empty},
 		{"version 2", "version 2, want 3", v2},
 	}
 }

@@ -2,9 +2,11 @@ package regionmon
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"regionmon/internal/stats"
+	"regionmon/internal/vhash"
 )
 
 // buildDemo constructs a small two-loop program and a schedule through the
@@ -72,37 +74,63 @@ func TestSystemEndToEnd(t *testing.T) {
 }
 
 // TestSystemSnapshotRestore checks the facade checkpoint path: a snapshot
-// taken mid-run restores into a second identically configured System and
-// re-encodes byte-identically. (The soak harness exercises the stronger
-// resumed-verdict-stream guarantee at scale.)
+// taken mid-run restores into a second identically configured System,
+// re-encodes byte-identically and, fed the rest of the run's overflows
+// through its pipeline, reports the verdicts of the uninterrupted run,
+// compared by vhash digest.
 func TestSystemSnapshotRestore(t *testing.T) {
 	prog, sched, _, _ := buildDemo(t)
+	sampling := SamplingConfig{Period: 500, BufferSize: 256, JitterFrac: 0.1}
 	newSys := func() *System {
-		sys, err := NewSystem(prog, sched, SystemConfig{
-			Sampling: SamplingConfig{Period: 500, BufferSize: 256, JitterFrac: 0.1},
-		})
+		sys, err := NewSystem(prog, sched, SystemConfig{Sampling: sampling})
 		if err != nil {
 			t.Fatalf("NewSystem: %v", err)
 		}
 		return sys
 	}
 
+	// The run's overflows, recorded by a sampling monitor of the same
+	// configuration over the same schedule.
+	var recorded []*Overflow
+	mon, err := NewSamplingMonitor(sampling, func(ov *Overflow) {
+		c := *ov
+		c.Samples = slices.Clone(ov.Samples)
+		recorded = append(recorded, &c)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := NewExecutor(prog, sched, mon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec.Run()
+
 	sys := newSys()
 	var snap []byte
 	var snapErr error
 	intervals := 0
+	want := vhash.New()
 	sys.AddObserver(func(rep *PipelineReport) {
 		intervals++
 		if intervals == 25 {
 			snap, snapErr = sys.Snapshot()
+		}
+		if intervals > 25 {
+			if err := want.Report(rep); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	sys.Run()
 	if snapErr != nil {
 		t.Fatalf("mid-run Snapshot: %v", snapErr)
 	}
-	if snap == nil {
-		t.Fatalf("run too short: %d intervals, snapshot never taken", intervals)
+	if snap == nil || intervals < 30 {
+		t.Fatalf("run too short: %d intervals, want 30 or more", intervals)
+	}
+	if len(recorded) != intervals {
+		t.Fatalf("recorded %d overflows, the System observed %d", len(recorded), intervals)
 	}
 
 	other := newSys()
@@ -118,6 +146,18 @@ func TestSystemSnapshotRestore(t *testing.T) {
 	}
 	if !bytes.Equal(snap, resnap) {
 		t.Error("restored snapshot re-encodes differently")
+	}
+	got := vhash.New()
+	other.AddObserver(func(rep *PipelineReport) {
+		if err := got.Report(rep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, ov := range recorded[25:] {
+		other.Pipeline().ProcessOverflow(ov)
+	}
+	if got.Sum() != want.Sum() {
+		t.Errorf("resumed run's digest %#x over intervals 26-%d; uninterrupted run's %#x", got.Sum(), intervals, want.Sum())
 	}
 	if err := other.Restore([]byte("garbage")); err == nil {
 		t.Error("Restore accepted garbage")

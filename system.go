@@ -135,10 +135,11 @@ func (s *System) Executor() *Executor { return s.exec }
 // pipeline, both built-in detectors and any additionally registered
 // snapshottable detectors — to a versioned, deterministic byte form. The
 // executor and sampling monitor are deliberately not captured: a snapshot
-// checkpoints the *monitoring stack*, and resuming means attaching the
-// restored stack to a live sample source and re-feeding the remainder of
-// the stream (the soak harness exercises exactly this and asserts the
-// resumed verdict stream is byte-identical to an uninterrupted run).
+// checkpoints the *monitoring stack*. To resume, restore it into a System
+// built the same way and feed that System's pipeline the rest of the
+// stream (Pipeline().ProcessOverflow); its verdicts are then those of the
+// uninterrupted run (TestSystemSnapshotRestore compares their vhash
+// digests).
 func (s *System) Snapshot() ([]byte, error) { return s.pipe.Snapshot() }
 
 // Restore replaces the System's detector state from a Snapshot taken of
