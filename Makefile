@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-hot bench fuzz perfbench-test perfbench paper soak soak-short check loc
+.PHONY: all build vet lint test race race-hot bench examples fuzz perfbench-test perfbench paper soak soak-short check loc
 
 all: check
 
@@ -52,6 +52,12 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectorObserve|BenchmarkBBVObserve|BenchmarkWorkingSetObserve' -benchtime 1x -benchmem ./internal/changepoint/ ./internal/altdetect/
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessOverflow' -benchtime 1x -benchmem ./internal/region/
 	$(GO) test -run '^$$' -bench 'BenchmarkDigestReport' -benchtime 1x -benchmem ./internal/vhash/
+
+# Run every example under examples/ (about 0.2 s of runs after the
+# build), failing on the first non-zero exit. They are the library
+# facade's package-boundary consumers, and nothing else runs them.
+examples:
+	for e in examples/*/; do $(GO) run ./$$e > /dev/null || exit 1; done
 
 # Fuzz every restore path that has a fuzz target for 10 s each (manual,
 # about 100 s; not part of `make check`): the seven detector leaves, the
@@ -110,7 +116,7 @@ soak:
 soak-short:
 	$(GO) run ./cmd/soak -intervals 60000
 
-check: build lint test bench perfbench-test soak-short
+check: build lint test bench examples perfbench-test soak-short
 
 # Count the root module's lines of Go, non-test and test, leaving out the
 # benchmark module (perfbench/), every testdata/ tree and hidden

@@ -30,7 +30,7 @@ func main() {
 		buffer  = flag.Int("buffer", 512, "sample buffer size")
 		policy  = flag.String("policy", "lpd", "controller: gpd, lpd or none")
 		scale   = flag.Float64("scale", 1, "work scale (1 = ~10G cycles)")
-		events  = flag.Int("events", 12, "most recent controller events to retain and print (<0 = all)")
+		events  = flag.Int("events", 12, "most recent controller events to print (<0 = all)")
 		compare = flag.Bool("compare", false, "run gpd and lpd and report the speedup")
 		selfmon = flag.Bool("selfmonitor", false, "enable optimization self-monitoring (lpd)")
 	)
@@ -84,7 +84,9 @@ func parsePolicy(s string) (adore.Policy, error) {
 	}
 }
 
-func runOne(bench string, period uint64, buffer int, scale float64, pol adore.Policy, selfmon bool, maxEvents int) (adore.RunResult, error) {
+// runOne runs bench under pol and keeps the last events controller
+// events of the result (all of them when events is negative).
+func runOne(bench string, period uint64, buffer int, scale float64, pol adore.Policy, selfmon bool, events int) (adore.RunResult, error) {
 	b, err := workload.ByName(bench, scale)
 	if err != nil {
 		return adore.RunResult{}, err
@@ -92,12 +94,15 @@ func runOne(bench string, period uint64, buffer int, scale float64, pol adore.Po
 	cfg := adore.DefaultConfig(pol)
 	cfg.Model = adore.ConstantModel(b.PrefetchSave)
 	cfg.SelfMonitor = selfmon && pol == adore.PolicyLPD
-	cfg.MaxEvents = maxEvents
 	rto, err := adore.New(b.Prog, b.Sched, hpm.Config{Period: period, BufferSize: buffer, JitterFrac: 0.1}, cfg)
 	if err != nil {
 		return adore.RunResult{}, err
 	}
-	return rto.Run(), nil
+	res := rto.Run()
+	if events >= 0 && len(res.Events) > events {
+		res.Events = res.Events[len(res.Events)-events:]
+	}
+	return res, nil
 }
 
 func printResult(res adore.RunResult) {

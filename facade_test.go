@@ -222,7 +222,6 @@ func TestFacadeRTO(t *testing.T) {
 	for _, policy := range []Policy{PolicyGPD, PolicyLPD, PolicyNone} {
 		cfg := DefaultRTOConfig(policy)
 		cfg.Model = ConstantModel(bench.PrefetchSave)
-		cfg.MaxEvents = 4
 		rto, err := NewRTO(bench.Prog, bench.Sched, SamplingConfig{Period: 450, BufferSize: 512}, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)

@@ -109,12 +109,6 @@ type Config struct {
 	// HarmWindow is the number of post-patch intervals averaged before
 	// judging (default 3).
 	HarmWindow int
-	// MaxEvents bounds the retained event log: the controller keeps the
-	// *most recent* MaxEvents entries (a ring, with EventsDropped
-	// accounting for evictions). 0 selects DefaultMaxEvents; negative
-	// keeps everything (opt-in retain-all for offline analysis — on a
-	// long run the log would otherwise grow without bound).
-	MaxEvents int
 	// TrackCPI attaches a performance-characteristic tracker over the
 	// interval CPI (the paper's "other metrics of performance, such as
 	// CPI and DPI, are used to determine if the program performance
@@ -126,10 +120,6 @@ type Config struct {
 	// CPI configures the tracker (zero value = gpd.DefaultPerfConfig).
 	CPI gpd.PerfConfig
 }
-
-// DefaultMaxEvents is the event-log ring size used when Config.MaxEvents
-// is 0.
-const DefaultMaxEvents = 4096
 
 // DefaultConfig returns a configuration with the paper's detector
 // parameters and moderate optimization effectiveness.
@@ -247,21 +237,22 @@ type RunResult struct {
 	HarmUndos int
 	// Regions is the number of regions monitored at end of run (LPD).
 	Regions int
-	// Events is the controller log in chronological order — the most
-	// recent MaxEvents entries (see Config.MaxEvents).
+	// Events is the whole controller log in chronological order: one
+	// entry per decision (patch, unpatch, phase change, formation, harm
+	// undo, performance change), so it grows with decisions, not with
+	// intervals.
 	Events []Event
-	// EventsDropped counts log entries evicted by the MaxEvents bound
-	// (0 when the whole run fit, or in retain-all mode).
-	EventsDropped int64
 }
 
 // patchState tracks one deployed trace.
 type patchState struct {
-	span       sim.Span
-	preShare   float64   // region time share at patch time
-	patchedAt  int       // overflow seq
-	postShares []float64 // post-patch interval time shares (self-monitoring)
-	judged     bool
+	span     sim.Span
+	preShare float64 // region time share at patch time
+	// postSum and postN sum and count the post-patch interval time shares
+	// (self-monitoring).
+	postSum float64
+	postN   int
+	judged  bool
 }
 
 // RTO wires a program, schedule, sampling monitor, executor and a
@@ -288,14 +279,12 @@ type RTO struct {
 	ra    *pipeline.RegionMonitor // nil unless PolicyLPD
 	cpiAd *pipeline.Perf          // nil unless TrackCPI
 
-	patched       map[sim.Span]*patchState
-	blacklist     map[sim.Span]bool
-	events        []Event // most-recent ring once the MaxEvents bound is hit
-	eventHead     int     // ring write position (0 while still growing)
-	eventsDropped int64
-	patches       int
-	unpatches     int
-	harmUndos     int
+	patched   map[sim.Span]*patchState
+	blacklist map[sim.Span]bool
+	events    []Event
+	patches   int
+	unpatches int
+	harmUndos int
 }
 
 // New constructs an RTO over prog and sched, sampling with hpmCfg.
@@ -384,14 +373,13 @@ func (r *RTO) GlobalDetector() *gpd.Detector {
 func (r *RTO) Run() RunResult {
 	simRes := r.exec.Run()
 	res := RunResult{
-		Policy:        r.cfg.Policy,
-		Sim:           simRes,
-		Patches:       r.patches,
-		Unpatches:     r.unpatches,
-		PhaseChanges:  r.phaseChanges(),
-		HarmUndos:     r.harmUndos,
-		Events:        r.chronologicalEvents(),
-		EventsDropped: r.eventsDropped,
+		Policy:       r.cfg.Policy,
+		Sim:          simRes,
+		Patches:      r.patches,
+		Unpatches:    r.unpatches,
+		PhaseChanges: r.phaseChanges(),
+		HarmUndos:    r.harmUndos,
+		Events:       r.events,
 	}
 	switch r.cfg.Policy {
 	case PolicyGPD:
@@ -414,37 +402,7 @@ func (r *RTO) phaseChanges() int {
 	}
 }
 
-func (r *RTO) log(ev Event) {
-	max := r.cfg.MaxEvents
-	if max < 0 {
-		r.events = append(r.events, ev)
-		return
-	}
-	if max == 0 {
-		max = DefaultMaxEvents
-	}
-	if len(r.events) < max {
-		r.events = append(r.events, ev)
-		return
-	}
-	// Ring full: overwrite the oldest entry so the log always holds the
-	// most recent max events.
-	r.events[r.eventHead] = ev
-	r.eventHead = (r.eventHead + 1) % max
-	r.eventsDropped++
-}
-
-// chronologicalEvents returns the retained log oldest-first, rotating the
-// ring when it has wrapped.
-func (r *RTO) chronologicalEvents() []Event {
-	if r.eventHead == 0 {
-		return r.events
-	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.eventHead:]...)
-	out = append(out, r.events[:r.eventHead]...)
-	return out
-}
+func (r *RTO) log(ev Event) { r.events = append(r.events, ev) }
 
 // onOverflow is the monitoring thread: it runs synchronously on every
 // sample-buffer overflow. Every registered detector observes the interval
@@ -523,34 +481,22 @@ func (r *RTO) gpdControl(v *gpd.Verdict, ov *hpm.Overflow) {
 	}
 }
 
-// hotLoops maps an interval's samples to innermost natural loops and
-// returns the spans gathering at least MinTraceSamples, hottest first.
+// hotLoops tallies an interval's samples by innermost natural loop, read
+// from the code map, and returns the spans of the loops gathering at
+// least MinTraceSamples in region formation's order (region.HotLoops).
 func (r *RTO) hotLoops(ov *hpm.Overflow) []sim.Span {
-	counts := make(map[*isa.Loop]int)
+	tally := make([]int, r.prog.NumLoops())
 	for i := range ov.Samples {
-		if l := r.prog.LoopAt(ov.Samples[i].PC); l != nil {
-			counts[l]++
+		if s := r.prog.Slot(ov.Samples[i].PC); s >= 0 {
+			if l := r.prog.SlotLoop(s); l >= 0 {
+				tally[l]++
+			}
 		}
 	}
-	type cand struct {
-		l *isa.Loop
-		n int
-	}
-	cands := make([]cand, 0, len(counts))
-	for l, n := range counts {
-		if n >= r.cfg.MinTraceSamples {
-			cands = append(cands, cand{l, n})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n > cands[j].n
-		}
-		return cands[i].l.Start() < cands[j].l.Start()
-	})
-	spans := make([]sim.Span, len(cands))
-	for i, c := range cands {
-		spans[i] = sim.Span{Start: c.l.Start(), End: c.l.End()}
+	loops := region.HotLoops(r.prog, tally, r.cfg.MinTraceSamples)
+	spans := make([]sim.Span, len(loops))
+	for i, l := range loops {
+		spans[i] = sim.Span{Start: l.Start(), End: l.End()}
 	}
 	return spans
 }
@@ -604,16 +550,13 @@ func (r *RTO) selfMonitor(ps *patchState, samples, total int, ov *hpm.Overflow) 
 	if total == 0 {
 		return
 	}
-	ps.postShares = append(ps.postShares, float64(samples)/float64(total))
-	if len(ps.postShares) < r.cfg.HarmWindow {
+	ps.postSum += float64(samples) / float64(total)
+	ps.postN++
+	if ps.postN < r.cfg.HarmWindow {
 		return
 	}
 	ps.judged = true
-	var sum float64
-	for _, s := range ps.postShares {
-		sum += s
-	}
-	postShare := sum / float64(len(ps.postShares))
+	postShare := ps.postSum / float64(ps.postN)
 	if ps.preShare > 0 && postShare > ps.preShare*r.cfg.HarmFactor {
 		span := ps.span
 		r.unpatch(span, ov, fmt.Sprintf("harmful: share %.3f -> %.3f", ps.preShare, postShare))
@@ -632,7 +575,7 @@ func (r *RTO) patch(span sim.Span, ov *hpm.Overflow) *patchState {
 	save := r.cfg.Model(span.Start, span.End)
 	r.exec.SetOptimization(span, save)
 	r.exec.Stall(r.cfg.PatchCycles)
-	ps := &patchState{span: span, patchedAt: ov.Seq}
+	ps := &patchState{span: span}
 	r.patched[span] = ps
 	r.patches++
 	r.log(Event{Cycle: ov.Cycle, Seq: ov.Seq, Kind: EventPatch, Region: span.Name(),

@@ -5,6 +5,7 @@ import (
 
 	"regionmon/internal/hpm"
 	"regionmon/internal/isa"
+	"regionmon/internal/region"
 	"regionmon/internal/sim"
 )
 
@@ -237,20 +238,6 @@ func TestSelfMonitoringUndoesHarmfulOptimization(t *testing.T) {
 	}
 }
 
-func TestEventLogCap(t *testing.T) {
-	w := buildWorkload(t)
-	cfg := DefaultConfig(PolicyLPD)
-	cfg.MaxEvents = 3
-	rto, err := New(w.prog, w.alternating(400_000, 400_000), hpmCfg(), cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	res := rto.Run()
-	if len(res.Events) > 3 {
-		t.Errorf("event log %d entries; cap 3", len(res.Events))
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	w := buildWorkload(t)
 	r1 := run(t, w, w.alternating(400_000, 400_000), DefaultConfig(PolicyLPD))
@@ -340,6 +327,65 @@ func TestMinTraceSamplesGatesSelection(t *testing.T) {
 	}
 	if res.Patches == 0 {
 		t.Error("hot loop never patched")
+	}
+}
+
+// TestTraceSelectionMatchesFormation: RTO-ORIG's trace selection and
+// region formation rank loops with one function (region.HotLoops), so on
+// an interval no region monitors, with MinTraceSamples equal to
+// MinRegionSamples, the spans RTO-ORIG selects are the loop regions
+// formation builds, in the same order. The interval holds nested and
+// sibling loops, a tie broken by address, a loop at the threshold, one
+// below it, a misaligned PC and idle samples.
+func TestTraceSelectionMatchesFormation(t *testing.T) {
+	b := isa.NewBuilder(0x10000)
+	p := b.Proc("main")
+	p.BeginLoop()
+	p.Code(8, isa.KindALU)
+	inner := p.Loop(8, []isa.Kind{isa.KindLoad, isa.KindALU}, nil)
+	outer := p.EndLoop()
+	s1 := p.Loop(12, []isa.Kind{isa.KindLoad, isa.KindALU, isa.KindALU}, nil)
+	s2 := p.Loop(16, []isa.Kind{isa.KindLoad, isa.KindALU}, nil)
+	q := b.Proc("other")
+	s3 := q.Loop(20, []isa.Kind{isa.KindLoad, isa.KindFP}, nil)
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+
+	cfg := DefaultConfig(PolicyGPD)
+	cfg.Region.MinRegionSamples = cfg.MinTraceSamples
+	th := cfg.MinTraceSamples
+	ov := &hpm.Overflow{}
+	add := func(start isa.Addr, instrs, n int) {
+		for i := 0; i < n; i++ {
+			ov.Samples = append(ov.Samples, hpm.Sample{PC: start + isa.Addr(i%instrs)*isa.InstrBytes})
+		}
+	}
+	add(inner.Start, inner.NumInstrs(), 2*th)
+	add(outer.Start, 8, th+8) // the outer loop's own straight code
+	add(s1.Start, s1.NumInstrs(), 2*th-1)
+	add(s1.Start+1, 1, 1) // misaligned: s1 ties with inner
+	add(s2.Start, s2.NumInstrs(), th-1)
+	add(s3.Start, s3.NumInstrs(), th)
+	add(0, 1, 3*th) // idle
+
+	rto := &RTO{cfg: cfg, prog: prog}
+	traces := rto.hotLoops(ov)
+	mon, err := region.NewMonitor(prog, cfg.Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := mon.ProcessOverflow(ov)
+	want := []isa.LoopSpan{inner, s1, outer, s3}
+	if len(traces) != len(want) || len(rep.NewRegions) != len(want) {
+		t.Fatalf("RTO-ORIG selected %v and formation built %d regions; want %d of each", traces, len(rep.NewRegions), len(want))
+	}
+	for i, w := range want {
+		reg := rep.NewRegions[i]
+		if traces[i] != (sim.Span{Start: w.Start, End: w.End}) || reg.Start != w.Start || reg.End != w.End {
+			t.Errorf("rank %d: trace %v, region %s; want %s for both", i, traces[i].Name(), reg.Name(), w.Name())
+		}
 	}
 }
 

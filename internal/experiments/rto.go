@@ -44,7 +44,6 @@ func runSpeedupCell(opts Options, name string, period uint64) (SpeedupCell, erro
 		}
 		cfg := adore.DefaultConfig(policy)
 		cfg.Model = adore.ConstantModel(bench.PrefetchSave)
-		cfg.MaxEvents = 1 // keep memory flat; counts are tracked separately
 		// Patching overhead scales with the sampling-period scale so
 		// reduced-scale tests keep the full-scale cost ratio.
 		cfg.PatchCycles = uint64(float64(cfg.PatchCycles) * opts.timeScale())

@@ -275,7 +275,8 @@ func DPI(ov *Overflow) float64 {
 }
 
 // PCs appends the program-counter values of the overflow's samples to dst
-// and returns it; convenience for the centroid detector.
+// and returns it. The benchmark's analysis (perfbench) calls it; the
+// centroid detector sums the samples' PCs in place.
 func PCs(ov *Overflow, dst []uint64) []uint64 {
 	for i := range ov.Samples {
 		dst = append(dst, uint64(ov.Samples[i].PC))

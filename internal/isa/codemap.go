@@ -180,6 +180,15 @@ func (pr *Program) SlotLoop(s int) int {
 	return -1
 }
 
+// SlotProc returns the index in Procs of the procedure whose blocks hold
+// slot s, or -1 when no block does.
+func (pr *Program) SlotProc(s int) int {
+	if b := pr.code.slotBlock(s); b >= 0 {
+		return int(pr.code.blocks[b].proc)
+	}
+	return -1
+}
+
 // BlockOrdinal returns the program-wide ordinal of the basic block
 // containing pc, or -1 when pc is in no block. Ordinals number every
 // block of every procedure in address order, 0 to NumBlocks()-1.
@@ -232,8 +241,7 @@ func (pr *Program) BlockAt(addr Addr) *Block {
 }
 
 // LoopAt returns the innermost loop whose address span contains addr, or
-// nil — the procedure's InnermostLoopAt, answered from the code map. This
-// is how region formation maps a hot sample to a candidate loop region.
+// nil — the procedure's InnermostLoopAt, answered from the code map.
 func (pr *Program) LoopAt(addr Addr) *Loop {
 	if info := pr.blockInfoAt(addr); info != nil && info.loop >= 0 {
 		return pr.code.loops[info.loop]

@@ -11,7 +11,8 @@ import (
 // procedures and blocks at every address from Start()-8 to End()+8:
 // Slot's ordinal (pageSlots slots per page holding an instruction, pages
 // numbered from Start()) and SlotAddr, BlockOrdinal, ProcAt, BlockAt,
-// KindAt, LoopAt (against the procedure's InnermostLoopAt) and SlotLoop;
+// KindAt, LoopAt (against the procedure's InnermostLoopAt), SlotLoop and
+// SlotProc;
 // and SpanOnCode for spans of up to 129 instructions from every aligned
 // address.
 func CheckCodeMap(t testing.TB, prog *isa.Program) {
@@ -61,10 +62,10 @@ func CheckCodeMap(t testing.TB, prog *isa.Program) {
 			blk = proc.Blocks[bi]
 		}
 		var loop *isa.Loop
-		wantOrd, wantLoop := -1, -1
+		wantOrd, wantLoop, wantProc := -1, -1, -1
 		wantKind, kindOK := isa.Kind(0), false
 		if blk != nil {
-			wantOrd = ord
+			wantOrd, wantProc = ord, pi
 			if loop = proc.InnermostLoopAt(a); loop != nil {
 				wantLoop = loopOrd[loop]
 			}
@@ -84,6 +85,9 @@ func CheckCodeMap(t testing.TB, prog *isa.Program) {
 			}
 			if got := prog.SlotLoop(slot); got != wantLoop {
 				t.Fatalf("%v: slot loop %d; want %d", a, got, wantLoop)
+			}
+			if got := prog.SlotProc(slot); got != wantProc {
+				t.Fatalf("%v: slot procedure %d; want %d", a, got, wantProc)
 			}
 		} else if slot >= 0 {
 			t.Fatalf("%v: slot %d off every code page", a, slot)

@@ -28,20 +28,13 @@ type Annotation struct {
 }
 
 // Validate reports structural errors against prog: the span must be one
-// AddRegion accepts, on the program's code pages, and its first and last
-// instructions must lie in basic blocks.
+// AddRegion accepts.
 func (a *Annotation) Validate(prog *isa.Program) error {
 	if err := checkSpan(prog, a.Start, a.End); err != nil {
 		return fmt.Errorf("region: annotation %q: %w", a.Name, err)
 	}
-	if prog.BlockAt(a.Start) == nil || prog.BlockAt(a.End-isa.InstrBytes) == nil {
-		return fmt.Errorf("region: annotation %q span %v-%v outside program text", a.Name, a.Start, a.End)
-	}
 	return nil
 }
-
-// Contains reports whether addr falls inside the annotation.
-func (a *Annotation) Contains(addr isa.Addr) bool { return addr >= a.Start && addr < a.End }
 
 // candidate is one annotation or procedure formation candidate.
 type candidate struct {
@@ -50,50 +43,47 @@ type candidate struct {
 }
 
 // extendedCandidates collects annotation- and procedure-based candidates
-// from the interval's unmonitored runs. Loop candidates are gathered by
-// the caller; this adds the two extension classes when enabled.
+// from the interval's UCR slots, which still hold their counts. Loop
+// candidates are gathered by the caller; this adds the two extension
+// classes when enabled.
 func (m *Monitor) extendedCandidates(ucr []int32) []candidate {
 	var out []candidate
 
-	if len(m.cfg.Annotations) > 0 {
-		counts := make([]int, len(m.cfg.Annotations))
-		m.eachUCR(ucr, func(pc isa.Addr, n int) {
-			for i := range m.cfg.Annotations {
-				if m.cfg.Annotations[i].Contains(pc) {
-					counts[i] += n
-				}
+	for i := range m.cfg.Annotations {
+		// A validated annotation is one run of slots, [first, end).
+		a := &m.cfg.Annotations[i]
+		first := m.prog.Slot(a.Start)
+		end := first + int(a.End-a.Start)/isa.InstrBytes
+		samples := 0
+		for _, s := range ucr {
+			if int(s) >= first && int(s) < end {
+				samples += int(m.counts[s])
 			}
-		})
-		for i := range m.cfg.Annotations {
-			if counts[i] >= m.cfg.MinRegionSamples {
-				a := &m.cfg.Annotations[i]
-				out = append(out, candidate{
-					start: a.Start, end: a.End, samples: counts[i],
-				})
-			}
+		}
+		if samples >= m.cfg.MinRegionSamples {
+			out = append(out, candidate{start: a.Start, end: a.End, samples: samples})
 		}
 	}
 
 	if m.cfg.InterProcedural {
-		procCounts := make(map[*isa.Procedure]int)
-		m.eachUCR(ucr, func(pc isa.Addr, n int) {
+		tally := make([]int, len(m.prog.Procs))
+		for _, s := range ucr {
 			// Only samples the loop finder cannot place feed procedure
 			// regions; loop-covered samples stay with their loops.
-			if p := m.prog.ProcAt(pc); p != nil && m.prog.LoopAt(pc) == nil {
-				procCounts[p] += n
+			if p := m.prog.SlotProc(int(s)); p >= 0 && m.prog.SlotLoop(int(s)) < 0 {
+				tally[p] += int(m.counts[s])
 			}
-		})
+		}
 		maxInstrs := m.cfg.MaxProcRegionInstrs
 		if maxInstrs == 0 {
 			maxInstrs = DefaultMaxProcRegionInstrs
 		}
-		for p, n := range procCounts {
+		for i, n := range tally {
+			p := m.prog.Procs[i]
 			if n < m.cfg.MinRegionSamples || p.NumInstrs() > maxInstrs {
 				continue
 			}
-			out = append(out, candidate{
-				start: p.Start(), end: p.End(), samples: n,
-			})
+			out = append(out, candidate{start: p.Start(), end: p.End(), samples: n})
 		}
 	}
 

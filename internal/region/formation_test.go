@@ -1,6 +1,7 @@
 package region
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,9 +53,6 @@ func TestAnnotationFormsRegion(t *testing.T) {
 	r := rep.NewRegions[0]
 	if r.Start != ann.Start || r.End != ann.End {
 		t.Errorf("region span %s; want annotation span %v-%v", r.Name(), ann.Start, ann.End)
-	}
-	if r.Loop != nil {
-		t.Error("annotation region should have no loop")
 	}
 
 	// Subsequent intervals: the annotated span is monitored, UCR drops.
@@ -112,8 +110,8 @@ func TestLoopSamplesDoNotFeedProcedureRegions(t *testing.T) {
 	if len(rep.NewRegions) != 1 {
 		t.Fatalf("formed %d regions; want 1", len(rep.NewRegions))
 	}
-	if rep.NewRegions[0].Loop == nil {
-		t.Error("loop samples produced a non-loop region")
+	if r := rep.NewRegions[0]; r.Start != loop.Start || r.End != loop.End {
+		t.Errorf("loop samples formed %s; want the loop region %s", r.Name(), loop.Name())
 	}
 }
 
@@ -165,5 +163,59 @@ func TestAnnotationReducesUCRForDispatcherWorkload(t *testing.T) {
 	}
 	if base, ann := stats.Median(baseUCR), stats.Median(annUCR); ann >= base || ann > 0.05 {
 		t.Errorf("annotation did not reduce UCR: baseline %.2f, annotated %.2f", base, ann)
+	}
+}
+
+// TestHotLoops: HotLoops keeps the loops whose tally reaches the
+// threshold, hottest first and the lower start address first among
+// equals, and leaves the tally zeroed for the next interval.
+func TestHotLoops(t *testing.T) {
+	b := isa.NewBuilder(0x10000)
+	p := b.Proc("main")
+	p.BeginLoop()
+	p.Code(8, isa.KindALU)
+	p.Loop(8, []isa.Kind{isa.KindLoad, isa.KindALU}, nil)
+	p.EndLoop()
+	p.Loop(12, []isa.Kind{isa.KindLoad, isa.KindALU}, nil)
+	b.Proc("other").Loop(16, []isa.Kind{isa.KindLoad, isa.KindFP}, nil)
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.NumLoops() != 4 {
+		t.Fatalf("%d loops; want 4", prog.NumLoops())
+	}
+	for i := 1; i < prog.NumLoops(); i++ {
+		if prog.Loop(i-1).Start() >= prog.Loop(i).Start() {
+			t.Fatalf("loop ordinals %d and %d not in address order", i-1, i)
+		}
+	}
+	cases := []struct {
+		name  string
+		tally []int
+		min   int
+		want  []int // loop ordinals, in rank order
+	}{
+		{"hottest first", []int{5, 40, 20, 30}, 10, []int{1, 3, 2}},
+		{"ties by start", []int{20, 30, 20, 20}, 1, []int{1, 0, 2, 3}},
+		{"threshold inclusive", []int{9, 10, 11, 0}, 10, []int{2, 1}},
+		{"none reach", []int{1, 2, 3, 4}, 5, nil},
+		{"cold tally", []int{0, 0, 0, 0}, 1, nil},
+	}
+	for _, c := range cases {
+		tally := slices.Clone(c.tally)
+		got := HotLoops(prog, tally, c.min)
+		if len(got) != len(c.want) {
+			t.Errorf("%s: %d loops; want %d", c.name, len(got), len(c.want))
+			continue
+		}
+		for i, l := range c.want {
+			if got[i] != prog.Loop(l) {
+				t.Errorf("%s: rank %d is %s; want loop %d, %s", c.name, i, got[i].Name(), l, prog.Loop(l).Name())
+			}
+		}
+		if slices.ContainsFunc(tally, func(n int) bool { return n != 0 }) {
+			t.Errorf("%s: tally %v left unzeroed", c.name, tally)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func oracleDistribute(prog *isa.Program, regions []*Region, ov *hpm.Overflow) or
 // test unless the fork ends up where the oracle says: the same monitored,
 // UCR and idle counts, every region's histogram and counters, and the
 // same multiset of UCR PCs. UCR PCs compare by instruction address:
-// distribute hands formation a slot's address for every PC inside that
+// distribute hands formation the slot of every PC inside that
 // instruction, and every span formation builds from them is
 // instruction-aligned. m itself is not touched.
 func checkDistribute(t *testing.T, m *Monitor, ov *hpm.Overflow) {
@@ -92,11 +92,11 @@ func checkDistribute(t *testing.T, m *Monitor, ov *hpm.Overflow) {
 	want := oracleDistribute(m.prog, m.Regions(), ov)
 	var rep Report
 	var got []isa.Addr
-	fork.eachUCR(fork.distribute(ov, &rep), func(pc isa.Addr, n int) {
-		for i := 0; i < n; i++ {
-			got = append(got, pc&^(isa.InstrBytes-1))
+	for _, s := range fork.distribute(ov, &rep) {
+		for i := uint32(0); i < fork.counts[s]; i++ {
+			got = append(got, fork.prog.SlotAddr(int(s)))
 		}
-	})
+	}
 	slices.Sort(got)
 	if rep.MonitoredSamples != want.monitored || rep.UCRSamples != want.ucr || rep.IdleSamples != want.idle {
 		t.Fatalf("interval %d: monitored/UCR/idle samples %d/%d/%d, oracle %d/%d/%d", ov.Seq,

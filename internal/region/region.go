@@ -15,9 +15,10 @@
 //  3. runs each region's local phase detector on its interval histogram.
 //
 // Every region lies on the code map: its span is one run of consecutive
-// instruction slots (isa.Program.SpanOnCode), which AddRegion, restore
-// and Annotation.Validate require. A sample on no code page — idle PC 0,
-// or an address outside the text — is UCR and can form nothing.
+// instruction slots (isa.Program.SpanOnCode) that starts and ends in
+// basic blocks, which AddRegion, restore and Annotation.Validate require.
+// A sample on no code page — idle PC 0, or an address outside the text —
+// is UCR and can form nothing.
 //
 // Some hot code cannot be covered: samples in straight-line code or in
 // loops spanning procedure boundaries form no region (the paper's
@@ -121,8 +122,9 @@ func (c *Config) validateAnnotations(prog *isa.Program) error {
 	return nil
 }
 
-// Region is one monitored code region: a loop's address span, its
-// interval histogram and its local phase detector. Monitor's snapshot
+// Region is one monitored code region: an address span (a loop's, an
+// annotation's, a procedure's or one added by hand), its interval
+// histogram and its local phase detector. Monitor's snapshot
 // methods serialize it field by field.
 //
 //lint:snapshot
@@ -131,9 +133,6 @@ type Region struct {
 	ID int
 	// Start, End delimit the region's half-open address span.
 	Start, End isa.Addr
-	// Loop is the natural loop the region was built from (nil for
-	// regions added manually via AddRegion on a non-loop span).
-	Loop *isa.Loop //lint:config -- re-derived from the program on restore
 	// Detector is the region's local phase detector.
 	Detector *lpd.Detector
 	// FormedAt is the sequence number of the overflow that formed the
@@ -165,24 +164,6 @@ func (r *Region) Contains(addr isa.Addr) bool { return addr >= r.Start && addr <
 
 // TotalSamples returns the samples attributed to the region so far.
 func (r *Region) TotalSamples() int64 { return r.totalSamples }
-
-// GranularityCycles estimates the region's granularity in the paper's
-// Section 3.2 sense — "the smallest number of cycles required to execute a
-// single iteration of the code region" — by summing the per-instruction
-// base costs supplied by cost (stall-free lower bound). Local phase
-// detection assumes the sampling period exceeds this value; callers can
-// warn when it does not.
-func (r *Region) GranularityCycles(prog *isa.Program, cost func(isa.Kind) uint64) uint64 {
-	var total uint64
-	for a := r.Start; a < r.End; a += isa.InstrBytes {
-		k, ok := prog.KindAt(a)
-		if !ok {
-			k = isa.KindNop
-		}
-		total += cost(k)
-	}
-	return total
-}
 
 // AppendHistogram appends the histogram the region's detector last
 // observed to dst and returns the extended slice. It is the
@@ -304,9 +285,10 @@ func (m *Monitor) Regions() []*Region {
 
 // AddRegion manually registers a region over [start, end) (used for
 // non-loop spans in tests and by controllers with prior knowledge). The
-// span must be non-empty, start and end on instruction boundaries, and
-// lie wholly on the program's code pages (isa.Program.SpanOnCode), so
-// that it is one run of instruction slots; any other span is refused.
+// span must be non-empty, start and end on instruction boundaries, lie
+// wholly on the program's code pages (isa.Program.SpanOnCode), so that
+// it is one run of instruction slots, and start and end in basic blocks;
+// any other span is refused.
 func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
 	if err := checkSpan(m.prog, start, end); err != nil {
 		return nil, fmt.Errorf("region: %w", err)
@@ -332,12 +314,15 @@ func (m *Monitor) AddRegion(start, end isa.Addr) (*Region, error) {
 }
 
 // checkSpan reports why [start, end) cannot be a region of prog: it is
-// empty, it starts or ends inside an instruction, or it reaches an
-// address on no code page. A misaligned start would split an
-// instruction, so a PC and its slot's address could land in different
-// regions or bins; a partial trailing instruction would let a sample at
-// the last address index one past the histogram; and off the code pages
-// no sample has a slot for the region to read.
+// empty, it starts or ends inside an instruction, it reaches an address
+// on no code page, or its first or last instruction lies in no basic
+// block. It is the one span rule of AddRegion, restore staging and
+// Annotation.Validate. A misaligned start would split an instruction, so
+// a PC and its slot's address could land in different regions or bins; a
+// partial trailing instruction would let a sample at the last address
+// index one past the histogram; off the code pages no sample has a slot
+// for the region to read; and an end in no block is an instruction no
+// well-formed sample can hit.
 func checkSpan(prog *isa.Program, start, end isa.Addr) error {
 	switch {
 	case start >= end:
@@ -348,19 +333,20 @@ func checkSpan(prog *isa.Program, start, end isa.Addr) error {
 		return fmt.Errorf("span %v-%v is not a whole number of instructions", start, end)
 	case !prog.SpanOnCode(start, end):
 		return fmt.Errorf("span %v-%v reaches addresses on no code page", start, end)
+	case prog.BlockAt(start) == nil || prog.BlockAt(end-isa.InstrBytes) == nil:
+		return fmt.Errorf("span %v-%v starts or ends outside program text", start, end)
 	}
 	return nil
 }
 
 // newRegion returns the region over the span [start, end), which
-// checkSpan accepts, with its detector, a zeroed histogram, and the loop
-// and first slot derived from the span.
+// checkSpan accepts, with its detector, a zeroed histogram, and the
+// first slot derived from the span.
 func (m *Monitor) newRegion(id int, start, end isa.Addr, det *lpd.Detector) *Region {
 	return &Region{
 		ID:       id,
 		Start:    start,
 		End:      end,
-		Loop:     m.loopSpanning(start, end),
 		Detector: det,
 		curr:     make([]int64, int(end-start)/isa.InstrBytes),
 		slot:     m.prog.Slot(start),
@@ -373,15 +359,6 @@ func (m *Monitor) addCover(r *Region, d int32) {
 	for i := range c {
 		c[i] += d
 	}
-}
-
-// loopSpanning returns the innermost loop at start when its span is
-// exactly [start, end), or nil.
-func (m *Monitor) loopSpanning(start, end isa.Addr) *isa.Loop {
-	if l := m.prog.LoopAt(start); l != nil && l.Start() == start && l.End() == end {
-		return l
-	}
-	return nil
 }
 
 // ProcessOverflow runs one interval of region monitoring over the
@@ -451,14 +428,6 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	m.regions = live
 	m.verdictScratch = rep.Verdicts
 	return rep
-}
-
-// eachUCR calls f with the address and count of each UCR slot that
-// distribute returned, while the slots keep their counts.
-func (m *Monitor) eachUCR(ucr []int32, f func(pc isa.Addr, n int)) {
-	for _, s := range ucr {
-		f(m.prog.SlotAddr(int(s)), int(m.counts[s]))
-	}
 }
 
 // distribute spreads the buffer over the monitored regions and returns
@@ -560,11 +529,12 @@ func (m *Monitor) growSeen(samples int) {
 
 // formRegions builds loop regions around unmonitored hot samples: each
 // distinct UCR slot's innermost enclosing natural loop, read from the
-// code map, gathers the slot's sample count in a tally by loop ordinal;
-// loops gathering at least MinRegionSamples become regions. Samples with
-// no enclosing loop (straight-line code, loops crossing procedure
-// boundaries) form nothing — the paper's persistent-UCR limitation. The triggering interval's samples
-// are replayed into the new regions so detection starts immediately.
+// code map, gathers the slot's sample count in a tally by loop ordinal,
+// and HotLoops ranks the loops gathering at least MinRegionSamples into
+// regions. Samples with no enclosing loop (straight-line code, loops
+// crossing procedure boundaries) form nothing — the paper's
+// persistent-UCR limitation. The triggering interval's samples are
+// replayed into the new regions so detection starts immediately.
 //
 // Formation only runs when the UCR fraction trips the threshold — a rare
 // event, not per-interval work — so it is free to allocate (new regions,
@@ -580,42 +550,19 @@ func (m *Monitor) formRegions(ucr []int32) []*Region {
 			m.loopTally[l] += int(m.counts[s])
 		}
 	}
-	// Deterministic formation order: hottest loop first, address as tie
-	// break.
-	type cand struct {
-		loop *isa.Loop
-		n    int
-	}
-	var cands []cand
-	for l, n := range m.loopTally {
-		if n >= m.cfg.MinRegionSamples {
-			cands = append(cands, cand{m.prog.Loop(l), n})
-		}
-	}
-	clear(m.loopTally)
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n > cands[j].n
-		}
-		return cands[i].loop.Start() < cands[j].loop.Start()
-	})
+	// AddRegion refuses a span already monitored, and any past the cap.
 	var formed []*Region
-	for _, c := range cands {
-		r, err := m.AddRegion(c.loop.Start(), c.loop.End())
-		if err != nil {
-			continue // already monitored under an identical span, or cap hit
+	for _, l := range HotLoops(m.prog, m.loopTally, m.cfg.MinRegionSamples) {
+		if r, err := m.AddRegion(l.Start(), l.End()); err == nil {
+			formed = append(formed, r)
 		}
-		r.Loop = c.loop
-		formed = append(formed, r)
 	}
 	// Extension candidates (compiler annotations, inter-procedural
 	// regions) — no-ops under the paper's baseline configuration.
 	for _, c := range m.extendedCandidates(ucr) {
-		r, err := m.AddRegion(c.start, c.end)
-		if err != nil {
-			continue
+		if r, err := m.AddRegion(c.start, c.end); err == nil {
+			formed = append(formed, r)
 		}
-		formed = append(formed, r)
 	}
 	if len(formed) == 0 {
 		return nil
@@ -626,4 +573,31 @@ func (m *Monitor) formRegions(ucr []int32) []*Region {
 		r.read(m.counts)
 	}
 	return formed
+}
+
+// HotLoops returns the loops of prog whose tally, indexed by loop ordinal
+// (isa.Program.Loop), reaches minCount: hottest first, the lower start
+// address first among equals. It zeroes the tally. Region formation ranks
+// its loop candidates with it, and the RTO controller its optimization
+// traces.
+func HotLoops(prog *isa.Program, tally []int, minCount int) []*isa.Loop {
+	var hot []int
+	for l, n := range tally {
+		if n >= minCount {
+			hot = append(hot, l)
+		}
+	}
+	sort.Slice(hot, func(i, j int) bool {
+		a, b := hot[i], hot[j]
+		if tally[a] != tally[b] {
+			return tally[a] > tally[b]
+		}
+		return prog.Loop(a).Start() < prog.Loop(b).Start()
+	})
+	clear(tally)
+	loops := make([]*isa.Loop, len(hot))
+	for i, l := range hot {
+		loops[i] = prog.Loop(l)
+	}
+	return loops
 }

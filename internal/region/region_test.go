@@ -98,9 +98,6 @@ func TestFormationTriggerAndLoopRegions(t *testing.T) {
 	if r.Start != l1.Start || r.End != l1.End {
 		t.Errorf("region span %s; want %s", r.Name(), l1.Name())
 	}
-	if r.Loop == nil {
-		t.Error("formed region lost its loop")
-	}
 	if rep.UCRFraction != 1 {
 		t.Errorf("UCR fraction = %v; want 1", rep.UCRFraction)
 	}
@@ -310,17 +307,48 @@ func TestAddRegionValidation(t *testing.T) {
 // AddRegion before the check could make: the format did not change.
 func TestOffCodeSpansRefused(t *testing.T) {
 	prog, spans := gappedProgram(t)
+	checkSpansRefused(t, prog, spans, offCodeSpans(prog, spans), offCodeErr)
+}
+
+// TestBlocklessSpansRefused: a span on code pages whose first or last
+// instruction lies in no basic block holds an instruction no well-formed
+// sample can hit, and all three entry points refuse it with the block
+// error through the one span rule.
+func TestBlocklessSpansRefused(t *testing.T) {
+	prog, spans := gappedProgram(t)
+	a, b := prog.Procs[0], prog.Procs[1] // sharing a code page
+	blockless := [][2]isa.Addr{
+		{prog.End(), prog.End() + 0x10},                          // after the text, on its last page
+		{a.End(), b.Start()},                                     // between two procedures
+		{a.End() - isa.InstrBytes, a.End() + isa.InstrBytes},     // from a block into the gap
+		{b.Start() - isa.InstrBytes, b.Start() + isa.InstrBytes}, // from the gap into a block
+	}
+	for _, span := range blockless {
+		if !prog.SpanOnCode(span[0], span[1]) {
+			t.Fatalf("%v-%v is off the code pages", span[0], span[1])
+		}
+	}
+	checkSpansRefused(t, prog, spans, blockless, "starts or ends outside program text")
+}
+
+// checkSpansRefused requires AddRegion, Annotation.Validate, NewMonitor
+// with the annotation and the restore of a hand-encoded version-3
+// snapshot to refuse every span of refuse with an error containing
+// wantErr, on a monitor of gappedProgram's prog with one region, and
+// every refused restore to leave the monitor's bytes unchanged.
+func checkSpansRefused(t *testing.T, prog *isa.Program, spans []isa.LoopSpan, refuse [][2]isa.Addr, wantErr string) {
+	t.Helper()
 	m := newMonitor(t, prog, nil)
 	if _, err := m.AddRegion(spans[0].Start, spans[0].End); err != nil {
 		t.Fatal(err)
 	}
 	before := snap.Marshal(m)
-	for _, span := range offCodeSpans(prog, spans) {
+	for _, span := range refuse {
 		start, end := span[0], span[1]
 		refused := func(what string, err error) {
 			t.Helper()
-			if err == nil || !strings.Contains(err.Error(), offCodeErr) {
-				t.Fatalf("%s of %v-%v: %v; want the code-page check", what, start, end, err)
+			if err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Fatalf("%s of %v-%v: %v; want %q", what, start, end, err, wantErr)
 			}
 		}
 		_, err := m.AddRegion(start, end)
@@ -352,30 +380,6 @@ func TestOffCodeSpansRefused(t *testing.T) {
 		if !bytes.Equal(snap.Marshal(m), before) {
 			t.Fatalf("refused restore of %v-%v changed the monitor", start, end)
 		}
-	}
-}
-
-func TestGranularityCycles(t *testing.T) {
-	prog, l1, _ := testProgram(t)
-	m := newMonitor(t, prog, nil)
-	r, err := m.AddRegion(l1.Start, l1.End)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unit := func(isa.Kind) uint64 { return 1 }
-	if got := r.GranularityCycles(prog, unit); got != uint64(r.NumInstrs()) {
-		t.Errorf("unit-cost granularity = %d; want %d", got, r.NumInstrs())
-	}
-	weighted := func(k isa.Kind) uint64 {
-		if k == isa.KindLoad {
-			return 3
-		}
-		return 1
-	}
-	// l1's body alternates load/alu (16 instrs, 8 loads) + 2-instr latch.
-	want := uint64(8*3 + 8 + 2)
-	if got := r.GranularityCycles(prog, weighted); got != want {
-		t.Errorf("weighted granularity = %d; want %d", got, want)
 	}
 }
 

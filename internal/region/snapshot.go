@@ -19,12 +19,12 @@ import (
 // verdicts).
 //
 // Regions are encoded in ID order, the order the monitor keeps them in,
-// so identical state always produces identical bytes. Loop pointers,
-// first slots and the per-slot cover are not serialized; they are
-// re-derived from the program on restore, exactly as AddRegion derives
-// them. Nor is a region's histogram or hit count: each interval sets both
-// from its slot counts before anything reads them. Version 3 is the
-// current layout; older versions are refused.
+// so identical state always produces identical bytes. First slots and
+// the per-slot cover are not serialized; they are re-derived from the
+// program on restore, exactly as AddRegion derives them. Nor is a
+// region's histogram or hit count: each interval sets both from its slot
+// counts before anything reads them. Version 3 is the current layout;
+// older versions are refused.
 
 const monitorTag = "regmon"
 

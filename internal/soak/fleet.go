@@ -31,8 +31,12 @@ type FleetConfig struct {
 	// path). Purely a transport knob: digests are independent of it,
 	// and TestFleetSoakBatchInvariance pins that.
 	Batch int
-	// Seed seeds stream 0's workload; stream s uses a golden-ratio
-	// offset of it, so every stream's workload differs (default 1).
+	// Seed seeds stream 0's workload; stream s starts from Seed plus s
+	// golden-ratio increments (default 1). That increment is splitmix64's
+	// own step, so stream s replays stream 0's draws without the first s
+	// and the streams soon fall into step: from sample 1,000 on, streams
+	// 1 and 2 carry stream 0's PCs, instruction and miss counts. Their
+	// digests still differ, since they fold the absolute cycle.
 	Seed uint64
 	// RestoreEvery, when positive, kills the whole fleet every that many
 	// interval rounds: Snapshot it, Close it, build a fresh fleet,
